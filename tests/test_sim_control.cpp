@@ -9,6 +9,7 @@
 #include <memory>
 
 #include "arch/config.h"
+#include "common/serdes.h"
 #include "fault/fault_model.h"
 #include "metaop/op_graph.h"
 #include "sim/alchemist_sim.h"
@@ -301,6 +302,57 @@ TEST(Checkpoint, RejectsMismatchedResume) {
     r.checkpoint = &c;
     EXPECT_THROW(sim::simulate_alchemist(g, cfg, nullptr, &fm, &r),
                  sim::CheckpointError);
+  }
+}
+
+// The cursor blobs are part of checkpoint schema v2: a checkpoint written by
+// an earlier build must still resume. Pin the FNV-1a digest of
+// Checkpoint::state after 1-3 steps on both engines, with and without faults,
+// so any drift in either layout (or in the state it snapshots) fails here
+// instead of silently breaking old checkpoints.
+TEST(Checkpoint, CursorBytesArePinned) {
+  struct Pin {
+    bool event;
+    bool faults;
+    std::uint64_t steps;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {false, false, 1, 0xcd28182e66c209f9ull},
+      {false, false, 2, 0x6053febde5599d52ull},
+      {false, false, 3, 0x1654f776fb23bd0eull},
+      {false, true, 1, 0x972d56e66cbef985ull},
+      {false, true, 2, 0xfb788c9261501f7aull},
+      {false, true, 3, 0x80d85ee23b6a6e9bull},
+      {true, false, 1, 0x4f5335d318335a63ull},
+      {true, false, 2, 0x41c2e4d2d795055cull},
+      {true, false, 3, 0xae424cfeb4f3ed21ull},
+      {true, true, 1, 0xaa5b95d6870c7ce1ull},
+      {true, true, 2, 0xebf255e1082724e5ull},
+      {true, true, 3, 0xbf4437106b54ed32ull},
+  };
+  const metaop::OpGraph g = keyswitch_graph();
+  const arch::ArchConfig cfg = arch::ArchConfig::alchemist();
+  // Rates high enough, under detect-retry, that faults reach both blobs:
+  // the level cursor carries the fault totals, the event cursor the retried
+  // per-op work.
+  fault::FaultConfig fc;
+  fc.seed = 0xdead'beefull;
+  fc.compute_fault_rate = fc.sram_fault_rate = fc.hbm_fault_rate = 1e-6;
+  fc.policy = fault::Policy::DetectRetry;
+  for (const Pin& p : pins) {
+    std::unique_ptr<fault::FaultModel> fm;
+    if (p.faults) fm = std::make_unique<fault::FaultModel>(fc, cfg.num_units);
+    sim::Checkpoint cp;
+    sim::SimControl ctl;
+    ctl.max_steps = p.steps;
+    ctl.checkpoint = &cp;
+    EXPECT_THROW(run_engine(p.event, g, cfg, fm.get(), &ctl), sim::CancelledError);
+    ASSERT_TRUE(cp.valid());
+    EXPECT_EQ(cp.engine, p.event ? sim::kEventEngine : sim::kLevelEngine);
+    EXPECT_EQ(fnv1a(cp.state), p.digest)
+        << (p.event ? "event" : "level") << (p.faults ? " +faults" : "")
+        << " after " << p.steps << " steps";
   }
 }
 
