@@ -1,10 +1,10 @@
 #include "bfv/ring_ops.h"
 
 #include <array>
-#include <map>
-#include <memory>
 #include <stdexcept>
+#include <utility>
 
+#include "common/keyed_cache.h"
 #include "common/primes.h"
 #include "poly/ntt.h"
 
@@ -62,11 +62,8 @@ class ExactConv {
 };
 
 const ExactConv& conv_for(std::size_t n, u64 q) {
-  static std::map<std::pair<std::size_t, u64>, std::unique_ptr<ExactConv>> cache;
-  auto key = std::make_pair(n, q);
-  auto it = cache.find(key);
-  if (it == cache.end()) it = cache.emplace(key, std::make_unique<ExactConv>(n, q)).first;
-  return *it->second;
+  static KeyedCache<std::pair<std::size_t, u64>, ExactConv> cache;
+  return cache.get({n, q}, n, q);
 }
 
 }  // namespace

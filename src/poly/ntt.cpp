@@ -1,10 +1,9 @@
 #include "poly/ntt.h"
 
-#include <map>
-#include <mutex>
-#include <shared_mutex>
 #include <stdexcept>
+#include <utility>
 
+#include "common/keyed_cache.h"
 #include "common/primes.h"
 
 namespace alchemist {
@@ -115,23 +114,9 @@ void NttTable::inverse_eager(std::span<u64> a) const {
 }
 
 const NttTable& get_ntt_table(u64 q, std::size_t n) {
-  // Reachable from concurrent pool workers and svc::JobRunner jobs: reads
-  // take a shared lock; a cache miss builds the table outside any lock (O(N)
-  // modular exponentiations) and inserts under the exclusive lock, where a
-  // losing racer simply adopts the winner's table. std::map nodes are stable,
-  // so returned references survive later insertions.
-  static std::shared_mutex mu;
-  static std::map<std::pair<u64, std::size_t>, std::unique_ptr<NttTable>> cache;
-  const auto key = std::make_pair(q, n);
-  {
-    std::shared_lock<std::shared_mutex> rlk(mu);
-    const auto it = cache.find(key);
-    if (it != cache.end()) return *it->second;
-  }
-  auto table = std::make_unique<NttTable>(q, n);
-  std::unique_lock<std::shared_mutex> wlk(mu);
-  const auto [it, inserted] = cache.emplace(key, std::move(table));
-  return *it->second;
+  // Reachable from concurrent pool workers and svc::JobRunner jobs.
+  static KeyedCache<std::pair<u64, std::size_t>, NttTable> cache;
+  return cache.get({q, n}, q, n);
 }
 
 }  // namespace alchemist

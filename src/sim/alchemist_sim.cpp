@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "metaop/lowering.h"
-#include "metaop/mult_count.h"
-#include "sim/fault_costs.h"
 #include "sim/telemetry.h"
 
 namespace alchemist::sim {
@@ -25,150 +25,483 @@ using metaop::MetaOpStream;
 using metaop::OpClass;
 using metaop::OpGraph;
 using metaop::OpKind;
+using NumAttrs = std::vector<std::pair<std::string, double>>;
+using StrAttrs = std::vector<std::pair<std::string, std::string>>;
+template <typename T>
+using PerClass = std::array<T, kNumOpClasses>;
 
-// ASAP levels over the dependency DAG.
-std::vector<std::vector<std::size_t>> asap_levels(const OpGraph& graph) {
-  std::vector<std::size_t> level(graph.ops.size(), 0);
-  std::size_t max_level = 0;
-  for (std::size_t i = 0; i < graph.ops.size(); ++i) {
-    for (std::size_t dep : graph.ops[i].deps) {
-      if (dep >= i) throw std::invalid_argument("simulate: deps must point backwards");
-      level[i] = std::max(level[i], level[dep] + 1);
+// Fault accounting: transient faults injected per domain, and what the
+// model's mitigation policy charged for them.
+struct FaultTotals {
+  std::uint64_t compute = 0;          // injected transients by domain
+  std::uint64_t sram = 0;
+  std::uint64_t hbm = 0;
+  std::uint64_t retries = 0;          // detect-retry re-executions
+  std::uint64_t retry_cycles = 0;     // core-cycles burned re-executing
+  std::uint64_t corrupted_ops = 0;    // ops whose output stays corrupted
+  std::uint64_t dmr_corrections = 0;  // mismatches fixed by the shadow core
+};
+
+// Price one op's transient faults under the model's policy. `batch_cost` is
+// the core-cycle cost of the affected Meta-OP batch (the re-execution
+// granule). Returns the extra core-cycles charged to the op and accumulates
+// the registry totals.
+std::uint64_t price_op_faults(const fault::FaultModel& model,
+                              const fault::OpFaults& faults, std::uint64_t batch_cost,
+                              FaultTotals& totals) {
+  totals.compute += faults.compute;
+  totals.sram += faults.sram;
+  totals.hbm += faults.hbm;
+  const std::uint64_t n_faults = faults.total();
+  if (n_faults == 0) return 0;
+  std::uint64_t extra = 0;
+  switch (model.config().policy) {
+    case fault::Policy::None:
+      // Undetected: the op completes on time with a corrupted output.
+      ++totals.corrupted_ops;
+      break;
+    case fault::Policy::DetectRetry: {
+      // Each detected fault re-executes the affected batch; the re-issue
+      // window doubles per successive retry within the op (flush, refetch,
+      // re-dispatch compound). Beyond max_retries the op is unrecoverable.
+      const std::uint64_t attempts =
+          std::min<std::uint64_t>(n_faults, model.config().max_retries);
+      for (std::uint64_t a = 0; a < attempts; ++a) extra += batch_cost << a;
+      totals.retries += attempts;
+      totals.retry_cycles += extra;
+      if (n_faults > model.config().max_retries) ++totals.corrupted_ops;
+      break;
     }
-    max_level = std::max(max_level, level[i]);
+    case fault::Policy::Dmr:
+      // The shadow core detects the mismatch immediately; one clean
+      // re-execution of the batch corrects each fault.
+      extra = n_faults * batch_cost;
+      totals.dmr_corrections += n_faults;
+      totals.retry_cycles += extra;
+      break;
   }
-  std::vector<std::vector<std::size_t>> levels(max_level + 1);
-  for (std::size_t i = 0; i < graph.ops.size(); ++i) levels[level[i]].push_back(i);
-  return levels;
+  return extra;
 }
 
-}  // namespace
+void add_fault_counters(obs::Registry& reg, const fault::FaultModel& model,
+                        const FaultTotals& totals) {
+  namespace fm = fault::metrics;
+  reg.add(fm::kInjected, totals.compute + totals.sram + totals.hbm);
+  reg.add(fm::kInjected, totals.compute, {{"domain", "compute"}});
+  reg.add(fm::kInjected, totals.sram, {{"domain", "sram"}});
+  reg.add(fm::kInjected, totals.hbm, {{"domain", "hbm"}});
+  reg.add(fm::kRetries, totals.retries);
+  reg.add(fm::kRetryCycles, totals.retry_cycles);
+  reg.add(fm::kCorruptedOps, totals.corrupted_ops);
+  reg.add(fm::kDmrCorrections, totals.dmr_corrections);
+  reg.add(fm::kMaskedUnits, model.masked_count());
+}
 
-SimResult simulate_alchemist(const OpGraph& graph, const arch::ArchConfig& config,
-                             obs::Timeline* timeline, fault::FaultModel* fault_model,
-                             SimControl* control, UnitProfiler* profiler,
-                             MemProfiler* mem_profiler) {
-  SimResult result;
-  result.workload = graph.name;
-  result.accelerator = "Alchemist";
-  obs::Registry& reg = result.registry;
+// One op priced on the simulated (possibly degraded) machine. Values are
+// exact; each policy rounds the transpose the way its model needs.
+struct OpCost {
+  OpClass cls = OpClass::Elementwise;
+  std::uint64_t raw_core_cycles = 0;  // lowered Meta-OP work, before padding
+  std::uint64_t core_cycles = 0;      // after degraded-stripe padding
+  std::uint64_t retry_cycles = 0;     // fault mitigation re-executions
+  std::uint64_t busy_lanes = 0;
+  std::uint64_t meta_ops = 0;
+  std::uint64_t batches = 0;
+  std::uint64_t mults = 0;
+  double transpose = 0;  // serialized half of the 4-step NTT transpose
+  fault::OpFaults faults;
+};
 
-  // An inert fault model (zero rates, no mask, no redundancy) must leave the
-  // run bit-identical to a fault-free one, so it is dropped entirely here.
-  fault::FaultModel* fault = fault_model && fault_model->enabled() ? fault_model : nullptr;
-  const arch::ArchConfig cfg = fault ? fault->degraded(config) : config;
-  FaultTotals fault_totals;
+// Per-class totals the epilogue turns into sim.cycles{class=} counters and
+// utilization gauges (busy / (peak * time)).
+struct ClassTotals {
+  PerClass<std::uint64_t> cycles{};
+  PerClass<double> time{};
+  PerClass<double> busy{};
+  // Also exported as sim.busy_lane_cycles{class=} when set.
+  const PerClass<std::uint64_t>* busy_counters = nullptr;
+};
 
-  const bool trace = cfg.telemetry && timeline != nullptr && timeline->enabled();
-  if (trace) {
-    timeline->set_process_name("alchemist-sim(level)");
-    name_fixed_tracks(*timeline);
+// The engine core: everything both scheduling policies share. A policy
+// derives from it, supplies its step loop, its checkpoint cursor and its
+// clock, and calls back into the core for op pricing, stop polling,
+// checkpoints, spans, timeline slices and the epilogue.
+class Engine {
+ public:
+  Engine(const OpGraph& graph, const arch::ArchConfig& config,
+         obs::Timeline* timeline, fault::FaultModel* fault_model,
+         SimControl* control, UnitProfiler* profiler, MemProfiler* mem_profiler,
+         const char* tag, const char* accelerator)
+      : graph_(graph),
+        config_(config),
+        // An inert fault model (zero rates, no mask, no redundancy) must leave
+        // the run bit-identical to a fault-free one, so it is dropped here.
+        fault_(fault_model && fault_model->enabled() ? fault_model : nullptr),
+        cfg_(fault_ ? fault_->degraded(config) : config),
+        fingerprint_(sim_fingerprint(config, fault_)),
+        tag_(tag),
+        control_(control),
+        profiler_(profiler),
+        mem_profiler_(mem_profiler),
+        timeline_(timeline),
+        trace_(cfg_.telemetry && timeline != nullptr && timeline->enabled()),
+        tsink_(control != nullptr ? control->trace : nullptr),
+        spans_on_(tsink_ != nullptr && control->trace_ctx.valid()),
+        detail_(spans_on_ ? control->effective_trace_detail()
+                          : obs::TraceDetail::Lifecycle),
+        cores_(cfg_.total_cores()),
+        transpose_words_per_cycle_(static_cast<double>(cfg_.num_units * cfg_.lanes)) {
+    result_.workload = graph.name;
+    result_.accelerator = accelerator;
+    if (spans_on_) sim_ctx_ = obs::child_context(control->trace_ctx, "sim", 0);
   }
-  std::vector<ClassTrackRows> rows;
-  if (trace) {
-    for (std::size_t c = 0; c < kNumOpClasses; ++c) {
-      rows.emplace_back(*timeline, static_cast<OpClass>(c));
+  virtual ~Engine() = default;
+  Engine(const Engine&) = delete;
+  Engine& operator=(const Engine&) = delete;
+
+ protected:
+  // --- policy hooks ---------------------------------------------------------
+  // The policy's resumable cursor (schema v2 layout, one per engine tag).
+  virtual void write_cursor(BinaryWriter& w, std::uint64_t step) = 0;
+  // Current simulated cycle, for span and checkpoint timestamps.
+  virtual double clock() const = 0;
+  // Emit any spans the policy holds open, before the run span closes.
+  virtual void flush_spans() {}
+
+  // Prologue side effects. Validates an incoming checkpoint against this
+  // engine and graph, restarts the fault RNG at its seed (the resumed run
+  // must draw exactly as the interrupted one did) and drops the UnitProfiler:
+  // cycles before the resume point were accounted by another process and
+  // survive only as aggregates. Returns whether the run resumes.
+  bool begin() {
+    if (trace_) {
+      timeline_->set_process_name(std::string("alchemist-sim(") + tag_ + ")");
+      name_fixed_tracks(*timeline_);
+      for (std::size_t c = 0; c < kNumOpClasses; ++c) {
+        rows_.emplace_back(*timeline_, static_cast<OpClass>(c));
+      }
+    }
+    if (!(control_ && control_->checkpoint && control_->checkpoint->valid())) {
+      return false;
+    }
+    const Checkpoint& cp = *control_->checkpoint;
+    const std::string who = std::string(tag_) + " engine: ";
+    if (cp.engine != tag_) {
+      throw CheckpointError(who + "checkpoint from engine '" + cp.engine + "'");
+    }
+    if (cp.workload != graph_.name || cp.op_count != graph_.ops.size()) {
+      throw CheckpointError(who + "checkpoint belongs to a different graph");
+    }
+    if (cp.fingerprint != fingerprint_) {
+      throw CheckpointError(who + "machine/fault configuration changed");
+    }
+    if (fault_) fault_->reset();
+    profiler_ = nullptr;
+    return true;
+  }
+
+  // Lower and price one op: busy lanes, degraded-stripe padding, transient
+  // faults (one draw per call from the run's single fault RNG stream) and
+  // their mitigation cost, and the transpose share. With `charge` the fault
+  // totals and per-op sim.* counters are booked; without, only the fault RNG
+  // advances (replaying ops a checkpoint already accounted).
+  OpCost cost(const HighOp& op, bool charge = true) {
+    const MetaOpStream stream = metaop::lower(op);
+    OpCost c;
+    c.cls = class_of(op.kind);
+    c.raw_core_cycles = c.core_cycles = stream.core_cycles();
+    for (const MetaOpBatch& batch : stream.batches) {
+      c.busy_lanes += batch.count * cfg_.lanes * (batch.n + 2);
+    }
+    c.meta_ops = stream.meta_op_count();
+    c.batches = stream.batches.size();
+    if (fault_) {
+      // Degraded stripe: slot-partitioned work inflates by the padding of
+      // ceil(N / healthy_units) striping (the masked units' share must be
+      // re-homed, and the tail stripe is padded).
+      const double pad = fault_->slot_padding_factor(op.n);
+      if (pad > 1.0) {
+        c.core_cycles = static_cast<std::uint64_t>(
+            std::ceil(static_cast<double>(c.core_cycles) * pad));
+      }
+      c.faults = fault_->sample_op(c.core_cycles, c.busy_lanes, op.hbm_bytes);
+      if (charge) {
+        const std::uint64_t batch_cost =
+            c.core_cycles / std::max<std::size_t>(stream.batches.size(), 1);
+        c.retry_cycles = price_op_faults(*fault_, c.faults, batch_cost, fault_totals_);
+      }
+    }
+    // 4-step NTT: one global transpose between the phases. Chunks of later
+    // channels transpose while earlier channels run phase 2, hiding half of
+    // the traffic; the other half serializes.
+    if (op.kind == OpKind::Ntt || op.kind == OpKind::Intt) {
+      const std::uint64_t words =
+          static_cast<std::uint64_t>(op.n) * std::max<std::size_t>(op.channels, 1);
+      c.transpose = static_cast<double>(words) / transpose_words_per_cycle_ / 2.0;
+    }
+    if (!charge) return c;
+    c.mults = stream.mult_count();
+    obs::Registry& reg = result_.registry;
+    reg.add(metrics::kMults, c.mults, {{"lazy", "true"}});
+    reg.add(metrics::kOps, 1);
+    reg.add(metrics::kOps, 1, {{"class", class_tag(c.cls)}});
+    reg.add(metrics::kMetaOps, c.meta_ops);
+    reg.add(metrics::kHbmBytes, op.hbm_bytes);
+    reg.add(metrics::kBusyLaneCycles, c.busy_lanes);
+    return c;
+  }
+
+  // --- execution control ----------------------------------------------------
+  // Before each step: stop on cancellation, deadline or step budget, after
+  // publishing the cursor (`step` steps complete) and closing the run span.
+  void poll(std::uint64_t step) {
+    if (!control_) return;
+    StopReason stop =
+        control_->cancel ? control_->cancel->should_stop() : StopReason::None;
+    if (stop == StopReason::None && control_->max_steps != 0 &&
+        executed_steps_ >= control_->max_steps) {
+      stop = StopReason::StepBudget;
+    }
+    if (stop == StopReason::None) return;
+    if (control_->checkpoint) save_checkpoint(step);
+    close(sim::to_string(stop));
+    throw CancelledError(stop, step);
+  }
+
+  // After each step: count it and take the interval checkpoint when due.
+  void step_done(std::uint64_t step) {
+    ++executed_steps_;
+    if (!control_ || !control_->checkpoint) return;
+    const std::uint64_t interval = control_->effective_checkpoint_interval();
+    if (interval != 0 && executed_steps_ % interval == 0) save_checkpoint(step);
+  }
+
+  void save_checkpoint(std::uint64_t step) {
+    Checkpoint cp;
+    cp.engine = tag_;
+    cp.workload = graph_.name;
+    cp.op_count = graph_.ops.size();
+    cp.fingerprint = fingerprint_;
+    cp.step = step;
+    BinaryWriter w;
+    write_cursor(w, step);
+    cp.state = w.buffer();
+    const double state_bytes = static_cast<double>(cp.state.size());
+    *control_->checkpoint = std::move(cp);
+    if (spans_on_) {
+      emit_span(obs::child_context(sim_ctx_, "checkpoint", trace_checkpoints_++),
+                "checkpoint", "sim/checkpoint", clock(), 0,
+                {{"step", static_cast<double>(step)}, {"bytes", state_bytes}});
     }
   }
 
-  // begin() before the resume block: a restored checkpoint overlays the
-  // profiler's accumulators on top of the geometry begin() captures.
-  if (mem_profiler) mem_profiler->begin(cfg, trace ? timeline : nullptr);
-
-  const std::uint64_t cores = cfg.total_cores();
-  const double hbm_bpc = cfg.hbm_bytes_per_cycle();
-  const double transpose_words_per_cycle =
-      static_cast<double>(cfg.num_units * cfg.lanes);
-
-  std::uint64_t total_cycles = 0;
-  std::uint64_t total_transpose = 0;
-  double total_hbm_bytes = 0;
-  std::uint64_t total_busy_lane_cycles = 0;
-  std::array<std::uint64_t, kNumOpClasses> class_wall{};
-  std::array<std::uint64_t, kNumOpClasses> class_busy_lanes{};
-
-  const auto levels = asap_levels(graph);
-
-  // --- execution control: resume, cooperative stop, checkpointing ---------
-  const std::uint64_t fingerprint = sim_fingerprint(config, fault);
-  std::uint64_t resume_level = 0;
-  if (control && control->checkpoint && control->checkpoint->valid()) {
-    const Checkpoint& cp = *control->checkpoint;
-    if (cp.engine != kLevelEngine) {
-      throw CheckpointError("level engine: checkpoint from engine '" + cp.engine + "'");
-    }
-    if (cp.workload != graph.name || cp.op_count != graph.ops.size()) {
-      throw CheckpointError("level engine: checkpoint belongs to a different graph");
-    }
-    if (cp.fingerprint != fingerprint) {
-      throw CheckpointError("level engine: machine/fault configuration changed");
-    }
-    BinaryReader r(cp.state);
-    resume_level = r.read_u64();
-    if (resume_level > levels.size()) {
-      throw CheckpointError("level engine: checkpoint step past end of schedule");
-    }
-    total_cycles = r.read_u64();
-    total_transpose = r.read_u64();
-    total_busy_lane_cycles = r.read_u64();
-    total_hbm_bytes = r.read_double();
-    const std::vector<std::uint64_t> wall = r.read_u64_vector();
-    const std::vector<std::uint64_t> busy = r.read_u64_vector();
-    if (wall.size() != kNumOpClasses || busy.size() != kNumOpClasses) {
-      throw CheckpointError("level engine: per-class array size mismatch");
-    }
-    std::copy(wall.begin(), wall.end(), class_wall.begin());
-    std::copy(busy.begin(), busy.end(), class_busy_lanes.begin());
-    fault_totals.compute = r.read_u64();
-    fault_totals.sram = r.read_u64();
-    fault_totals.hbm = r.read_u64();
-    fault_totals.retries = r.read_u64();
-    fault_totals.retry_cycles = r.read_u64();
-    fault_totals.corrupted_ops = r.read_u64();
-    fault_totals.dmr_corrections = r.read_u64();
-    read_registry(r, reg);
-    // Memory-profiler carry (checkpoint schema v2): restore the interrupted
-    // run's attribution state so the resumed memory.v1 is bit-identical. A
-    // checkpoint written without memory state cannot attribute the skipped
-    // prefix — drop the profiler, like the UnitProfiler below.
-    const bool cp_has_mem = r.read_u8() != 0;
-    if (cp_has_mem) {
-      MemProfiler discard;
-      (mem_profiler != nullptr ? *mem_profiler : discard).deserialize(r);
-    } else {
-      mem_profiler = nullptr;
-    }
-    // Replaying the skipped levels' transient draws below assumes the fault
-    // RNG starts at the seed, exactly as the interrupted run did.
-    if (fault) fault->reset();
-    // The skipped levels' cycles were accounted by the interrupted process
-    // and survive only as aggregates — per-unit attribution is impossible.
-    profiler = nullptr;
-  }
-  if (profiler) {
-    profiler->begin(cfg.num_units, cfg.cores_per_unit,
-                    trace ? timeline : nullptr);
-  }
-
-  // --- distributed tracing (cycle-domain spans; see obs/trace.h) ----------
-  obs::TraceSink* tsink = control != nullptr ? control->trace : nullptr;
-  const bool spans_on = tsink != nullptr && control->trace_ctx.valid();
-  const obs::TraceDetail detail =
-      spans_on ? control->effective_trace_detail() : obs::TraceDetail::Lifecycle;
-  obs::TraceContext sim_ctx;
-  if (spans_on) sim_ctx = obs::child_context(control->trace_ctx, "sim", 0);
-  const std::uint64_t trace_start_cycles = total_cycles;
-  const std::uint64_t trace_resume_level = resume_level;
-  std::uint64_t trace_checkpoints = 0;
+  // --- spans (cycle-domain; see obs/trace.h) --------------------------------
   // Spans are buffered locally and drained in batches: one sink lock per
   // kSpanFlush spans instead of per span, so concurrent jobs at Phases/Ops
   // detail do not serialize on the sink mutex.
-  std::vector<obs::SpanRecord> span_buf;
-  constexpr std::size_t kSpanFlush = 4096;
-  auto buffer_span = [&](obs::SpanRecord&& s) {
-    span_buf.push_back(std::move(s));
-    if (span_buf.size() >= kSpanFlush) tsink->record_batch(span_buf);
-  };
+  void emit_span(const obs::TraceContext& ctx, std::string name, const char* track,
+                 double ts, double dur, NumAttrs num_attrs, StrAttrs attrs = {}) {
+    constexpr std::size_t kSpanFlush = 4096;
+    span_buf_.push_back({ctx.trace_id, ctx.span_id, ctx.parent_span, std::move(name),
+                         "sim", track, obs::SpanClock::Cycles, ts, dur,
+                         std::move(attrs), std::move(num_attrs)});
+    if (span_buf_.size() >= kSpanFlush) tsink_->record_batch(span_buf_);
+  }
+
+  // Ops-detail span of one op; `extra` attributes go between the op index
+  // and its HBM bytes.
+  void op_span(const obs::TraceContext& parent, std::size_t idx, OpClass cls,
+               double ts, double dur, const NumAttrs& extra) {
+    const HighOp& op = graph_.ops[idx];
+    NumAttrs num_attrs = {{"op", static_cast<double>(idx)}};
+    num_attrs.insert(num_attrs.end(), extra.begin(), extra.end());
+    num_attrs.emplace_back("hbm_bytes", static_cast<double>(op.hbm_bytes));
+    emit_span(obs::child_context(parent, to_string(op.kind), idx), to_string(op.kind),
+              "sim/ops", ts, dur, std::move(num_attrs), {{"class", class_tag(cls)}});
+  }
+
+  // Marks where the step loop starts; the run span covers [start, end].
+  void start_steps(std::string resume_attr, double resume_value) {
+    span_start_ = clock();
+    resume_attr_ = {std::move(resume_attr), resume_value};
+  }
+
+  // Terminal span for the whole run; flushes the buffer. Called on every
+  // exit path (completion and just before a cancellation throw).
+  void close(const char* outcome) {
+    if (!spans_on_) return;
+    flush_spans();
+    emit_span(sim_ctx_, "sim", "sim", span_start_, clock() - span_start_,
+              {{"steps", static_cast<double>(executed_steps_)}, resume_attr_},
+              {{"engine", tag_}, {"workload", graph_.name}, {"outcome", outcome}});
+    tsink_->record_batch(span_buf_);
+  }
+
+  // --- timeline slices ------------------------------------------------------
+  static std::string op_label(const HighOp& op, std::size_t idx) {
+    return std::string(to_string(op.kind)) + "#" + std::to_string(idx);
+  }
+
+  void slice(std::string name, std::string cat, std::uint32_t tid, double ts,
+             double dur, NumAttrs args) {
+    timeline_->record(
+        {std::move(name), std::move(cat), tid, ts, dur, std::move(args), {}});
+  }
+
+  // One op on its class's unit-group rows, covering [ts, end).
+  void op_slice(std::size_t idx, OpClass cls, double ts, double dur, double end,
+                NumAttrs args) {
+    const std::uint32_t tid = rows_[static_cast<std::size_t>(cls)].reserve(ts, end);
+    slice(op_label(graph_.ops[idx], idx), class_tag(cls), tid, ts, dur, std::move(args));
+  }
+
+  void fault_slice(std::size_t idx, const fault::OpFaults& faults,
+                   double retry_cycles, double ts, double dur) {
+    if (faults.total() == 0) return;
+    slice("fault " + op_label(graph_.ops[idx], idx), "fault", kFaultTid, ts, dur,
+          {{"faults_compute", static_cast<double>(faults.compute)},
+           {"faults_sram", static_cast<double>(faults.sram)},
+           {"faults_hbm", static_cast<double>(faults.hbm)},
+           {"retry_core_cycles", retry_cycles}});
+  }
+
+  // --- epilogue -------------------------------------------------------------
+  // Totals and derived rates into the registry; finalize() projects them onto
+  // the aggregate fields. `time` is the exact simulated span and `busy` the
+  // delivered lane-cycles. The profiles are side-channel views, filled after
+  // finalize() and never part of the registry the bit-identity checks compare.
+  SimResult finish(std::uint64_t total_cycles, std::uint64_t stall_cycles,
+                   std::uint64_t transpose_cycles, double time, double busy,
+                   const ClassTotals& classes) {
+    close("completed");
+    obs::Registry& reg = result_.registry;
+    reg.add(metrics::kCycles, total_cycles);
+    reg.add(metrics::kStall, stall_cycles, {{"cause", "hbm"}});
+    reg.add(metrics::kTransposeCycles, transpose_cycles);
+    if (fault_) add_fault_counters(reg, *fault_, fault_totals_);
+    reg.set_gauge(metrics::kTimeUs, time / (cfg_.freq_ghz * 1e3));
+    const double peak = static_cast<double>(cfg_.peak_lanes());
+    reg.set_gauge(metrics::kUtilization, time > 0 ? busy / (peak * time) : 0.0);
+    for (std::size_t c = 0; c < kNumOpClasses; ++c) {
+      const char* tag = class_tag(static_cast<OpClass>(c));
+      reg.add(metrics::kCycles, classes.cycles[c], {{"class", tag}});
+      if (classes.busy_counters) {
+        reg.add(metrics::kBusyLaneCycles, (*classes.busy_counters)[c], {{"class", tag}});
+      }
+      reg.set_gauge(metrics::kUtilization,
+                    classes.time[c] > 0 ? classes.busy[c] / (peak * classes.time[c])
+                                        : 0.0,
+                    {{"class", tag}});
+    }
+    result_.finalize();
+    if (profiler_) profiler_->finish(total_cycles, result_.profile);
+    if (mem_profiler_) mem_profiler_->finish(total_cycles, result_.mem_profile);
+    return std::move(result_);
+  }
+
+  obs::Timeline* trace_timeline() const { return trace_ ? timeline_ : nullptr; }
+
+  const OpGraph& graph_;
+  const arch::ArchConfig& config_;
+  fault::FaultModel* const fault_;
+  const arch::ArchConfig cfg_;
+  const std::uint64_t fingerprint_;
+  const char* const tag_;
+  SimControl* const control_;
+  UnitProfiler* profiler_;
+  MemProfiler* mem_profiler_;
+  obs::Timeline* const timeline_;
+  const bool trace_;
+  obs::TraceSink* const tsink_;
+  const bool spans_on_;
+  const obs::TraceDetail detail_;
+  obs::TraceContext sim_ctx_;
+  const std::uint64_t cores_;
+  const double transpose_words_per_cycle_;
+  SimResult result_;
+  FaultTotals fault_totals_;
+  std::vector<ClassTrackRows> rows_;
+
+ private:
+  std::uint64_t executed_steps_ = 0;
+  std::uint64_t trace_checkpoints_ = 0;
+  double span_start_ = 0;
+  std::pair<std::string, double> resume_attr_;
+  std::vector<obs::SpanRecord> span_buf_;
+};
+
+// --- level policy ------------------------------------------------------------
+// ASAP level barriers. Cores are fungible across the ops of a level: their
+// Meta-OP work pools and fills waves jointly, and only the pooled tail is
+// padded. A step is one level. HBM traffic overlaps compute globally.
+class LevelPolicy final : public Engine {
+ public:
+  template <typename... Args>
+  explicit LevelPolicy(Args&&... args)
+      : Engine(std::forward<Args>(args)..., kLevelEngine, "Alchemist") {}
+
+  SimResult run() {
+    const auto levels = asap_levels(graph_);
+    const bool resuming = begin();
+    // begin() before the cursor: a restored checkpoint overlays the memory
+    // profiler's accumulators on top of the geometry begin() captures.
+    if (mem_profiler_) mem_profiler_->begin(cfg_, trace_timeline());
+    const std::uint64_t resume_level = resuming ? read_cursor(levels.size()) : 0;
+    if (profiler_) {
+      profiler_->begin(cfg_.num_units, cfg_.cores_per_unit, trace_timeline());
+    }
+    start_steps("resume_level", static_cast<double>(resume_level));
+    for (std::size_t level_idx = 0; level_idx < levels.size(); ++level_idx) {
+      if (level_idx < resume_level) {
+        // Accounted before the checkpoint; replay only the fault RNG draws so
+        // the remaining ops sample the same transients as an uninterrupted run.
+        if (fault_) {
+          for (std::size_t idx : levels[level_idx]) cost(graph_.ops[idx], false);
+        }
+        continue;
+      }
+      poll(level_idx);
+      step(level_idx, levels[level_idx]);
+      step_done(level_idx + 1);
+    }
+
+    // Key material is prefetched with double buffering across the whole graph
+    // (the on-chip scheduler knows the op stream in advance), so HBM streaming
+    // overlaps *globally* with compute; only the excess stalls.
+    const double hbm_bpc = cfg_.hbm_bytes_per_cycle();
+    const std::uint64_t hbm_cycles =
+        static_cast<std::uint64_t>(std::ceil(total_hbm_bytes_ / hbm_bpc));
+    std::uint64_t stall_cycles = 0;
+    if (hbm_cycles > total_cycles_) {
+      stall_cycles = hbm_cycles - total_cycles_;
+      total_cycles_ = hbm_cycles;
+    }
+    const double stall_ts = static_cast<double>(total_cycles_ - stall_cycles);
+    const auto stall = static_cast<double>(stall_cycles);
+    if (trace_ && total_hbm_bytes_ > 0) {
+      slice("evk stream", "hbm", kHbmTid, 0, static_cast<double>(hbm_cycles),
+            {{"bytes", total_hbm_bytes_}, {"bytes_per_cycle", hbm_bpc}});
+    }
+    if (trace_ && stall_cycles > 0) {
+      slice("hbm stall", "stall", kSchedulerTid, stall_ts, stall, {{"cycles", stall}});
+    }
+    if (spans_on_ && detail_ >= obs::TraceDetail::Phases && stall_cycles > 0) {
+      emit_span(obs::child_context(sim_ctx_, "hbm-stall", 0), "hbm-stall", "sim/levels",
+                stall_ts, stall, {{"cycles", stall}});
+    }
+    ClassTotals classes;
+    classes.busy_counters = &class_busy_;
+    for (std::size_t c = 0; c < kNumOpClasses; ++c) {
+      classes.cycles[c] = class_wall_[c];
+      classes.time[c] = static_cast<double>(class_wall_[c]);
+      classes.busy[c] = static_cast<double>(class_busy_[c]);
+    }
+    return finish(total_cycles_, stall_cycles, total_transpose_,
+                  static_cast<double>(total_cycles_),
+                  static_cast<double>(total_busy_), classes);
+  }
+
+ private:
   // At Phases detail, runs of narrow levels (fewer than kChainWidth ops —
   // far below machine saturation) coalesce into one "chain" span, split
   // every kChainMaxLevels so long chains keep visible progress. Bootstrap
@@ -176,448 +509,508 @@ SimResult simulate_alchemist(const OpGraph& graph, const arch::ArchConfig& confi
   // traced-run overhead (and Perfetto slice count) than they say — the
   // interesting structure is the handful of wide levels between chains. Ops
   // detail keeps the full per-level resolution.
-  constexpr std::size_t kChainWidth = 8;
-  constexpr std::uint64_t kChainMaxLevels = 32;
-  double chain_start_ts = 0;
-  std::uint64_t chain_start_level = 0;
-  std::uint64_t chain_len = 0;
-  auto flush_chain = [&]() {
-    if (chain_len == 0) return;
-    const obs::TraceContext cc =
-        obs::child_context(sim_ctx, "chain", chain_start_level);
-    obs::SpanRecord s;
-    s.trace_id = cc.trace_id;
-    s.span_id = cc.span_id;
-    s.parent_span = cc.parent_span;
-    s.name = "chain";
-    s.kind = "sim";
-    s.track = "sim/levels";
-    s.clock = obs::SpanClock::Cycles;
-    s.ts = chain_start_ts;
-    s.dur = static_cast<double>(total_cycles) - chain_start_ts;
-    s.num_attrs = {{"first_level", static_cast<double>(chain_start_level)},
-                   {"levels", static_cast<double>(chain_len)}};
-    buffer_span(std::move(s));
-    chain_len = 0;
-  };
-  // Terminal span for the whole engine run; flushes the buffer, and is called
-  // on every exit path (completion and just before a cancellation throw).
-  auto record_sim_span = [&](const char* outcome,
-                             std::uint64_t executed) {
-    if (!spans_on) return;
-    flush_chain();
-    obs::SpanRecord s;
-    s.trace_id = sim_ctx.trace_id;
-    s.span_id = sim_ctx.span_id;
-    s.parent_span = sim_ctx.parent_span;
-    s.name = "sim";
-    s.kind = "sim";
-    s.track = "sim";
-    s.clock = obs::SpanClock::Cycles;
-    s.ts = static_cast<double>(trace_start_cycles);
-    s.dur = static_cast<double>(total_cycles - trace_start_cycles);
-    s.attrs = {{"engine", "level"},
-               {"workload", graph.name},
-               {"outcome", outcome}};
-    s.num_attrs = {{"steps", static_cast<double>(executed)},
-                   {"resume_level", static_cast<double>(trace_resume_level)}};
-    span_buf.push_back(std::move(s));
-    tsink->record_batch(span_buf);
-  };
+  static constexpr std::size_t kChainWidth = 8;
+  static constexpr std::uint64_t kChainMaxLevels = 32;
 
-  auto save_checkpoint = [&](std::uint64_t levels_done) {
-    Checkpoint cp;
-    cp.engine = kLevelEngine;
-    cp.workload = graph.name;
-    cp.op_count = graph.ops.size();
-    cp.fingerprint = fingerprint;
-    cp.step = levels_done;
-    BinaryWriter w;
+  static std::vector<std::vector<std::size_t>> asap_levels(const OpGraph& graph) {
+    std::vector<std::size_t> level(graph.ops.size(), 0);
+    std::size_t max_level = 0;
+    for (std::size_t i = 0; i < graph.ops.size(); ++i) {
+      for (std::size_t dep : graph.ops[i].deps) {
+        if (dep >= i) throw std::invalid_argument("simulate: deps must point backwards");
+        level[i] = std::max(level[i], level[dep] + 1);
+      }
+      max_level = std::max(max_level, level[i]);
+    }
+    std::vector<std::vector<std::size_t>> levels(max_level + 1);
+    for (std::size_t i = 0; i < graph.ops.size(); ++i) levels[level[i]].push_back(i);
+    return levels;
+  }
+
+  double clock() const override { return static_cast<double>(total_cycles_); }
+  void flush_spans() override { flush_chain(); }
+
+  void write_cursor(BinaryWriter& w, std::uint64_t levels_done) override {
     w.write_u64(levels_done);
-    w.write_u64(total_cycles);
-    w.write_u64(total_transpose);
-    w.write_u64(total_busy_lane_cycles);
-    w.write_double(total_hbm_bytes);
-    w.write_u64_vector(class_wall);
-    w.write_u64_vector(class_busy_lanes);
-    w.write_u64(fault_totals.compute);
-    w.write_u64(fault_totals.sram);
-    w.write_u64(fault_totals.hbm);
-    w.write_u64(fault_totals.retries);
-    w.write_u64(fault_totals.retry_cycles);
-    w.write_u64(fault_totals.corrupted_ops);
-    w.write_u64(fault_totals.dmr_corrections);
-    write_registry(w, reg);
-    w.write_u8(mem_profiler != nullptr ? 1 : 0);
-    if (mem_profiler != nullptr) mem_profiler->serialize(w);
-    cp.state = w.buffer();
-    const std::uint64_t state_bytes = cp.state.size();
-    *control->checkpoint = std::move(cp);
-    if (spans_on) {
-      const obs::TraceContext cc =
-          obs::child_context(sim_ctx, "checkpoint", trace_checkpoints++);
-      obs::SpanRecord s;
-      s.trace_id = cc.trace_id;
-      s.span_id = cc.span_id;
-      s.parent_span = cc.parent_span;
-      s.name = "checkpoint";
-      s.kind = "sim";
-      s.track = "sim/checkpoint";
-      s.clock = obs::SpanClock::Cycles;
-      s.ts = static_cast<double>(total_cycles);
-      s.dur = 0;
-      s.num_attrs = {{"step", static_cast<double>(levels_done)},
-                     {"bytes", static_cast<double>(state_bytes)}};
-      buffer_span(std::move(s));
-    }
-  };
-  std::uint64_t executed_steps = 0;
+    w.write_u64(total_cycles_);
+    w.write_u64(total_transpose_);
+    w.write_u64(total_busy_);
+    w.write_double(total_hbm_bytes_);
+    w.write_u64_vector(class_wall_);
+    w.write_u64_vector(class_busy_);
+    for (const std::uint64_t* v : fault_fields()) w.write_u64(*v);
+    write_registry(w, result_.registry);
+    w.write_u8(mem_profiler_ != nullptr ? 1 : 0);
+    if (mem_profiler_ != nullptr) mem_profiler_->serialize(w);
+  }
 
-  for (std::size_t level_idx = 0; level_idx < levels.size(); ++level_idx) {
-    const auto& level = levels[level_idx];
-    if (level_idx < resume_level) {
-      // Completed before the checkpoint: skip the accounting (it is already
-      // in the restored accumulators) but replay the fault RNG draws so the
-      // remaining ops sample the same transients as the uninterrupted run.
-      if (fault) {
-        for (std::size_t idx : level) {
-          const HighOp& op = graph.ops[idx];
-          const MetaOpStream stream = metaop::lower(op);
-          std::uint64_t op_core_cycles = stream.core_cycles();
-          std::uint64_t op_busy = 0;
-          for (const MetaOpBatch& batch : stream.batches) {
-            op_busy += batch.count * cfg.lanes * (batch.n + 2);
-          }
-          const double pad = fault->slot_padding_factor(op.n);
-          if (pad > 1.0) {
-            op_core_cycles = static_cast<std::uint64_t>(
-                std::ceil(static_cast<double>(op_core_cycles) * pad));
-          }
-          (void)fault->sample_op(op_core_cycles, op_busy, op.hbm_bytes);
-        }
-      }
-      continue;
+  std::uint64_t read_cursor(std::size_t num_levels) {
+    BinaryReader r(control_->checkpoint->state);
+    const std::uint64_t resume_level = r.read_u64();
+    if (resume_level > num_levels) {
+      throw CheckpointError("level engine: checkpoint step past end of schedule");
     }
-    if (control) {
-      StopReason stop = control->cancel ? control->cancel->should_stop() : StopReason::None;
-      if (stop == StopReason::None && control->max_steps != 0 &&
-          executed_steps >= control->max_steps) {
-        stop = StopReason::StepBudget;
-      }
-      if (stop != StopReason::None) {
-        if (control->checkpoint) save_checkpoint(level_idx);
-        record_sim_span(sim::to_string(stop), executed_steps);
-        throw CancelledError(stop, level_idx);
-      }
+    total_cycles_ = r.read_u64();
+    total_transpose_ = r.read_u64();
+    total_busy_ = r.read_u64();
+    total_hbm_bytes_ = r.read_double();
+    const std::vector<std::uint64_t> wall = r.read_u64_vector();
+    const std::vector<std::uint64_t> busy = r.read_u64_vector();
+    if (wall.size() != kNumOpClasses || busy.size() != kNumOpClasses) {
+      throw CheckpointError("level engine: per-class array size mismatch");
     }
+    std::copy(wall.begin(), wall.end(), class_wall_.begin());
+    std::copy(busy.begin(), busy.end(), class_busy_.begin());
+    for (std::uint64_t* v : fault_fields()) *v = r.read_u64();
+    read_registry(r, result_.registry);
+    // Memory-profiler carry (schema v2): restore the interrupted run's
+    // attribution state so the resumed memory.v1 is bit-identical. A
+    // checkpoint written without memory state cannot attribute the skipped
+    // prefix, so the profiler is dropped, like the UnitProfiler.
+    if (r.read_u8() != 0) {
+      MemProfiler discard;
+      (mem_profiler_ != nullptr ? *mem_profiler_ : discard).deserialize(r);
+    } else {
+      mem_profiler_ = nullptr;
+    }
+    return resume_level;
+  }
+
+  // The fault totals in cursor order.
+  std::array<std::uint64_t*, 7> fault_fields() {
+    FaultTotals& f = fault_totals_;
+    return {&f.compute, &f.sram, &f.hbm, &f.retries, &f.retry_cycles,
+            &f.corrupted_ops, &f.dmr_corrections};
+  }
+
+  void flush_chain() {
+    if (chain_len_ == 0) return;
+    emit_span(obs::child_context(sim_ctx_, "chain", chain_start_level_), "chain",
+              "sim/levels", chain_start_ts_,
+              static_cast<double>(total_cycles_) - chain_start_ts_,
+              {{"first_level", static_cast<double>(chain_start_level_)},
+               {"levels", static_cast<double>(chain_len_)}});
+    chain_len_ = 0;
+  }
+
+  void step(std::size_t level_idx, const std::vector<std::size_t>& level) {
     // Narrow levels at Phases detail fold into the running chain span, so
     // they never mint a per-level context.
-    const bool chained = spans_on && detail == obs::TraceDetail::Phases &&
-                         level.size() < kChainWidth;
+    const bool phases = spans_on_ && detail_ >= obs::TraceDetail::Phases;
+    const bool chained =
+        phases && detail_ == obs::TraceDetail::Phases && level.size() < kChainWidth;
     obs::TraceContext level_ctx;
-    if (spans_on && detail >= obs::TraceDetail::Phases && !chained) {
-      level_ctx = obs::child_context(sim_ctx, "level", level_idx);
-    }
-    double span_cursor = static_cast<double>(total_cycles);
-    // Cores are fungible across the ops of a level: Meta-OP work pools and
-    // fills waves jointly; only the pooled tail is padded.
-    std::uint64_t level_core_cycles = 0;   // exact core-cycles of work
-    std::uint64_t level_transpose = 0;     // serialized transpose traffic
+    if (phases && !chained) level_ctx = obs::child_context(sim_ctx_, "level", level_idx);
+    const double start = static_cast<double>(total_cycles_);
+    std::uint64_t level_core_cycles = 0;  // exact core-cycles of work
+    std::uint64_t level_transpose = 0;    // serialized transpose traffic
     double level_hbm_bytes = 0;
-    UnitProfiler::Level level_profile;
-    // Telemetry cursor: the pooled model executes a level's work as if ops
-    // ran back to back at full machine width, so slices tile the level span.
-    double cursor = static_cast<double>(total_cycles);
-    // Memory-profiler cursor: same tiling, kept separate so memory profiling
-    // never depends on the timeline being on.
-    double mem_cursor = static_cast<double>(total_cycles);
+    UnitProfiler::Level profile;
+    // The pooled model executes a level's work as if ops ran back to back at
+    // full machine width, so op slices, op spans and memory-profiler releases
+    // tile the level span along this cursor.
+    double cursor = start;
     for (std::size_t idx : level) {
-      const HighOp& op = graph.ops[idx];
-      const MetaOpStream stream = metaop::lower(op);
-      const OpClass cls = class_of(op.kind);
-      const char* tag = class_tag(cls);
-
-      std::uint64_t op_core_cycles = stream.core_cycles();
-      std::uint64_t op_busy = 0;
-      for (const MetaOpBatch& batch : stream.batches) {
-        op_busy += batch.count * cfg.lanes * (batch.n + 2);
-      }
-      std::uint64_t op_retry_cycles = 0;
-      fault::OpFaults op_faults;
-      if (fault) {
-        // Degraded stripe: slot-partitioned work inflates by the padding of
-        // ceil(N / healthy_units) striping (the masked units' share must be
-        // re-homed, and the tail stripe is padded).
-        const double pad = fault->slot_padding_factor(op.n);
-        if (pad > 1.0) {
-          op_core_cycles = static_cast<std::uint64_t>(
-              std::ceil(static_cast<double>(op_core_cycles) * pad));
-        }
-        op_faults = fault->sample_op(op_core_cycles, op_busy, op.hbm_bytes);
-        const std::uint64_t batch_cost =
-            op_core_cycles / std::max<std::size_t>(stream.batches.size(), 1);
-        op_retry_cycles =
-            price_op_faults(*fault, op_faults, batch_cost, fault_totals);
-      }
-      std::uint64_t op_transpose = 0;
-      // 4-step NTT: one global transpose between the phases. Chunks of later
-      // channels transpose while earlier channels run phase 2, hiding half of
-      // the traffic; the other half serializes.
-      if (op.kind == OpKind::Ntt || op.kind == OpKind::Intt) {
-        const std::uint64_t words =
-            static_cast<std::uint64_t>(op.n) * std::max<std::size_t>(op.channels, 1);
-        op_transpose = static_cast<std::uint64_t>(
-            std::ceil(words / transpose_words_per_cycle / 2.0));
-        total_transpose += op_transpose;
-      }
+      const HighOp& op = graph_.ops[idx];
+      const OpCost c = cost(op);
+      const auto cls = static_cast<std::size_t>(c.cls);
+      const std::uint64_t work = c.core_cycles + c.retry_cycles;
+      const auto transpose = static_cast<std::uint64_t>(std::ceil(c.transpose));
+      total_transpose_ += transpose;
       // Data movement for the op's working set through the local scratchpads
       // is covered by the per-lane operand fetch modeled inside the Meta-OP
       // window; only off-chip traffic is charged separately.
-      level_core_cycles += op_core_cycles + op_retry_cycles;
-      level_transpose += op_transpose;
+      level_core_cycles += work;
+      level_transpose += transpose;
       level_hbm_bytes += static_cast<double>(op.hbm_bytes);
       // The 2-cycle reduction tail of every Meta-OP window; retries re-run
       // whole windows, so the ratio carries over untouched.
-      level_profile.reduction_core_cycles += 2 * stream.meta_op_count();
-      level_profile.class_core_cycles[static_cast<std::size_t>(cls)] +=
-          op_core_cycles + op_retry_cycles;
-      const std::uint64_t op_wall =
-          (op_core_cycles + op_retry_cycles + cores - 1) / cores + op_transpose;
-      class_wall[static_cast<std::size_t>(cls)] += op_wall;
-      class_busy_lanes[static_cast<std::size_t>(cls)] += op_busy;
-      total_busy_lane_cycles += op_busy;
-      const std::uint64_t op_mults = stream.mult_count();
-      reg.add(metrics::kMults, op_mults, {{"lazy", "true"}});
-      reg.add(metrics::kOps, 1);
-      reg.add(metrics::kOps, 1, {{"class", tag}});
-      reg.add(metrics::kMetaOps, stream.meta_op_count());
-      reg.add(metrics::kHbmBytes, op.hbm_bytes);
-      reg.add(metrics::kBusyLaneCycles, op_busy);
+      profile.reduction_core_cycles += 2 * c.meta_ops;
+      profile.class_core_cycles[cls] += work;
+      class_wall_[cls] += (work + cores_ - 1) / cores_ + transpose;
+      class_busy_[cls] += c.busy_lanes;
+      total_busy_ += c.busy_lanes;
 
-      if (mem_profiler) {
-        const double mem_dur =
-            static_cast<double>(op_core_cycles + op_retry_cycles) /
-                static_cast<double>(cores) +
-            static_cast<double>(op_transpose);
-        mem_profiler->record_op(op, mem_cursor + mem_dur);
-        mem_cursor += mem_dur;
-      }
-
-      if (trace) {
-        const double dur =
-            static_cast<double>(op_core_cycles + op_retry_cycles) /
-                static_cast<double>(cores) +
-            static_cast<double>(op_transpose);
-        obs::TraceEvent ev;
-        ev.name = std::string(to_string(op.kind)) + "#" + std::to_string(idx);
-        ev.cat = tag;
-        ev.ts = cursor;
-        ev.dur = dur;
-        ev.tid = rows[static_cast<std::size_t>(cls)].reserve(cursor, cursor + dur);
-        ev.num_args = {
-            {"level", static_cast<double>(level_idx)},
-            {"core_cycles", static_cast<double>(op_core_cycles)},
-            {"cores", static_cast<double>(cores)},
-            {"metaop_batches", static_cast<double>(stream.batches.size())},
-            {"meta_ops", static_cast<double>(stream.meta_op_count())},
-            {"hbm_bytes", static_cast<double>(op.hbm_bytes)},
-            {"transpose_cycles", static_cast<double>(op_transpose)},
-            {"mults", static_cast<double>(op_mults)},
-        };
-        timeline->record(std::move(ev));
-        if (op_transpose > 0) {
-          obs::TraceEvent tr;
-          tr.name = "transpose#" + std::to_string(idx);
-          tr.cat = "transpose";
-          tr.tid = kTransposeTid;
-          tr.ts = cursor + static_cast<double>(op_core_cycles) /
-                               static_cast<double>(cores);
-          tr.dur = static_cast<double>(op_transpose);
-          tr.num_args = {{"words_per_cycle", transpose_words_per_cycle}};
-          timeline->record(std::move(tr));
+      const double dur = static_cast<double>(work) / static_cast<double>(cores_) +
+                         static_cast<double>(transpose);
+      if (mem_profiler_) mem_profiler_->record_op(op, cursor + dur);
+      if (trace_) {
+        op_slice(idx, c.cls, cursor, dur, cursor + dur,
+                 {{"level", static_cast<double>(level_idx)},
+                  {"core_cycles", static_cast<double>(c.core_cycles)},
+                  {"cores", static_cast<double>(cores_)},
+                  {"metaop_batches", static_cast<double>(c.batches)},
+                  {"meta_ops", static_cast<double>(c.meta_ops)},
+                  {"hbm_bytes", static_cast<double>(op.hbm_bytes)},
+                  {"transpose_cycles", static_cast<double>(transpose)},
+                  {"mults", static_cast<double>(c.mults)}});
+        if (transpose > 0) {
+          slice("transpose#" + std::to_string(idx), "transpose", kTransposeTid,
+                cursor + static_cast<double>(c.core_cycles) / static_cast<double>(cores_),
+                static_cast<double>(transpose),
+                {{"words_per_cycle", transpose_words_per_cycle_}});
         }
-        if (op_faults.total() > 0) {
-          obs::TraceEvent fe;
-          fe.name = std::string("fault ") + to_string(op.kind) + "#" +
-                    std::to_string(idx);
-          fe.cat = "fault";
-          fe.tid = kFaultTid;
-          fe.ts = cursor;
-          fe.dur = static_cast<double>(op_retry_cycles) / static_cast<double>(cores);
-          fe.num_args = {
-              {"faults_compute", static_cast<double>(op_faults.compute)},
-              {"faults_sram", static_cast<double>(op_faults.sram)},
-              {"faults_hbm", static_cast<double>(op_faults.hbm)},
-              {"retry_core_cycles", static_cast<double>(op_retry_cycles)},
-          };
-          timeline->record(std::move(fe));
-        }
-        cursor += dur;
+        fault_slice(idx, c.faults, static_cast<double>(c.retry_cycles), cursor,
+                    static_cast<double>(c.retry_cycles) / static_cast<double>(cores_));
       }
-      if (spans_on && detail == obs::TraceDetail::Ops) {
-        // Same pooled-tiling model as the telemetry cursor above, but kept
-        // separate so span emission never depends on the timeline being on.
-        const double op_dur =
-            static_cast<double>(op_core_cycles + op_retry_cycles) /
-                static_cast<double>(cores) +
-            static_cast<double>(op_transpose);
-        const obs::TraceContext oc =
-            obs::child_context(level_ctx, to_string(op.kind), idx);
-        obs::SpanRecord s;
-        s.trace_id = oc.trace_id;
-        s.span_id = oc.span_id;
-        s.parent_span = oc.parent_span;
-        s.name = to_string(op.kind);
-        s.kind = "sim";
-        s.track = "sim/ops";
-        s.clock = obs::SpanClock::Cycles;
-        s.ts = span_cursor;
-        s.dur = op_dur;
-        s.attrs = {{"class", tag}};
-        s.num_attrs = {{"op", static_cast<double>(idx)},
-                       {"level", static_cast<double>(level_idx)},
-                       {"core_cycles", static_cast<double>(op_core_cycles)},
-                       {"hbm_bytes", static_cast<double>(op.hbm_bytes)}};
-        buffer_span(std::move(s));
-        span_cursor += op_dur;
+      if (spans_on_ && detail_ == obs::TraceDetail::Ops) {
+        op_span(level_ctx, idx, c.cls, cursor, dur,
+                {{"level", static_cast<double>(level_idx)},
+                 {"core_cycles", static_cast<double>(c.core_cycles)}});
       }
+      cursor += dur;
     }
     const std::uint64_t level_wall =
-        (level_core_cycles + cores - 1) / cores + level_transpose;
-    if (profiler && !level.empty()) {
-      level_profile.core_cycles = level_core_cycles;
-      level_profile.transpose_cycles = level_transpose;
-      profiler->add_level(total_cycles, level_profile);
-    }
-    if (trace && !level.empty()) {
-      obs::TraceEvent lv;
-      lv.name = "level " + std::to_string(level_idx);
-      lv.cat = "scheduler";
-      lv.tid = kSchedulerTid;
-      lv.ts = static_cast<double>(total_cycles);
-      lv.dur = static_cast<double>(level_wall);
-      lv.num_args = {{"ops", static_cast<double>(level.size())},
-                     {"core_cycles", static_cast<double>(level_core_cycles)},
-                     {"hbm_bytes", level_hbm_bytes}};
-      timeline->record(std::move(lv));
-    }
-    if (chained && !level.empty()) {
-      if (chain_len >= kChainMaxLevels) flush_chain();
-      if (chain_len == 0) {
-        chain_start_level = level_idx;
-        chain_start_ts = static_cast<double>(total_cycles);
+        (level_core_cycles + cores_ - 1) / cores_ + level_transpose;
+    if (!level.empty()) {
+      if (profiler_) {
+        profile.core_cycles = level_core_cycles;
+        profile.transpose_cycles = level_transpose;
+        profiler_->add_level(total_cycles_, profile);
       }
-      ++chain_len;
-    } else if (spans_on && detail >= obs::TraceDetail::Phases &&
-               !level.empty()) {
-      flush_chain();  // a wide level ends any run of narrow levels
-      obs::SpanRecord s;
-      s.trace_id = level_ctx.trace_id;
-      s.span_id = level_ctx.span_id;
-      s.parent_span = level_ctx.parent_span;
-      s.name = "level";
-      s.kind = "sim";
-      s.track = "sim/levels";
-      s.clock = obs::SpanClock::Cycles;
-      s.ts = static_cast<double>(total_cycles);
-      s.dur = static_cast<double>(level_wall);
-      s.num_attrs = {{"level", static_cast<double>(level_idx)},
-                     {"ops", static_cast<double>(level.size())},
-                     {"core_cycles", static_cast<double>(level_core_cycles)}};
-      buffer_span(std::move(s));
+      if (trace_) {
+        slice("level " + std::to_string(level_idx), "scheduler", kSchedulerTid, start,
+              static_cast<double>(level_wall),
+              {{"ops", static_cast<double>(level.size())},
+               {"core_cycles", static_cast<double>(level_core_cycles)},
+               {"hbm_bytes", level_hbm_bytes}});
+      }
+      if (chained) {
+        if (chain_len_ >= kChainMaxLevels) flush_chain();
+        if (chain_len_ == 0) {
+          chain_start_level_ = level_idx;
+          chain_start_ts_ = start;
+        }
+        ++chain_len_;
+      } else if (phases) {
+        flush_chain();  // a wide level ends any run of narrow levels
+        emit_span(level_ctx, "level", "sim/levels", start, static_cast<double>(level_wall),
+                  {{"level", static_cast<double>(level_idx)},
+                   {"ops", static_cast<double>(level.size())},
+                   {"core_cycles", static_cast<double>(level_core_cycles)}});
+      }
     }
-    total_cycles += level_wall;
-    total_hbm_bytes += level_hbm_bytes;
-    ++executed_steps;
-    if (control && control->checkpoint &&
-        control->effective_checkpoint_interval() != 0 &&
-        executed_steps % control->effective_checkpoint_interval() == 0) {
-      save_checkpoint(level_idx + 1);
+    total_cycles_ += level_wall;
+    total_hbm_bytes_ += level_hbm_bytes;
+  }
+
+  std::uint64_t total_cycles_ = 0;
+  std::uint64_t total_transpose_ = 0;
+  std::uint64_t total_busy_ = 0;
+  double total_hbm_bytes_ = 0;
+  PerClass<std::uint64_t> class_wall_{};
+  PerClass<std::uint64_t> class_busy_{};
+  double chain_start_ts_ = 0;
+  std::uint64_t chain_start_level_ = 0;
+  std::uint64_t chain_len_ = 0;
+};
+
+// --- ready-list policy -------------------------------------------------------
+// No level barriers: an op becomes ready the moment its dependencies retire.
+// Ready ops share the cores work-conservingly, HBM streams keys in schedule
+// (prefetch) order, and an op retires once both its compute and its key
+// streaming are done. A step is one completion interval.
+class ReadyListPolicy final : public Engine {
+ public:
+  template <typename... Args>
+  explicit ReadyListPolicy(Args&&... args)
+      : Engine(std::forward<Args>(args)..., kEventEngine, "Alchemist(event)") {}
+
+  SimResult run() {
+    if (graph_.ops.empty()) {
+      if (mem_profiler_) {
+        mem_profiler_->begin(config_);
+        mem_profiler_->finish(0, result_.mem_profile);
+      }
+      return std::move(result_);
+    }
+    // Only the event-loop cursor lives in the checkpoint: the per-op setup
+    // below (lowering, fault draws, prefetch schedule) is deterministic and
+    // is rebuilt identically after begin() restarts the fault RNG.
+    const bool resuming = begin();
+    setup();
+    if (profiler_) profiler_->begin(cfg_.num_units, cfg_.cores_per_unit, nullptr);
+    if (mem_profiler_) mem_profiler_->begin(cfg_, trace_timeline());
+    if (resuming) read_cursor();
+    start_steps("resumed", resuming ? 1.0 : 0.0);
+    while (!running_.empty()) {
+      poll(completed_);
+      step();
+      step_done(completed_);
+    }
+    if (completed_ != graph_.ops.size()) {
+      throw std::logic_error("event sim: dependency cycle or unreachable ops");
+    }
+    if (mem_profiler_) {
+      // Feed in HBM prefetch order from the per-op state the event loop (or
+      // a checkpoint resume) left behind: an op's working set is released
+      // when both its compute and its key streaming are done, which is
+      // exactly its retirement condition.
+      for (std::size_t i = 0; i < graph_.ops.size(); ++i) {
+        mem_profiler_->record_op(
+            graph_.ops[i], std::max(state_[i].compute_done_time, state_[i].hbm_ready));
+      }
+    }
+    ClassTotals classes;
+    for (std::size_t c = 0; c < kNumOpClasses; ++c) {
+      classes.cycles[c] = static_cast<std::uint64_t>(std::ceil(class_active_[c]));
+      classes.time[c] = class_active_[c];
+      classes.busy[c] = class_busy_total_[c];
+    }
+    return finish(static_cast<std::uint64_t>(std::ceil(now_)),
+                  static_cast<std::uint64_t>(std::ceil(stall_integral_)),
+                  total_transpose_, now_, busy_integral_, classes);
+  }
+
+ private:
+  struct OpState {
+    double work = 0;        // core-cycles of Meta-OP work (incl. transpose)
+    double hbm_ready = 0;   // earliest time this op's prefetched keys land
+    double busy_lanes = 0;  // lane-cycles for utilization accounting
+    // Profiler-only shares of `work`: the transpose traffic folded into it
+    // and the Meta-OP reduction tails within the non-transpose part.
+    double frac_scratch = 0;
+    double frac_reduction = 0;
+    OpClass cls = OpClass::Elementwise;
+    std::size_t unmet_deps = 0;
+    std::vector<std::size_t> dependents;
+    bool running = false;
+    bool done = false;
+    // Telemetry only (never read by the accounting).
+    double start_time = 0;
+    double compute_done_time = 0;
+    fault::OpFaults faults;
+    double retry_cycles = 0;
+  };
+
+  double clock() const override { return now_; }
+
+  void setup() {
+    const double cores = static_cast<double>(cores_);
+    state_.resize(graph_.ops.size());
+    for (std::size_t i = 0; i < graph_.ops.size(); ++i) {
+      const HighOp& op = graph_.ops[i];
+      const OpCost c = cost(op);
+      OpState& s = state_[i];
+      s.cls = c.cls;
+      s.busy_lanes = static_cast<double>(c.busy_lanes);
+      s.faults = c.faults;
+      s.retry_cycles = static_cast<double>(c.retry_cycles);
+      s.work = static_cast<double>(c.core_cycles) + s.retry_cycles;
+      // Reduction share of the compute work: 2 of every (n+2)-cycle Meta-OP
+      // window. Padding and retries replay whole windows, so the raw
+      // stream's ratio carries over.
+      const double raw_core = static_cast<double>(c.raw_core_cycles);
+      s.frac_reduction =
+          raw_core > 0 ? 2.0 * static_cast<double>(c.meta_ops) / raw_core : 0.0;
+      if (c.transpose > 0) {
+        // Serialized half of the transpose, expressed as extra machine work.
+        const double transpose_work = c.transpose * cores;
+        s.work += transpose_work;
+        s.frac_scratch = s.work > 0 ? transpose_work / s.work : 0.0;
+        total_transpose_ += static_cast<std::uint64_t>(c.transpose);
+      }
+      s.unmet_deps = op.deps.size();
+      for (std::size_t dep : op.deps) {
+        if (dep >= i) throw std::invalid_argument("event sim: deps must point backwards");
+        state_[dep].dependents.push_back(i);
+      }
+      class_busy_total_[static_cast<std::size_t>(s.cls)] += s.busy_lanes;
+    }
+
+    // Key prefetching: the scheduler knows the op stream in advance, so HBM
+    // streams each op's keys in order starting at t=0; an op can only retire
+    // once its cumulative key traffic has landed.
+    const double hbm_bpc = cfg_.hbm_bytes_per_cycle();
+    double bytes_prefix = 0;
+    for (std::size_t i = 0; i < graph_.ops.size(); ++i) {
+      const HighOp& op = graph_.ops[i];
+      const double start_cycle = bytes_prefix / hbm_bpc;
+      bytes_prefix += static_cast<double>(op.hbm_bytes);
+      state_[i].hbm_ready = bytes_prefix / hbm_bpc;
+      if (trace_ && op.hbm_bytes > 0) {
+        slice("keys " + op_label(op, i), "hbm", kHbmTid, start_cycle,
+              state_[i].hbm_ready - start_cycle,
+              {{"bytes", static_cast<double>(op.hbm_bytes)}, {"bytes_per_cycle", hbm_bpc}});
+      }
+    }
+    for (std::size_t i = 0; i < state_.size(); ++i) {
+      if (state_[i].unmet_deps == 0) {
+        state_[i].running = true;
+        running_.push_back(i);
+      }
     }
   }
 
-  // Key material is prefetched with double buffering across the whole graph
-  // (the on-chip scheduler knows the op stream in advance), so HBM streaming
-  // overlaps *globally* with compute; only the excess stalls.
-  const std::uint64_t hbm_cycles =
-      static_cast<std::uint64_t>(std::ceil(total_hbm_bytes / hbm_bpc));
-  std::uint64_t stall_cycles = 0;
-  if (hbm_cycles > total_cycles) {
-    stall_cycles = hbm_cycles - total_cycles;
-    total_cycles = hbm_cycles;
-  }
-  if (trace) {
-    if (total_hbm_bytes > 0) {
-      obs::TraceEvent hb;
-      hb.name = "evk stream";
-      hb.cat = "hbm";
-      hb.tid = kHbmTid;
-      hb.ts = 0;
-      hb.dur = static_cast<double>(hbm_cycles);
-      hb.num_args = {{"bytes", total_hbm_bytes},
-                     {"bytes_per_cycle", hbm_bpc}};
-      timeline->record(std::move(hb));
-    }
-    if (stall_cycles > 0) {
-      obs::TraceEvent st;
-      st.name = "hbm stall";
-      st.cat = "stall";
-      st.tid = kSchedulerTid;
-      st.ts = static_cast<double>(total_cycles - stall_cycles);
-      st.dur = static_cast<double>(stall_cycles);
-      st.num_args = {{"cycles", static_cast<double>(stall_cycles)}};
-      timeline->record(std::move(st));
+  void write_cursor(BinaryWriter& w, std::uint64_t /*step*/) override {
+    w.write_double(now_);
+    w.write_double(busy_integral_);
+    w.write_double(stall_integral_);
+    for (double c : class_active_) w.write_double(c);
+    w.write_u64(completed_);
+    w.write_u64_vector(std::vector<std::uint64_t>(running_.begin(), running_.end()));
+    w.write_u64(state_.size());
+    for (const OpState& s : state_) {
+      w.write_double(s.work);
+      w.write_double(s.busy_lanes);
+      w.write_double(s.start_time);
+      w.write_double(s.compute_done_time);
+      w.write_u64(s.unmet_deps);
+      w.write_u8(static_cast<std::uint8_t>((s.running ? 1u : 0u) | (s.done ? 2u : 0u)));
     }
   }
 
-  if (spans_on && detail >= obs::TraceDetail::Phases && stall_cycles > 0) {
-    const obs::TraceContext sc = obs::child_context(sim_ctx, "hbm-stall", 0);
-    obs::SpanRecord s;
-    s.trace_id = sc.trace_id;
-    s.span_id = sc.span_id;
-    s.parent_span = sc.parent_span;
-    s.name = "hbm-stall";
-    s.kind = "sim";
-    s.track = "sim/levels";
-    s.clock = obs::SpanClock::Cycles;
-    s.ts = static_cast<double>(total_cycles - stall_cycles);
-    s.dur = static_cast<double>(stall_cycles);
-    s.num_attrs = {{"cycles", static_cast<double>(stall_cycles)}};
-    buffer_span(std::move(s));
+  void read_cursor() {
+    BinaryReader r(control_->checkpoint->state);
+    now_ = r.read_double();
+    busy_integral_ = r.read_double();
+    stall_integral_ = r.read_double();
+    for (double& c : class_active_) c = r.read_double();
+    completed_ = static_cast<std::size_t>(r.read_u64());
+    const std::vector<std::uint64_t> run_ids = r.read_u64_vector();
+    const std::uint64_t n_ops = r.read_u64();
+    if (n_ops != state_.size() || completed_ > state_.size()) {
+      throw CheckpointError("event engine: per-op state size mismatch");
+    }
+    for (OpState& s : state_) {
+      s.work = r.read_double();
+      s.busy_lanes = r.read_double();
+      s.start_time = r.read_double();
+      s.compute_done_time = r.read_double();
+      s.unmet_deps = static_cast<std::size_t>(r.read_u64());
+      const std::uint8_t flags = r.read_u8();
+      s.running = (flags & 1u) != 0;
+      s.done = (flags & 2u) != 0;
+    }
+    running_.clear();
+    for (std::uint64_t id : run_ids) {
+      if (id >= state_.size()) {
+        throw CheckpointError("event engine: ready-set index out of range");
+      }
+      running_.push_back(static_cast<std::size_t>(id));
+    }
   }
-  record_sim_span("completed", executed_steps);
 
-  // Totals and derived rates into the registry; finalize() projects them onto
-  // the legacy aggregate fields.
-  reg.add(metrics::kCycles, total_cycles);
-  reg.add(metrics::kStall, stall_cycles, {{"cause", "hbm"}});
-  reg.add(metrics::kTransposeCycles, total_transpose);
-  if (fault) add_fault_counters(reg, *fault, fault_totals);
-  const double time_us = static_cast<double>(total_cycles) / (cfg.freq_ghz * 1e3);
-  reg.set_gauge(metrics::kTimeUs, time_us);
-  const double peak = static_cast<double>(cfg.peak_lanes());
-  reg.set_gauge(metrics::kUtilization,
-                total_cycles == 0
-                    ? 0.0
-                    : static_cast<double>(total_busy_lane_cycles) /
-                          (peak * static_cast<double>(total_cycles)));
-  for (std::size_t c = 0; c < kNumOpClasses; ++c) {
-    const char* tag = class_tag(static_cast<OpClass>(c));
-    reg.add(metrics::kCycles, class_wall[c], {{"class", tag}});
-    reg.add(metrics::kBusyLaneCycles, class_busy_lanes[c], {{"class", tag}});
-    reg.set_gauge(metrics::kUtilization,
-                  class_wall[c] == 0
-                      ? 0.0
-                      : static_cast<double>(class_busy_lanes[c]) /
-                            (peak * static_cast<double>(class_wall[c])),
-                  {{"class", tag}});
+  void step() {
+    // Work-conserving equal share of the cores among live compute demands.
+    std::size_t compute_live = 0;
+    for (std::size_t idx : running_) compute_live += state_[idx].work > 0 ? 1 : 0;
+    const double core_share =
+        compute_live ? static_cast<double>(cores_) / compute_live : 0;
+
+    // Next completion event.
+    double dt = std::numeric_limits<double>::infinity();
+    for (std::size_t idx : running_) {
+      const OpState& s = state_[idx];
+      double t_done = s.work > 0 ? s.work / core_share : 0;
+      t_done = std::max(t_done, s.hbm_ready - now_);
+      dt = std::min(dt, t_done);
+    }
+    if (!(dt > 0) || !std::isfinite(dt)) dt = 1.0;  // zero-work ops finish now
+
+    if (compute_live == 0) stall_integral_ += dt;
+    // Per-class active wall time: classes with live work this interval.
+    PerClass<bool> live{};
+    for (std::size_t idx : running_) {
+      if (state_[idx].work > 0) live[static_cast<std::size_t>(state_[idx].cls)] = true;
+    }
+    for (std::size_t c = 0; c < kNumOpClasses; ++c) {
+      if (live[c]) class_active_[c] += dt;
+    }
+
+    // Advance time and drain work.
+    now_ += dt;
+    double iv_delivered = 0, iv_reduction = 0, iv_scratch = 0;
+    PerClass<double> iv_class{};
+    std::vector<std::size_t> still_running;
+    for (std::size_t idx : running_) {
+      OpState& s = state_[idx];
+      if (s.work > 0) {
+        const double delivered = std::min(s.work, core_share * dt);
+        if (profiler_) {
+          const double d_scratch = delivered * s.frac_scratch;
+          const double d_compute = delivered - d_scratch;
+          iv_delivered += delivered;
+          iv_scratch += d_scratch;
+          iv_reduction += d_compute * s.frac_reduction;
+          iv_class[static_cast<std::size_t>(s.cls)] += d_compute;
+        }
+        busy_integral_ += delivered / s.work * s.busy_lanes;  // proportional
+        s.busy_lanes -= delivered / std::max(s.work, 1e-9) * s.busy_lanes;
+        s.work -= delivered;
+        if (s.work < 1e-9) s.work = 0;
+        if (s.work == 0) s.compute_done_time = now_;
+      }
+      if (s.work == 0 && now_ + 1e-9 >= s.hbm_ready) {
+        retire(idx, still_running);
+      } else {
+        still_running.push_back(idx);
+      }
+    }
+    if (profiler_) {
+      profiler_->accrue(dt, iv_delivered, iv_reduction, iv_scratch, iv_class,
+                        compute_live > 0);
+    }
+    running_ = std::move(still_running);
   }
-  result.finalize();
-  // After finalize: the profile is a side-channel view, never part of the
-  // registry the bit-identity checks compare.
-  if (profiler) profiler->finish(total_cycles, result.profile);
-  if (mem_profiler) mem_profiler->finish(total_cycles, result.mem_profile);
-  return result;
+
+  void retire(std::size_t idx, std::vector<std::size_t>& ready) {
+    OpState& s = state_[idx];
+    s.done = true;
+    ++completed_;
+    const double dur = now_ - s.start_time;
+    if (trace_) {
+      const HighOp& op = graph_.ops[idx];
+      op_slice(idx, s.cls, s.start_time, dur, now_,
+               {{"ready_cycle", s.start_time},
+                {"end_cycle", now_},
+                {"hbm_ready_cycle", s.hbm_ready},
+                {"hbm_wait_cycles",
+                 std::max(0.0, now_ - std::max(s.compute_done_time, s.start_time))},
+                {"hbm_bytes", static_cast<double>(op.hbm_bytes)}});
+      fault_slice(idx, s.faults, s.retry_cycles, s.start_time, dur);
+    }
+    if (spans_on_ && detail_ == obs::TraceDetail::Ops) {
+      op_span(sim_ctx_, idx, s.cls, s.start_time, dur, {});
+    }
+    for (std::size_t dep : s.dependents) {
+      if (--state_[dep].unmet_deps == 0) {
+        state_[dep].running = true;
+        state_[dep].start_time = now_;
+        ready.push_back(dep);
+      }
+    }
+  }
+
+  std::vector<OpState> state_;
+  std::vector<std::size_t> running_;
+  std::uint64_t total_transpose_ = 0;
+  PerClass<double> class_busy_total_{};
+  double now_ = 0;
+  double busy_integral_ = 0;   // lane-cycles actually delivered
+  double stall_integral_ = 0;  // time with live ops but zero runnable compute
+  PerClass<double> class_active_{};  // per-class busy wall
+  std::size_t completed_ = 0;
+};
+
+}  // namespace
+
+SimResult simulate_alchemist(const OpGraph& graph, const arch::ArchConfig& config,
+                             obs::Timeline* timeline, fault::FaultModel* fault_model,
+                             SimControl* control, UnitProfiler* profiler,
+                             MemProfiler* mem_profiler) {
+  return LevelPolicy(graph, config, timeline, fault_model, control, profiler,
+                     mem_profiler).run();
+}
+
+SimResult simulate_alchemist_events(const OpGraph& graph,
+                                    const arch::ArchConfig& config,
+                                    obs::Timeline* timeline,
+                                    fault::FaultModel* fault_model,
+                                    SimControl* control, UnitProfiler* profiler,
+                                    MemProfiler* mem_profiler) {
+  return ReadyListPolicy(graph, config, timeline, fault_model, control, profiler,
+                         mem_profiler).run();
 }
 
 }  // namespace alchemist::sim

@@ -1,56 +1,58 @@
-// Cycle-level simulator of the Alchemist accelerator.
+// Cycle-level simulator of the Alchemist accelerator: one engine, two
+// scheduling policies.
 //
-// Model (matching §5 of the paper):
-//  * An op graph is executed level by level (ASAP schedule over the DAG).
+// Machine model (§5 of the paper), shared by both policies:
 //  * Every high-level op lowers to Meta-OP batches; a Meta-OP occupies one
-//    core for n + 2 cycles. Batches spread over all num_units *
-//    cores_per_unit cores (slot partitioning makes units independent, so the
-//    distribution is uniform; a partially-filled last wave still costs a full
-//    n + 2 window — the "tail" loss).
-//  * 4-step NTTs pay one global transpose through the transpose register
-//    file, which moves num_units * lanes words per cycle and is serialized
-//    between the two NTT phases.
-//  * Off-chip traffic (evk streaming) is double-buffered against compute:
-//    a level's wall time is max(compute, HBM); the excess is a memory stall.
+//    core for n + 2 cycles on the num_units * cores_per_unit cores (slot
+//    partitioning makes units independent, so work spreads uniformly).
+//  * A 4-step NTT pays one global transpose through the transpose register
+//    file (num_units * lanes words per cycle); half of it hides behind the
+//    second phase, the other half serializes.
+//  * Off-chip traffic (evk streaming) is prefetched in schedule order and
+//    double-buffered against compute; only the excess stalls.
 //
-// Telemetry: when `config.telemetry` is set and a Timeline sink is passed,
-// the simulator records one Chrome-trace slice per op (on its operator
-// class's unit-group track), per-op HBM streaming slices, transpose slices
-// and per-level scheduler frames. Recording never changes the accounting —
-// the returned SimResult is bit-identical with telemetry on or off.
+// The policies differ only in how ops are scheduled onto that machine:
+//  * simulate_alchemist — level policy. ASAP level barriers over the DAG;
+//    the ops of a level pool their Meta-OP work onto all cores, so only the
+//    pooled tail wave is padded. HBM overlaps compute globally. A step is
+//    one level.
+//  * simulate_alchemist_events — ready-list policy. No barriers: an op is
+//    ready when its dependencies retire, ready ops share the cores
+//    work-conservingly, and an op retires once both its compute and its key
+//    streaming are done. A step is one completion interval.
+// Neither policy bounds the other. The ready list drops the barriers, but
+// each op waits for its own keys, where the level policy overlaps all HBM
+// traffic with all compute (fresh-key bootstrap: 208.275 ms ready-list,
+// 208.241 ms level). Tests pin the two within about 10% of each other and
+// above the work lower bound.
 //
-// Fault modeling: an optional fault::FaultModel degrades the machine
-// (permanent unit masks re-partition the slot stripe over the healthy units,
-// DMR halves effective cores) and injects seed-deterministic transient
-// faults whose mitigation cost (retries, corrections) is charged per op and
-// counted under fault.* metrics. A model with zero rates, no mask and a
-// non-DMR policy — or no model at all — leaves the results bit-identical to
-// the fault-free simulator.
-//
-// Profiling: an optional sim::UnitProfiler attributes every cycle of every
-// unit to utilization.v1 buckets (SimResult.profile) without perturbing the
-// result. Profiling is unavailable on checkpoint-resumed runs — the skipped
-// levels were accounted elsewhere — so the engine drops the profiler when it
-// restores a checkpoint and the profile comes back empty.
-//
-// Memory profiling: an optional sim::MemProfiler attributes every streamed
-// HBM byte to (operand class x op class), keeps the key-reuse ledger and the
-// bandwidth/occupancy timelines (SimResult.mem_profile, schema memory.v1) —
-// again without perturbing the result. Unlike the UnitProfiler it DOES
-// survive checkpoint/resume: the engine serializes its accumulators into the
-// checkpoint state blob (schema v2) and restores them, so a resumed run's
-// memory.v1 is bit-identical to an uninterrupted one. Resuming a checkpoint
-// written without memory state drops the profiler (the skipped prefix cannot
-// be attributed).
-//
-// Execution control: an optional sim::SimControl makes the run cooperative —
-// a step here is one ASAP level. The engine polls the CancelToken / step
-// budget before each level, snapshots its cursor (completed levels, cycle
-// accumulators, registry, fault totals) into the attached Checkpoint, and
-// throws CancelledError on stop. A valid incoming checkpoint resumes the run:
-// completed levels are skipped (the fault RNG is replayed over them so
-// transient sampling stays aligned; the fault model must be in its seed
-// state) and the final SimResult is bit-identical to an uninterrupted run.
+// The engine core owns everything else, identical under both policies:
+//  * Op pricing — lowering, busy lanes, and the per-op sim.* counters.
+//  * Fault modeling — an optional fault::FaultModel degrades the geometry
+//    (masked units re-stripe the slots, DMR halves the cores) and injects
+//    seed-deterministic transients, priced per op under the model's
+//    mitigation policy. The level policy samples ops level by level, the
+//    ready list in graph index order, so a seed reproduces a run per policy;
+//    the two agree exactly on graphs where those orders coincide. An inert
+//    model (zero rates, no mask, non-DMR) is dropped, so the result is
+//    bit-identical to a fault-free run.
+//  * Execution control — with a sim::SimControl, the engine polls the
+//    CancelToken and step budget before each step, snapshots the policy's
+//    cursor into the Checkpoint (every checkpoint_interval steps and at the
+//    stop point), and throws CancelledError on stop. A valid incoming
+//    checkpoint resumes the run bit-identically; the fault model must be in
+//    its seed state. The level cursor holds the accumulators and registry;
+//    the ready-list cursor holds the event clock and per-op state and
+//    rebuilds the deterministic per-op setup.
+//  * Observability — none of it changes the result. With config.telemetry
+//    and a Timeline: one slice per op on its class's unit-group track, plus
+//    HBM, transpose, fault and scheduler slices. With SimControl::trace:
+//    cycle-domain spans for the run, checkpoints, levels and ops. A
+//    UnitProfiler fills SimResult.profile (utilization.v1); it is dropped on
+//    resume, since the skipped steps ran elsewhere. A MemProfiler fills
+//    SimResult.mem_profile (memory.v1) and survives resume: the level cursor
+//    carries its state (schema v2), the ready list replays its feed. Resuming
+//    a level checkpoint written without that state drops the profiler.
 #pragma once
 
 #include "arch/config.h"
@@ -71,5 +73,13 @@ SimResult simulate_alchemist(const metaop::OpGraph& graph,
                              SimControl* control = nullptr,
                              UnitProfiler* profiler = nullptr,
                              MemProfiler* mem_profiler = nullptr);
+
+SimResult simulate_alchemist_events(const metaop::OpGraph& graph,
+                                    const arch::ArchConfig& config,
+                                    obs::Timeline* timeline = nullptr,
+                                    fault::FaultModel* fault_model = nullptr,
+                                    SimControl* control = nullptr,
+                                    UnitProfiler* profiler = nullptr,
+                                    MemProfiler* mem_profiler = nullptr);
 
 }  // namespace alchemist::sim

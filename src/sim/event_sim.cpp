@@ -1,521 +1,12 @@
 #include "sim/event_sim.h"
 
-#include <algorithm>
-#include <array>
-#include <cmath>
-#include <limits>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "metaop/lowering.h"
-#include "sim/fault_costs.h"
-#include "sim/telemetry.h"
-
 namespace alchemist::sim {
 
-namespace {
-
-using metaop::class_of;
-using metaop::class_tag;
 using metaop::HighOp;
-using metaop::kNumOpClasses;
-using metaop::MetaOpBatch;
-using metaop::MetaOpStream;
-using metaop::OpClass;
 using metaop::OpGraph;
-using metaop::OpKind;
-
-struct OpState {
-  double work = 0;        // core-cycles of Meta-OP work (incl. transpose)
-  double hbm_ready = 0;   // earliest time this op's prefetched keys land
-  double busy_lanes = 0;  // lane-cycles for utilization accounting
-  // Profiler-only shares of `work`: the transpose traffic folded into it and
-  // the Meta-OP reduction tails within the non-transpose part.
-  double frac_scratch = 0;
-  double frac_reduction = 0;
-  OpClass cls = OpClass::Elementwise;
-  std::size_t unmet_deps = 0;
-  std::vector<std::size_t> dependents;
-  bool running = false;
-  bool done = false;
-  // Telemetry only (never read by the accounting below).
-  double start_time = 0;
-  double compute_done_time = 0;
-  fault::OpFaults faults;
-  double retry_cycles = 0;
-};
-
-}  // namespace
-
-SimResult simulate_alchemist_events(const OpGraph& graph,
-                                    const arch::ArchConfig& config,
-                                    obs::Timeline* timeline,
-                                    fault::FaultModel* fault_model,
-                                    SimControl* control,
-                                    UnitProfiler* profiler,
-                                    MemProfiler* mem_profiler) {
-  SimResult result;
-  result.workload = graph.name;
-  result.accelerator = "Alchemist(event)";
-  obs::Registry& reg = result.registry;
-  if (graph.ops.empty()) {
-    if (mem_profiler) {
-      mem_profiler->begin(config);
-      mem_profiler->finish(0, result.mem_profile);
-    }
-    return result;
-  }
-
-  // Inert fault models are dropped so the run stays bit-identical (see
-  // simulate_alchemist).
-  fault::FaultModel* fault = fault_model && fault_model->enabled() ? fault_model : nullptr;
-  const arch::ArchConfig cfg = fault ? fault->degraded(config) : config;
-  FaultTotals fault_totals;
-
-  // Resume validation happens before the (re)computed setup; the setup loop
-  // below is deterministic, so only the event-loop cursor lives in the
-  // checkpoint — everything per-op static (lowering, fault draws, prefetch
-  // schedule) is rebuilt identically. The fault RNG must therefore restart
-  // at its seed.
-  const std::uint64_t fingerprint = sim_fingerprint(config, fault);
-  const bool resuming =
-      control && control->checkpoint && control->checkpoint->valid();
-  if (resuming) {
-    const Checkpoint& cp = *control->checkpoint;
-    if (cp.engine != kEventEngine) {
-      throw CheckpointError("event engine: checkpoint from engine '" + cp.engine + "'");
-    }
-    if (cp.workload != graph.name || cp.op_count != graph.ops.size()) {
-      throw CheckpointError("event engine: checkpoint belongs to a different graph");
-    }
-    if (cp.fingerprint != fingerprint) {
-      throw CheckpointError("event engine: machine/fault configuration changed");
-    }
-    if (fault) fault->reset();
-    // Cycles before the resume point were accounted by the interrupted
-    // process; per-unit attribution cannot be reconstructed.
-    profiler = nullptr;
-  }
-
-  const bool trace = cfg.telemetry && timeline != nullptr && timeline->enabled();
-  if (trace) {
-    timeline->set_process_name("alchemist-sim(event)");
-    name_fixed_tracks(*timeline);
-  }
-
-  const double cores = static_cast<double>(cfg.total_cores());
-  const double hbm_bpc = cfg.hbm_bytes_per_cycle();
-  const double transpose_words_per_cycle =
-      static_cast<double>(cfg.num_units * cfg.lanes);
-
-  std::uint64_t total_transpose = 0;
-  std::array<double, kNumOpClasses> class_busy_total{};
-  std::vector<OpState> state(graph.ops.size());
-  for (std::size_t i = 0; i < graph.ops.size(); ++i) {
-    const HighOp& op = graph.ops[i];
-    const MetaOpStream stream = metaop::lower(op);
-    OpState& s = state[i];
-    s.cls = class_of(op.kind);
-    std::uint64_t op_core_cycles = stream.core_cycles();
-    std::uint64_t op_busy = 0;
-    for (const MetaOpBatch& b : stream.batches) {
-      op_busy += b.count * cfg.lanes * (b.n + 2);
-    }
-    s.busy_lanes = static_cast<double>(op_busy);
-    if (fault) {
-      // Same degraded-stripe inflation and fault pricing as the level engine
-      // (sim/fault_costs.h), sampled in the same graph index order.
-      const double pad = fault->slot_padding_factor(op.n);
-      if (pad > 1.0) {
-        op_core_cycles = static_cast<std::uint64_t>(
-            std::ceil(static_cast<double>(op_core_cycles) * pad));
-      }
-      s.faults = fault->sample_op(op_core_cycles, op_busy, op.hbm_bytes);
-      const std::uint64_t batch_cost =
-          op_core_cycles / std::max<std::size_t>(stream.batches.size(), 1);
-      s.retry_cycles = static_cast<double>(
-          price_op_faults(*fault, s.faults, batch_cost, fault_totals));
-    }
-    s.work = static_cast<double>(op_core_cycles) + s.retry_cycles;
-    // Reduction share of the compute work: 2 of every (n+2)-cycle Meta-OP
-    // window. Padding and retries replay whole windows, so the raw stream's
-    // ratio carries over.
-    const double raw_core = static_cast<double>(stream.core_cycles());
-    s.frac_reduction =
-        raw_core > 0 ? 2.0 * static_cast<double>(stream.meta_op_count()) / raw_core
-                     : 0.0;
-    if (op.kind == OpKind::Ntt || op.kind == OpKind::Intt) {
-      const double words = static_cast<double>(op.n) *
-                           static_cast<double>(std::max<std::size_t>(op.channels, 1));
-      // Serialized half of the transpose, expressed as extra machine work.
-      const double transpose_work = words / transpose_words_per_cycle / 2.0 * cores;
-      s.work += transpose_work;
-      s.frac_scratch = s.work > 0 ? transpose_work / s.work : 0.0;
-      total_transpose += static_cast<std::uint64_t>(
-          words / transpose_words_per_cycle / 2.0);
-    }
-    s.unmet_deps = op.deps.size();
-    for (std::size_t dep : op.deps) {
-      if (dep >= i) throw std::invalid_argument("event sim: deps must point backwards");
-      state[dep].dependents.push_back(i);
-    }
-    class_busy_total[static_cast<std::size_t>(s.cls)] += s.busy_lanes;
-    reg.add(metrics::kMults, stream.mult_count(), {{"lazy", "true"}});
-    reg.add(metrics::kOps, 1);
-    reg.add(metrics::kOps, 1, {{"class", class_tag(s.cls)}});
-    reg.add(metrics::kMetaOps, stream.meta_op_count());
-    reg.add(metrics::kHbmBytes, op.hbm_bytes);
-    reg.add(metrics::kBusyLaneCycles,
-            static_cast<std::uint64_t>(s.busy_lanes));
-  }
-
-  // Key prefetching: the scheduler knows the op stream in advance, so HBM
-  // streams each op's keys in order starting at t=0; an op can only retire
-  // once its cumulative key traffic has landed.
-  double bytes_prefix = 0;
-  for (std::size_t i = 0; i < graph.ops.size(); ++i) {
-    const double start_cycle = bytes_prefix / hbm_bpc;
-    bytes_prefix += static_cast<double>(graph.ops[i].hbm_bytes);
-    state[i].hbm_ready = bytes_prefix / hbm_bpc;
-    if (trace && graph.ops[i].hbm_bytes > 0) {
-      obs::TraceEvent hb;
-      hb.name = std::string("keys ") + to_string(graph.ops[i].kind) + "#" +
-                std::to_string(i);
-      hb.cat = "hbm";
-      hb.tid = kHbmTid;
-      hb.ts = start_cycle;
-      hb.dur = state[i].hbm_ready - start_cycle;
-      hb.num_args = {{"bytes", static_cast<double>(graph.ops[i].hbm_bytes)},
-                     {"bytes_per_cycle", hbm_bpc}};
-      timeline->record(std::move(hb));
-    }
-  }
-
-  std::vector<std::size_t> running;
-  for (std::size_t i = 0; i < state.size(); ++i) {
-    if (state[i].unmet_deps == 0) {
-      state[i].running = true;
-      running.push_back(i);
-    }
-  }
-
-  std::vector<ClassTrackRows> rows;
-  if (trace) {
-    for (std::size_t c = 0; c < kNumOpClasses; ++c) {
-      rows.emplace_back(*timeline, static_cast<OpClass>(c));
-    }
-  }
-  if (profiler) profiler->begin(cfg.num_units, cfg.cores_per_unit, nullptr);
-  if (mem_profiler) mem_profiler->begin(cfg, trace ? timeline : nullptr);
-
-  double now = 0;
-  double busy_integral = 0;  // lane-cycles actually delivered
-  double stall_integral = 0; // time with live ops but zero runnable compute
-  std::array<double, kNumOpClasses> class_active{};  // per-class busy wall
-  std::size_t completed = 0;
-
-  if (resuming) {
-    BinaryReader r(control->checkpoint->state);
-    now = r.read_double();
-    busy_integral = r.read_double();
-    stall_integral = r.read_double();
-    for (double& c : class_active) c = r.read_double();
-    completed = static_cast<std::size_t>(r.read_u64());
-    const std::vector<std::uint64_t> run_ids = r.read_u64_vector();
-    const std::uint64_t n_ops = r.read_u64();
-    if (n_ops != state.size() || completed > state.size()) {
-      throw CheckpointError("event engine: per-op state size mismatch");
-    }
-    for (OpState& s : state) {
-      s.work = r.read_double();
-      s.busy_lanes = r.read_double();
-      s.start_time = r.read_double();
-      s.compute_done_time = r.read_double();
-      s.unmet_deps = static_cast<std::size_t>(r.read_u64());
-      const std::uint8_t flags = r.read_u8();
-      s.running = (flags & 1u) != 0;
-      s.done = (flags & 2u) != 0;
-    }
-    running.clear();
-    for (std::uint64_t id : run_ids) {
-      if (id >= state.size()) {
-        throw CheckpointError("event engine: ready-set index out of range");
-      }
-      running.push_back(static_cast<std::size_t>(id));
-    }
-  }
-  // --- distributed tracing (cycle-domain spans; see obs/trace.h) ----------
-  obs::TraceSink* tsink = control != nullptr ? control->trace : nullptr;
-  const bool spans_on = tsink != nullptr && control->trace_ctx.valid();
-  const obs::TraceDetail detail =
-      spans_on ? control->effective_trace_detail() : obs::TraceDetail::Lifecycle;
-  obs::TraceContext sim_ctx;
-  if (spans_on) sim_ctx = obs::child_context(control->trace_ctx, "sim", 0);
-  const double trace_start = now;
-  std::uint64_t trace_checkpoints = 0;
-  // Local span buffer, drained in batches (one sink lock per kSpanFlush
-  // spans) so concurrent jobs do not serialize on the sink mutex.
-  std::vector<obs::SpanRecord> span_buf;
-  constexpr std::size_t kSpanFlush = 4096;
-  auto buffer_span = [&](obs::SpanRecord&& s) {
-    span_buf.push_back(std::move(s));
-    if (span_buf.size() >= kSpanFlush) tsink->record_batch(span_buf);
-  };
-  // Terminal span for the whole engine run; flushes the buffer, and is called
-  // on every exit path (completion and just before a cancellation throw).
-  auto record_sim_span = [&](const char* outcome,
-                             std::uint64_t executed) {
-    if (!spans_on) return;
-    obs::SpanRecord s;
-    s.trace_id = sim_ctx.trace_id;
-    s.span_id = sim_ctx.span_id;
-    s.parent_span = sim_ctx.parent_span;
-    s.name = "sim";
-    s.kind = "sim";
-    s.track = "sim";
-    s.clock = obs::SpanClock::Cycles;
-    s.ts = trace_start;
-    s.dur = now - trace_start;
-    s.attrs = {{"engine", "event"},
-               {"workload", graph.name},
-               {"outcome", outcome}};
-    s.num_attrs = {{"steps", static_cast<double>(executed)},
-                   {"resumed", resuming ? 1.0 : 0.0}};
-    span_buf.push_back(std::move(s));
-    tsink->record_batch(span_buf);
-  };
-
-  auto save_checkpoint = [&]() {
-    Checkpoint cp;
-    cp.engine = kEventEngine;
-    cp.workload = graph.name;
-    cp.op_count = graph.ops.size();
-    cp.fingerprint = fingerprint;
-    cp.step = completed;
-    BinaryWriter w;
-    w.write_double(now);
-    w.write_double(busy_integral);
-    w.write_double(stall_integral);
-    for (double c : class_active) w.write_double(c);
-    w.write_u64(completed);
-    std::vector<std::uint64_t> run_ids(running.begin(), running.end());
-    w.write_u64_vector(run_ids);
-    w.write_u64(state.size());
-    for (const OpState& s : state) {
-      w.write_double(s.work);
-      w.write_double(s.busy_lanes);
-      w.write_double(s.start_time);
-      w.write_double(s.compute_done_time);
-      w.write_u64(s.unmet_deps);
-      w.write_u8(static_cast<std::uint8_t>((s.running ? 1u : 0u) | (s.done ? 2u : 0u)));
-    }
-    cp.state = w.buffer();
-    const std::uint64_t state_bytes = cp.state.size();
-    *control->checkpoint = std::move(cp);
-    if (spans_on) {
-      const obs::TraceContext cc =
-          obs::child_context(sim_ctx, "checkpoint", trace_checkpoints++);
-      obs::SpanRecord s;
-      s.trace_id = cc.trace_id;
-      s.span_id = cc.span_id;
-      s.parent_span = cc.parent_span;
-      s.name = "checkpoint";
-      s.kind = "sim";
-      s.track = "sim/checkpoint";
-      s.clock = obs::SpanClock::Cycles;
-      s.ts = now;
-      s.dur = 0;
-      s.num_attrs = {{"step", static_cast<double>(completed)},
-                     {"bytes", static_cast<double>(state_bytes)}};
-      buffer_span(std::move(s));
-    }
-  };
-  std::uint64_t executed_steps = 0;
-
-  while (!running.empty()) {
-    if (control) {
-      StopReason stop = control->cancel ? control->cancel->should_stop() : StopReason::None;
-      if (stop == StopReason::None && control->max_steps != 0 &&
-          executed_steps >= control->max_steps) {
-        stop = StopReason::StepBudget;
-      }
-      if (stop != StopReason::None) {
-        if (control->checkpoint) save_checkpoint();
-        record_sim_span(sim::to_string(stop), executed_steps);
-        throw CancelledError(stop, completed);
-      }
-    }
-    // Work-conserving equal share of the cores among live compute demands.
-    std::size_t compute_live = 0;
-    for (std::size_t idx : running) compute_live += state[idx].work > 0 ? 1 : 0;
-    const double core_share = compute_live ? cores / compute_live : 0;
-
-    // Next completion event.
-    double dt = std::numeric_limits<double>::infinity();
-    for (std::size_t idx : running) {
-      const OpState& s = state[idx];
-      double t_done = s.work > 0 ? s.work / core_share : 0;
-      t_done = std::max(t_done, s.hbm_ready - now);
-      dt = std::min(dt, t_done);
-    }
-    if (!(dt > 0) || !std::isfinite(dt)) dt = 1.0;  // zero-work ops finish now
-
-    if (compute_live == 0) stall_integral += dt;
-    // Per-class active wall time: classes with live work this interval.
-    {
-      std::array<bool, kNumOpClasses> live{};
-      for (std::size_t idx : running) {
-        if (state[idx].work > 0) live[static_cast<std::size_t>(state[idx].cls)] = true;
-      }
-      for (std::size_t c = 0; c < kNumOpClasses; ++c) {
-        if (live[c]) class_active[c] += dt;
-      }
-    }
-
-    // Advance time and drain work.
-    now += dt;
-    double iv_delivered = 0, iv_reduction = 0, iv_scratch = 0;
-    std::array<double, kNumOpClasses> iv_class{};
-    std::vector<std::size_t> still_running;
-    for (std::size_t idx : running) {
-      OpState& s = state[idx];
-      if (s.work > 0) {
-        const double delivered = std::min(s.work, core_share * dt);
-        if (profiler) {
-          const double d_scratch = delivered * s.frac_scratch;
-          const double d_compute = delivered - d_scratch;
-          iv_delivered += delivered;
-          iv_scratch += d_scratch;
-          iv_reduction += d_compute * s.frac_reduction;
-          iv_class[static_cast<std::size_t>(s.cls)] += d_compute;
-        }
-        busy_integral += delivered / s.work * s.busy_lanes;  // proportional
-        s.busy_lanes -= delivered / std::max(s.work, 1e-9) * s.busy_lanes;
-        s.work -= delivered;
-        if (s.work < 1e-9) s.work = 0;
-        if (s.work == 0) s.compute_done_time = now;
-      }
-      if (s.work == 0 && now + 1e-9 >= s.hbm_ready) {
-        s.done = true;
-        ++completed;
-        if (trace) {
-          const HighOp& op = graph.ops[idx];
-          obs::TraceEvent ev;
-          ev.name = std::string(to_string(op.kind)) + "#" + std::to_string(idx);
-          ev.cat = class_tag(s.cls);
-          ev.ts = s.start_time;
-          ev.dur = now - s.start_time;
-          ev.tid = rows[static_cast<std::size_t>(s.cls)].reserve(s.start_time, now);
-          ev.num_args = {
-              {"ready_cycle", s.start_time},
-              {"end_cycle", now},
-              {"hbm_ready_cycle", s.hbm_ready},
-              {"hbm_wait_cycles",
-               std::max(0.0, now - std::max(s.compute_done_time, s.start_time))},
-              {"hbm_bytes", static_cast<double>(op.hbm_bytes)},
-          };
-          timeline->record(std::move(ev));
-          if (s.faults.total() > 0) {
-            obs::TraceEvent fe;
-            fe.name = std::string("fault ") + to_string(op.kind) + "#" +
-                      std::to_string(idx);
-            fe.cat = "fault";
-            fe.tid = kFaultTid;
-            fe.ts = s.start_time;
-            fe.dur = now - s.start_time;
-            fe.num_args = {
-                {"faults_compute", static_cast<double>(s.faults.compute)},
-                {"faults_sram", static_cast<double>(s.faults.sram)},
-                {"faults_hbm", static_cast<double>(s.faults.hbm)},
-                {"retry_core_cycles", s.retry_cycles},
-            };
-            timeline->record(std::move(fe));
-          }
-        }
-        if (spans_on && detail == obs::TraceDetail::Ops) {
-          const HighOp& op = graph.ops[idx];
-          const obs::TraceContext oc =
-              obs::child_context(sim_ctx, to_string(op.kind), idx);
-          obs::SpanRecord sp;
-          sp.trace_id = oc.trace_id;
-          sp.span_id = oc.span_id;
-          sp.parent_span = oc.parent_span;
-          sp.name = to_string(op.kind);
-          sp.kind = "sim";
-          sp.track = "sim/ops";
-          sp.clock = obs::SpanClock::Cycles;
-          sp.ts = s.start_time;
-          sp.dur = now - s.start_time;
-          sp.attrs = {{"class", class_tag(s.cls)}};
-          sp.num_attrs = {{"op", static_cast<double>(idx)},
-                          {"hbm_bytes", static_cast<double>(op.hbm_bytes)}};
-          buffer_span(std::move(sp));
-        }
-        for (std::size_t dep : s.dependents) {
-          if (--state[dep].unmet_deps == 0) {
-            state[dep].running = true;
-            state[dep].start_time = now;
-            still_running.push_back(dep);
-          }
-        }
-      } else {
-        still_running.push_back(idx);
-      }
-    }
-    if (profiler) {
-      profiler->accrue(dt, iv_delivered, iv_reduction, iv_scratch, iv_class,
-                       compute_live > 0);
-    }
-    running = std::move(still_running);
-    ++executed_steps;
-    if (control && control->checkpoint &&
-        control->effective_checkpoint_interval() != 0 &&
-        executed_steps % control->effective_checkpoint_interval() == 0) {
-      save_checkpoint();
-    }
-  }
-  if (completed != graph.ops.size()) {
-    throw std::logic_error("event sim: dependency cycle or unreachable ops");
-  }
-  record_sim_span("completed", executed_steps);
-
-  const std::uint64_t total_cycles = static_cast<std::uint64_t>(std::ceil(now));
-  reg.add(metrics::kCycles, total_cycles);
-  reg.add(metrics::kStall, static_cast<std::uint64_t>(std::ceil(stall_integral)),
-          {{"cause", "hbm"}});
-  reg.add(metrics::kTransposeCycles, total_transpose);
-  if (fault) add_fault_counters(reg, *fault, fault_totals);
-  reg.set_gauge(metrics::kTimeUs, now / (cfg.freq_ghz * 1e3));
-  const double peak = static_cast<double>(cfg.peak_lanes());
-  reg.set_gauge(metrics::kUtilization, now > 0 ? busy_integral / (peak * now) : 0);
-  for (std::size_t c = 0; c < kNumOpClasses; ++c) {
-    const char* tag = class_tag(static_cast<OpClass>(c));
-    reg.add(metrics::kCycles,
-            static_cast<std::uint64_t>(std::ceil(class_active[c])),
-            {{"class", tag}});
-    reg.set_gauge(metrics::kUtilization,
-                  class_active[c] > 0
-                      ? class_busy_total[c] / (peak * class_active[c])
-                      : 0.0,
-                  {{"class", tag}});
-  }
-  result.finalize();
-  if (profiler) profiler->finish(total_cycles, result.profile);
-  if (mem_profiler) {
-    // Feed in HBM prefetch order from per-op state the event loop (or a
-    // checkpoint resume) left behind: an op's working set is released when
-    // both its compute and its key streaming are done, which is exactly its
-    // retirement condition above.
-    for (std::size_t i = 0; i < graph.ops.size(); ++i) {
-      mem_profiler->record_op(
-          graph.ops[i],
-          std::max(state[i].compute_done_time, state[i].hbm_ready));
-    }
-    mem_profiler->finish(total_cycles, result.mem_profile);
-  }
-  return result;
-}
 
 metaop::OpGraph merge_graphs(const std::vector<OpGraph>& graphs,
                              const std::string& name) {

@@ -1,71 +1,17 @@
-// Discrete-event simulator — the fine-grained cross-check for the analytical
-// (ASAP-level) Alchemist model.
-//
-// Ops become ready the moment their dependencies complete (no level
-// barriers). Running ops share the 2048 cores work-conservingly (an op can
-// absorb the whole machine: its Meta-OP batches are wide) and share the HBM
-// channel the same way; an op completes when both its compute work and its
-// key streaming are done. Events are op completions.
-//
-// Because the event model removes the level barriers, its cycle count is a
-// lower bound on the analytical model's; tests pin the two within a small
-// factor and above the absolute lower bound (work/cores, bytes/bandwidth).
-//
-// Telemetry: with `config.telemetry` set and a Timeline sink passed, each op
-// is recorded with its *actual* ready/start/end times on its operator class's
-// unit-group tracks, plus per-op HBM key-streaming slices — recording never
-// perturbs the reported SimResult.
-//
-// Profiling mirrors simulate_alchemist: an optional UnitProfiler accrues the
-// delivered/reduction/scratchpad core-cycles of every completion interval
-// (core sharing is uniform across units, so one fractional profile covers
-// the machine) and integerizes at the end so each unit's buckets sum exactly
-// to the cycle count. Dropped on checkpoint resume; no counter tracks are
-// emitted by this engine (the level engine's per-level sampling is the
-// Perfetto view).
-//
-// Memory profiling mirrors simulate_alchemist: an optional MemProfiler fills
-// SimResult.mem_profile (memory.v1) from the op stream in HBM prefetch order
-// with each op's actual retirement time. The feed happens after the event
-// loop from per-op state that checkpoint/resume restores exactly, so — unlike
-// the UnitProfiler — a resumed run's memory.v1 is bit-identical to an
-// uninterrupted one with no extra checkpoint bytes.
-//
-// Fault modeling mirrors simulate_alchemist (see alchemist_sim.h): the same
-// FaultModel degrades the geometry, inflates slot-partitioned work for the
-// re-homed stripe, and charges policy-priced retry work per op — sampled in
-// graph index order so a fixed seed reproduces the run on either engine.
-//
-// Execution control: with a sim::SimControl attached the event loop becomes
-// cooperative — a step is one completion interval. The engine polls the
-// CancelToken / step budget each iteration and can snapshot its cursor (event
-// clock, per-op remaining work, ready set) into a Checkpoint; the per-op
-// setup (lowering, fault sampling, key prefetch schedule) is deterministic
-// and is simply recomputed on resume, so a resumed run's SimResult is
-// bit-identical to an uninterrupted one.
+// Time-sharing across operation streams (§5.4), for the ready-list policy of
+// sim/alchemist_sim.h.
 #pragma once
 
-#include "arch/config.h"
-#include "fault/fault_model.h"
+#include <string>
+#include <vector>
+
 #include "metaop/op_graph.h"
-#include "obs/timeline.h"
-#include "sim/result.h"
-#include "sim/mem_profiler.h"
-#include "sim/sim_control.h"
-#include "sim/unit_profiler.h"
+#include "sim/alchemist_sim.h"
 
 namespace alchemist::sim {
 
-SimResult simulate_alchemist_events(const metaop::OpGraph& graph,
-                                    const arch::ArchConfig& config,
-                                    obs::Timeline* timeline = nullptr,
-                                    fault::FaultModel* fault_model = nullptr,
-                                    SimControl* control = nullptr,
-                                    UnitProfiler* profiler = nullptr,
-                                    MemProfiler* mem_profiler = nullptr);
-
-// Time-sharing scheduler (§5.4): interleave independent operation streams
-// into one graph so compute of one stream overlaps key streaming of another.
+// Interleave independent operation streams into one graph so compute of one
+// stream overlaps key streaming of another.
 metaop::OpGraph merge_graphs(const std::vector<metaop::OpGraph>& graphs,
                              const std::string& name);
 

@@ -1,9 +1,8 @@
 #include "tfhe/torus_poly.h"
 
-#include <map>
-#include <memory>
 #include <stdexcept>
 
+#include "common/keyed_cache.h"
 #include "common/primes.h"
 #include "poly/ntt.h"
 
@@ -144,12 +143,8 @@ TorusPoly TorusNttContext::inverse(const DomainPoly& acc) const {
 }
 
 const TorusNttContext& TorusNttContext::get(std::size_t n) {
-  static std::map<std::size_t, std::unique_ptr<TorusNttContext>> cache;
-  auto it = cache.find(n);
-  if (it == cache.end()) {
-    it = cache.emplace(n, std::make_unique<TorusNttContext>(n)).first;
-  }
-  return *it->second;
+  static KeyedCache<std::size_t, TorusNttContext> cache;
+  return cache.get(n, n);
 }
 
 }  // namespace alchemist::tfhe
