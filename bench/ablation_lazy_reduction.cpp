@@ -2,7 +2,8 @@
 // eager (reduce every product) vs lazy (accumulate in 128-bit, reduce once)
 // for the DecompPolyMult and Bconv accumulation patterns. The paper's #Mults
 // ratio predicts the trend; the wall-clock ratio below measures it on this
-// machine's Barrett implementation.
+// machine's Barrett implementation. Every row also checks that the lazy
+// kernel's output equals the eager reference and exits 1 if it does not.
 #include <chrono>
 #include <cstdio>
 
@@ -24,6 +25,12 @@ double time_us(F&& f, int iters) {
   return std::chrono::duration<double, std::micro>(stop - start).count() / iters;
 }
 
+void print_row(std::size_t terms, double t_eager, double t_lazy, double paper_ratio,
+               bool match) {
+  std::printf("%-8zu %-12.1f %-12.1f %-10.2f %-18.2f %s\n", terms, t_eager, t_lazy,
+              t_eager / t_lazy, paper_ratio, match ? "yes" : "NO");
+}
+
 }  // namespace
 
 int main() {
@@ -32,67 +39,65 @@ int main() {
 
   const u64 q = max_ntt_prime(36, 1024);  // the paper's 36-bit word
   const Modulus mod(q);
+  const std::size_t n = 4096;
   Rng rng(7);
+  bool all_match = true;
 
-  std::printf("DecompPolyMult pattern (dot product of length dnum, per slot):\n");
-  std::printf("%-8s %-12s %-12s %-10s %-18s\n", "dnum", "eager us", "lazy us",
-              "speedup", "paper #Mults ratio");
+  std::printf("DecompPolyMult pattern (dnum digit layers x key layers of N=%zu, "
+              "summed per coefficient):\n", n);
+  std::printf("%-8s %-12s %-12s %-10s %-18s %s\n", "dnum", "eager us", "lazy us",
+              "speedup", "paper #Mults ratio", "lazy==eager");
   for (std::size_t dnum : {2, 3, 4, 8}) {
-    const std::size_t slots = 4096;
-    std::vector<std::vector<u64>> a(slots), b(slots);
-    for (auto& v : a) v = rng.uniform_vector(dnum, q);
-    for (auto& v : b) v = rng.uniform_vector(dnum, q);
-    volatile u64 sink = 0;
-    const double t_eager = time_us(
-        [&] {
-          u64 acc = 0;
-          for (std::size_t s = 0; s < slots; ++s) acc ^= dot_mod_eager(a[s], b[s], mod);
-          sink = acc;
-        },
-        20);
-    const double t_lazy = time_us(
-        [&] {
-          u64 acc = 0;
-          for (std::size_t s = 0; s < slots; ++s) acc ^= dot_mod_lazy(a[s], b[s], mod);
-          sink = acc;
-        },
-        20);
+    std::vector<std::vector<u64>> a(dnum), b(dnum);
+    std::vector<const u64*> ap, bp;
+    for (std::size_t t = 0; t < dnum; ++t) {
+      a[t] = rng.uniform_vector(n, q);
+      b[t] = rng.uniform_vector(n, q);
+      ap.push_back(a[t].data());
+      bp.push_back(b[t].data());
+    }
+    std::vector<u64> eager(n), lazy(n);
+    const double t_eager = time_us([&] { mul_sum_eager(ap, bp, mod, eager); }, 20);
+    const double t_lazy = time_us([&] { mul_sum_lazy(ap, bp, mod, lazy); }, 20);
     const auto counts = metaop::decomp_mults(1, dnum, 1);
-    std::printf("%-8zu %-12.1f %-12.1f %-10.2f %.2fx\n", dnum, t_eager, t_lazy,
-                t_eager / t_lazy,
-                static_cast<double>(counts.origin) / counts.meta);
-    (void)sink;
+    all_match &= eager == lazy;
+    print_row(dnum, t_eager, t_lazy, static_cast<double>(counts.origin) / counts.meta,
+              eager == lazy);
   }
 
   std::printf("\nBconv pattern (L channels combined into one output channel):\n");
-  std::printf("%-8s %-12s %-12s %-10s %-18s\n", "L", "eager us", "lazy us",
-              "speedup", "paper #Mults ratio");
+  std::printf("%-8s %-12s %-12s %-10s %-18s %s\n", "L", "eager us", "lazy us",
+              "speedup", "paper #Mults ratio", "lazy==eager");
   for (std::size_t l : {4, 11, 22, 44}) {
-    const std::size_t n = 4096;
     std::vector<std::vector<u64>> x(l);
     for (auto& ch : x) ch = rng.uniform_vector(n, q);
     std::vector<u64> w = rng.uniform_vector(l, q);
-    std::vector<u64> out(n);
+    std::vector<u64> eager(n), lazy(n);
     const double t_eager = time_us(
         [&] {
           weighted_sum_eager(std::span<const std::vector<u64>>(x),
-                             std::span<const u64>(w), mod, out);
+                             std::span<const u64>(w), mod, eager);
         },
         20);
     const double t_lazy = time_us(
         [&] {
           weighted_sum_lazy(std::span<const std::vector<u64>>(x),
-                            std::span<const u64>(w), mod, out);
+                            std::span<const u64>(w), mod, lazy);
         },
         20);
     const auto counts = metaop::bconv_mults(1, l, 1);
-    std::printf("%-8zu %-12.1f %-12.1f %-10.2f %.2fx\n", l, t_eager, t_lazy,
-                t_eager / t_lazy,
-                static_cast<double>(counts.origin) / counts.meta);
+    all_match &= eager == lazy;
+    print_row(l, t_eager, t_lazy, static_cast<double>(counts.origin) / counts.meta,
+              eager == lazy);
   }
 
   bench::print_footnote(
-      "the production BConv (src/poly/rns.cpp) runs the lazy path; the "
-      "exactness tests pin it bit-for-bit against Eq. (1)");
+      "the CKKS keyswitch and the TFHE external product run mul_sum_lazy, and "
+      "BConv runs weighted_sum_lazy (src/poly/lazy_kernels.h)");
+  if (!all_match) {
+    std::fprintf(stderr, "ablation_lazy_reduction: a lazy kernel differs from its eager "
+                         "reference\n");
+    return 1;
+  }
   return 0;
 }

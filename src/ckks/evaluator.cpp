@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "common/thread_pool.h"
+#include "poly/lazy_kernels.h"
 
 namespace alchemist::ckks {
 
@@ -70,73 +71,60 @@ Ciphertext Evaluator::mul_plain(const Ciphertext& a, const Plaintext& pt) const 
   return out;
 }
 
-std::pair<RnsPoly, RnsPoly> Evaluator::keyswitch(const RnsPoly& d, std::size_t level,
-                                                 const KSwitchKey& key) const {
-  const std::size_t num_special = ctx_->params().num_special();
-  const std::size_t top = ctx_->params().num_levels;
-  const auto ext_basis = ctx_->extended_basis_at(level);
-
+std::vector<RnsPoly> Evaluator::modup_digits(const RnsPoly& d, std::size_t level) const {
+  KernelTimer timer(Kernel::Keyswitch);
   RnsPoly d_coeff = d;
   d_coeff.to_coeff();
-
-  RnsPoly acc0(ctx_->degree(), ext_basis, RnsPoly::Form::Ntt);
-  RnsPoly acc1(ctx_->degree(), ext_basis, RnsPoly::Form::Ntt);
-
-  const std::size_t digits = ctx_->num_digits_at(level);
-  if (digits > key.digits.size()) {
-    throw std::invalid_argument("Evaluator::keyswitch: key has too few digits");
-  }
-  // dnum-group fan-out: every digit's Modup + DecompPolyMult is independent,
-  // so compute them into per-digit slots on the pool (nested kernels run
-  // inline on the worker) and fold sequentially below — the fixed fold order
-  // keeps the accumulation deterministic regardless of scheduling.
-  KernelTimer timer(Kernel::Keyswitch);
-  std::vector<std::pair<RnsPoly, RnsPoly>> parts(digits);
-  parallel_for(digits, 1, [&](std::size_t jb, std::size_t je) {
+  const auto ext_basis = ctx_->extended_basis_at(level);
+  // Digits are independent: fan them out (nested kernels run inline).
+  std::vector<RnsPoly> digits(ctx_->num_digits_at(level));
+  parallel_for(digits.size(), 1, [&](std::size_t jb, std::size_t je) {
     for (std::size_t j = jb; j < je; ++j) {
       const auto [first, count] = ctx_->digit_range(j, level);
-
-      // Digit j: residues on its own channels, fast base conversion (Modup)
-      // to every other channel of Q·P.
-      const RnsPoly raw = d_coeff.extract_channels(first, count);
-      std::vector<u64> group(ext_basis.begin() + first,
-                             ext_basis.begin() + first + count);
-      std::vector<u64> others;
-      others.reserve(ext_basis.size() - count);
-      for (std::size_t c = 0; c < ext_basis.size(); ++c) {
-        if (c < first || c >= first + count) others.push_back(ext_basis[c]);
-      }
-      const BConv conv(group, others);
-      const RnsPoly converted = conv.apply(raw);
-
-      RnsPoly ext(ctx_->degree(), ext_basis, RnsPoly::Form::Coeff);
-      std::size_t other_idx = 0;
-      for (std::size_t c = 0; c < ext_basis.size(); ++c) {
-        std::span<const u64> src = (c >= first && c < first + count)
-                                       ? raw.channel(c - first)
-                                       : converted.channel(other_idx++);
-        std::copy(src.begin(), src.end(), ext.channel(c).begin());
-      }
-      ext.to_ntt();
-
-      // DecompPolyMult: digit * evk_j over Q·P. The key lives on the full
-      // basis [q_0..q_{L-1}, p...]; select the channels alive at `level`.
-      RnsPoly evk_b = key.digits[j].first.extract_channels(0, level);
-      evk_b.append_channels(key.digits[j].first.extract_channels(top, num_special));
-      RnsPoly evk_a = key.digits[j].second.extract_channels(0, level);
-      evk_a.append_channels(key.digits[j].second.extract_channels(top, num_special));
-
-      evk_b *= ext;
-      evk_a *= ext;
-      parts[j] = {std::move(evk_b), std::move(evk_a)};
+      digits[j] = modup(d_coeff.extract_channels(first, count), ext_basis, first);
     }
   });
-  for (std::size_t j = 0; j < digits; ++j) {
-    acc0 += parts[j].first;
-    acc1 += parts[j].second;
+  return digits;
+}
+
+std::pair<RnsPoly, RnsPoly> Evaluator::mult_moddown(const std::vector<RnsPoly>& digits,
+                                                    std::size_t level,
+                                                    const KSwitchKey& key) const {
+  const std::vector<u64> key_basis = ctx_->key_basis();
+  if (key.digits.size() < digits.size()) {
+    throw std::invalid_argument("Evaluator: keyswitch key has too few digits");
   }
+  for (const auto& [b, a] : key.digits) {
+    if (b.moduli() != key_basis || a.moduli() != key_basis || b.degree() != ctx_->degree() ||
+        a.degree() != ctx_->degree()) {
+      throw std::invalid_argument("Evaluator: keyswitch key does not span the key basis");
+    }
+  }
+  KernelTimer timer(Kernel::Keyswitch);
+  // DecompPolyMult: per channel of Q·P, sum digit_j * evk_j over the digits
+  // with one reduction per coefficient. The key lives on the full basis
+  // [q_0..q_{L-1}, p...]; channel c at `level` reads key channel c, or
+  // L + (c - level) for the special primes, in place.
+  const std::size_t top = ctx_->params().num_levels;
+  const auto ext_basis = ctx_->extended_basis_at(level);
+  RnsPoly acc0(ctx_->degree(), ext_basis, RnsPoly::Form::Ntt);
+  RnsPoly acc1(ctx_->degree(), ext_basis, RnsPoly::Form::Ntt);
+  parallel_for(ext_basis.size(), 1, [&](std::size_t cb, std::size_t ce) {
+    std::vector<const u64*> x(digits.size()), kb(digits.size()), ka(digits.size());
+    for (std::size_t c = cb; c < ce; ++c) {
+      const std::size_t kc = c < level ? c : top + (c - level);
+      for (std::size_t j = 0; j < digits.size(); ++j) {
+        x[j] = digits[j].channel(c).data();
+        kb[j] = key.digits[j].first.channel(kc).data();
+        ka[j] = key.digits[j].second.channel(kc).data();
+      }
+      mul_sum_lazy(x, kb, acc0.channel_modulus(c), acc0.channel(c));
+      mul_sum_lazy(x, ka, acc1.channel_modulus(c), acc1.channel(c));
+    }
+  });
 
   // Moddown: divide by P and return to the Q basis.
+  const std::size_t num_special = ctx_->params().num_special();
   acc0.to_coeff();
   acc1.to_coeff();
   RnsPoly ks0 = moddown(acc0, num_special);
@@ -144,6 +132,13 @@ std::pair<RnsPoly, RnsPoly> Evaluator::keyswitch(const RnsPoly& d, std::size_t l
   ks0.to_ntt();
   ks1.to_ntt();
   return {std::move(ks0), std::move(ks1)};
+}
+
+std::pair<RnsPoly, RnsPoly> Evaluator::keyswitch(const RnsPoly& d, std::size_t level,
+                                                 const KSwitchKey& key) const {
+  std::vector<RnsPoly> digits = modup_digits(d, level);
+  for (RnsPoly& x : digits) x.to_ntt();
+  return mult_moddown(digits, level, key);
 }
 
 Ciphertext Evaluator::multiply(const Ciphertext& a, const Ciphertext& b,
@@ -255,45 +250,12 @@ Ciphertext Evaluator::apply_galois(const Ciphertext& a, u64 galois_elt,
 std::vector<Ciphertext> Evaluator::rotate_hoisted(const Ciphertext& a,
                                                   std::span<const int> steps,
                                                   const GaloisKeys& gk) const {
-  const std::size_t level = a.level;
-  const std::size_t num_special = ctx_->params().num_special();
-  const std::size_t top = ctx_->params().num_levels;
-  const auto ext_basis = ctx_->extended_basis_at(level);
-  const std::size_t digits = ctx_->num_digits_at(level);
+  // Hoisted part, paid once: Modup every digit of c1. Automorphisms commute
+  // with the RNS decomposition (the digit residues are just coefficient
+  // permutations), so rotating the extended digits decomposes the rotated c1.
+  const std::vector<RnsPoly> digits = modup_digits(a.c1, a.level);
 
-  // Hoisted part, paid once: decompose c1 and Modup every digit to Q·P.
-  // (Automorphisms commute with the RNS decomposition: the digit residues
-  // are just coefficient permutations, so rotating the *extended* digits is
-  // exactly the decomposition of the rotated c1.)
-  RnsPoly c1_coeff = a.c1;
-  c1_coeff.to_coeff();
-  std::vector<RnsPoly> ext_digits(digits);
-  parallel_for(digits, 1, [&](std::size_t jb, std::size_t je) {
-    for (std::size_t j = jb; j < je; ++j) {
-      const auto [first, count] = ctx_->digit_range(j, level);
-      const RnsPoly raw = c1_coeff.extract_channels(first, count);
-      std::vector<u64> group(ext_basis.begin() + first,
-                             ext_basis.begin() + first + count);
-      std::vector<u64> others;
-      others.reserve(ext_basis.size() - count);
-      for (std::size_t c = 0; c < ext_basis.size(); ++c) {
-        if (c < first || c >= first + count) others.push_back(ext_basis[c]);
-      }
-      const BConv conv(group, others);
-      const RnsPoly converted = conv.apply(raw);
-      RnsPoly ext(ctx_->degree(), ext_basis, RnsPoly::Form::Coeff);
-      std::size_t other_idx = 0;
-      for (std::size_t c = 0; c < ext_basis.size(); ++c) {
-        std::span<const u64> src = (c >= first && c < first + count)
-                                       ? raw.channel(c - first)
-                                       : converted.channel(other_idx++);
-        std::copy(src.begin(), src.end(), ext.channel(c).begin());
-      }
-      ext_digits[j] = std::move(ext);
-    }
-  });
-
-  // Per rotation: permute the shared digits, inner-product with that
+  // Per rotation: permute the shared digits, then DecompPolyMult with that
   // rotation's key, Moddown, and add the rotated c0.
   std::vector<Ciphertext> out;
   out.reserve(steps.size());
@@ -306,36 +268,15 @@ std::vector<Ciphertext> Evaluator::rotate_hoisted(const Ciphertext& a,
     if (!gk.has(g)) {
       throw std::invalid_argument("rotate_hoisted: missing galois key for step");
     }
-    const KSwitchKey& key = gk.at(g);
-    RnsPoly acc0(ctx_->degree(), ext_basis, RnsPoly::Form::Ntt);
-    RnsPoly acc1(ctx_->degree(), ext_basis, RnsPoly::Form::Ntt);
-    // Same per-digit slot + sequential fold as keyswitch().
-    std::vector<std::pair<RnsPoly, RnsPoly>> parts(digits);
-    parallel_for(digits, 1, [&](std::size_t jb, std::size_t je) {
-      for (std::size_t j = jb; j < je; ++j) {
-        RnsPoly rotated = ext_digits[j].automorphism(g);
-        rotated.to_ntt();
-        RnsPoly evk_b = key.digits[j].first.extract_channels(0, level);
-        evk_b.append_channels(key.digits[j].first.extract_channels(top, num_special));
-        RnsPoly evk_a = key.digits[j].second.extract_channels(0, level);
-        evk_a.append_channels(key.digits[j].second.extract_channels(top, num_special));
-        evk_b *= rotated;
-        evk_a *= rotated;
-        parts[j] = {std::move(evk_b), std::move(evk_a)};
-      }
-    });
-    for (std::size_t j = 0; j < digits; ++j) {
-      acc0 += parts[j].first;
-      acc1 += parts[j].second;
+    std::vector<RnsPoly> rotated;
+    rotated.reserve(digits.size());
+    for (const RnsPoly& x : digits) {
+      rotated.push_back(x.automorphism(g));
+      rotated.back().to_ntt();
     }
-    acc0.to_coeff();
-    acc1.to_coeff();
-    RnsPoly ks0 = moddown(acc0, num_special);
-    RnsPoly ks1 = moddown(acc1, num_special);
-    ks0.to_ntt();
-    ks1.to_ntt();
+    auto [ks0, ks1] = mult_moddown(rotated, a.level, gk.at(g));
     ks0 += a.c0.automorphism(g);
-    out.push_back(Ciphertext{std::move(ks0), std::move(ks1), level, a.scale});
+    out.push_back(Ciphertext{std::move(ks0), std::move(ks1), a.level, a.scale});
   }
   return out;
 }

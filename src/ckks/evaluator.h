@@ -86,6 +86,18 @@ class Evaluator {
   Ciphertext apply_galois(const Ciphertext& a, u64 galois_elt,
                           const KSwitchKey& key) const;
 
+  // The hybrid keyswitch pipeline behind keyswitch, apply_galois and
+  // rotate_hoisted, in two stages so rotations can share the first.
+  // Modup: every digit group of d (NTT form, basis of `level`) extended to
+  // the keyswitch basis Q·P, in coefficient form.
+  std::vector<RnsPoly> modup_digits(const RnsPoly& d, std::size_t level) const;
+  // DecompPolyMult of the extended digits (NTT form) with `key`, then
+  // Moddown back to the basis of `level`. Throws std::invalid_argument if
+  // the key has too few digits or a digit does not span the key basis.
+  std::pair<RnsPoly, RnsPoly> mult_moddown(const std::vector<RnsPoly>& digits,
+                                           std::size_t level,
+                                           const KSwitchKey& key) const;
+
   ContextPtr ctx_;
 };
 

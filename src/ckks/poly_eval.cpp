@@ -117,17 +117,6 @@ Ciphertext PolyEvaluator::evaluate(const Ciphertext& x,
   return result;
 }
 
-Ciphertext PolyEvaluator::evaluate_chebyshev(const Ciphertext& x,
-                                             std::span<const double> cheb_coeffs,
-                                             double a, double b) const {
-  const std::vector<double> monomial_y = chebyshev_to_monomial(cheb_coeffs);
-  // y = 2(x - a)/(b - a) - 1 = alpha*x + beta.
-  const double alpha = 2.0 / (b - a);
-  const double beta = -2.0 * a / (b - a) - 1.0;
-  const std::vector<double> monomial_x = compose_affine(monomial_y, alpha, beta);
-  return evaluate(x, monomial_x);
-}
-
 Ciphertext PolyEvaluator::eval_cheb_direct(std::span<const double> coeffs,
                                            const std::vector<Ciphertext>& babies,
                                            std::size_t common_level) const {
@@ -270,43 +259,6 @@ std::vector<double> chebyshev_fit(const std::function<double(double)>& f, double
     coeffs[n] = (n == 0 ? 1.0 : 2.0) * sum / nodes;
   }
   return coeffs;
-}
-
-std::vector<double> chebyshev_to_monomial(std::span<const double> cheb_coeffs) {
-  if (cheb_coeffs.empty()) return {};
-  const std::size_t d = cheb_coeffs.size() - 1;
-  // T_0 = 1, T_1 = y, T_{n+1} = 2y T_n - T_{n-1}, accumulated in monomials.
-  std::vector<std::vector<double>> t(d + 1);
-  t[0] = {1.0};
-  if (d >= 1) t[1] = {0.0, 1.0};
-  for (std::size_t n = 2; n <= d; ++n) {
-    t[n].assign(n + 1, 0.0);
-    for (std::size_t i = 0; i < t[n - 1].size(); ++i) t[n][i + 1] += 2.0 * t[n - 1][i];
-    for (std::size_t i = 0; i < t[n - 2].size(); ++i) t[n][i] -= t[n - 2][i];
-  }
-  std::vector<double> out(d + 1, 0.0);
-  for (std::size_t n = 0; n <= d; ++n) {
-    for (std::size_t i = 0; i < t[n].size(); ++i) out[i] += cheb_coeffs[n] * t[n][i];
-  }
-  return out;
-}
-
-std::vector<double> compose_affine(std::span<const double> coeffs, double alpha,
-                                   double beta) {
-  // p(alpha x + beta): expand via Horner in the transformed variable.
-  // result := c_d; repeat result := result*(alpha x + beta) + c_i.
-  std::vector<double> result = {0.0};
-  for (std::size_t i = coeffs.size(); i-- > 0;) {
-    std::vector<double> next(result.size() + 1, 0.0);
-    for (std::size_t j = 0; j < result.size(); ++j) {
-      next[j + 1] += result[j] * alpha;
-      next[j] += result[j] * beta;
-    }
-    next[0] += coeffs[i];
-    result = std::move(next);
-  }
-  while (result.size() > 1 && result.back() == 0.0) result.pop_back();
-  return result;
 }
 
 }  // namespace alchemist::ckks

@@ -26,21 +26,14 @@ class PolyEvaluator {
   // 2 + ceil(log2(deg)) levels; throws if the ciphertext is too shallow.
   Ciphertext evaluate(const Ciphertext& x, std::span<const double> coeffs) const;
 
-  // Chebyshev form: sum_i c_i T_i(2(x-a)/(b-a) - 1) on the interval [a, b].
-  // Converts to the power basis internally (fine for the degrees <= 63 used
-  // here) and calls evaluate().
-  Ciphertext evaluate_chebyshev(const Ciphertext& x,
-                                std::span<const double> cheb_coeffs, double a,
-                                double b) const;
-
   // Multiplicative depth evaluate() will consume for a given degree.
   static std::size_t depth_for_degree(std::size_t degree);
 
   // Chebyshev-basis Paterson-Stockmeyer evaluation: sum_i c_i T_i(y) with
   // y = 2(x-a)/(b-a) - 1, computed directly in the Chebyshev basis with
-  // T_{a+b} = 2 T_a T_b - T_{|a-b|}. Coefficients stay O(1), so this is the
-  // numerically stable path for the high degrees of EvalMod (the monomial
-  // conversion in evaluate_chebyshev() overflows beyond degree ~30).
+  // T_{a+b} = 2 T_a T_b - T_{|a-b|}. Coefficients stay O(1), so this is
+  // numerically stable at the high degrees of EvalMod, where a conversion to
+  // the power basis would overflow beyond degree ~30.
   Ciphertext evaluate_chebyshev_stable(const Ciphertext& x,
                                        std::span<const double> cheb_coeffs,
                                        double a, double b) const;
@@ -66,16 +59,9 @@ class PolyEvaluator {
   const RelinKeys& relin_;
 };
 
-// Coefficients of sum c_i T_i(y) expanded into the monomial basis of y.
-std::vector<double> chebyshev_to_monomial(std::span<const double> cheb_coeffs);
-
 // Chebyshev interpolation of f on [a, b] at `degree`+1 Chebyshev-Gauss nodes;
 // returns the Chebyshev-basis coefficients c_0..c_degree.
 std::vector<double> chebyshev_fit(const std::function<double(double)>& f, double a,
                                   double b, std::size_t degree);
-
-// Map p(y) with y = alpha*x + beta into coefficients in x.
-std::vector<double> compose_affine(std::span<const double> coeffs, double alpha,
-                                   double beta);
 
 }  // namespace alchemist::ckks

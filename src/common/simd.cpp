@@ -73,7 +73,6 @@ const char* kern_name(Kern k) {
   switch (k) {
     case Kern::NttFwd: return "ntt_fwd";
     case Kern::NttInv: return "ntt_inv";
-    case Kern::DotMod: return "dot_mod";
     case Kern::WeightedSum: return "weighted_sum";
     case Kern::MulAcc: return "mul_acc";
     case Kern::kCount: break;
@@ -234,14 +233,6 @@ void ntt_inverse_lazy_scalar(const NttTables& t, u64* a, u64 ninv_op, u64 ninv_q
   }
 }
 
-void dot_accumulate_scalar(const u64* a, const u64* b, std::size_t n,
-                           u64& hi, u64& lo) {
-  u128 acc = 0;
-  for (std::size_t i = 0; i < n; ++i) acc += u128{a[i]} * b[i];
-  hi = static_cast<u64>(acc >> 64);
-  lo = static_cast<u64>(acc);
-}
-
 void weighted_accumulate_scalar(const u64* x, u64 w, std::size_t n,
                                 u64* acc_lo, u64* acc_hi) {
   for (std::size_t k = 0; k < n; ++k) {
@@ -294,18 +285,6 @@ void inverse_with(const NttTables& t, u64* a, u64 ninv_op, u64 ninv_quot, Isa is
     case Isa::Avx2: detail::ntt_inverse_lazy_avx2(t, a, ninv_op, ninv_quot); return;
 #endif
     default: detail::ntt_inverse_lazy_scalar(t, a, ninv_op, ninv_quot); return;
-  }
-}
-
-void dot_with(const u64* a, const u64* b, std::size_t n, u64& hi, u64& lo, Isa isa) {
-  switch (isa) {
-#if ALCHEMIST_SIMD_AVX512
-    case Isa::Avx512: detail::dot_accumulate_avx512(a, b, n, hi, lo); return;
-#endif
-#if ALCHEMIST_SIMD_AVX2
-    case Isa::Avx2: detail::dot_accumulate_avx2(a, b, n, hi, lo); return;
-#endif
-    default: detail::dot_accumulate_scalar(a, b, n, hi, lo); return;
   }
 }
 
@@ -365,18 +344,6 @@ void ntt_inverse_lazy(const NttTables& t, u64* a, u64 ninv_op, u64 ninv_quot) {
 void ntt_inverse_lazy(const NttTables& t, u64* a, u64 ninv_op, u64 ninv_quot, Isa isa) {
   note_dispatch(Kern::NttInv, checked(isa));
   inverse_with(t, a, ninv_op, ninv_quot, isa);
-}
-
-void dot_accumulate(const u64* a, const u64* b, std::size_t n, u64& hi, u64& lo) {
-  const Isa isa = active_isa();
-  note_dispatch(Kern::DotMod, isa);
-  dot_with(a, b, n, hi, lo, isa);
-}
-
-void dot_accumulate(const u64* a, const u64* b, std::size_t n, u64& hi, u64& lo,
-                    Isa isa) {
-  note_dispatch(Kern::DotMod, checked(isa));
-  dot_with(a, b, n, hi, lo, isa);
 }
 
 void weighted_accumulate(const u64* x, u64 w, std::size_t n, u64* acc_lo, u64* acc_hi) {

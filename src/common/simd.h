@@ -3,8 +3,8 @@
 // Every kernel here exists in three variants — portable scalar, AVX2 and
 // AVX-512 — that are *bit-identical*: the lazy Harvey butterfly over
 // [0, 4q)/[0, 2q), the Shoup twiddle multiply (64x64 high/low products in
-// lanes), and the 128-bit lazy accumulators behind dot_mod/weighted_sum and
-// the TFHE external product.
+// lanes), and the 128-bit lazy accumulators behind weighted_sum (BConv) and
+// mul_sum (DecompPolyMult, poly/lazy_kernels.h).
 // All SIMD arithmetic replays the exact scalar operation sequence modulo
 // 2^64, so the eager and scalar-lazy paths remain pinned references that
 // every vector variant is provable against (tests sweep the (q, N) matrix
@@ -34,11 +34,11 @@ enum class Isa : std::uint8_t { Scalar = 0, Avx2 = 1, Avx512 = 2 };
 inline constexpr std::size_t kNumIsas = 3;
 
 // Kernel families with per-(kernel, isa) dispatch counters.
-enum class Kern : std::uint8_t { NttFwd = 0, NttInv, DotMod, WeightedSum, MulAcc, kCount };
-inline constexpr std::size_t kNumKerns = 5;
+enum class Kern : std::uint8_t { NttFwd = 0, NttInv, WeightedSum, MulAcc, kCount };
+inline constexpr std::size_t kNumKerns = 4;
 
 const char* isa_name(Isa isa);    // "scalar" | "avx2" | "avx512"
-// "ntt_fwd" | "ntt_inv" | "dot_mod" | "weighted_sum" | "mul_acc"
+// "ntt_fwd" | "ntt_inv" | "weighted_sum" | "mul_acc"
 const char* kern_name(Kern k);
 
 // Parse "scalar" / "avx2" / "avx512" / "native" (= best supported).
@@ -87,29 +87,19 @@ void ntt_inverse_lazy(const NttTables& t, std::uint64_t* a,
 void ntt_inverse_lazy(const NttTables& t, std::uint64_t* a,
                       std::uint64_t ninv_op, std::uint64_t ninv_quot, Isa isa);
 
-// Exact 128-bit accumulation sum_i a[i] * b[i] into hi:lo (overwritten).
-// The caller guarantees the true sum fits 128 bits (lazy_accumulation_fits);
-// lane-partial sums then commute exactly, so results are bit-identical
-// across ISAs and vector widths. Handles any n including non-lane-multiple
-// tails. Records a DotMod dispatch only via the dispatching overload.
-void dot_accumulate(const std::uint64_t* a, const std::uint64_t* b, std::size_t n,
-                    std::uint64_t& hi, std::uint64_t& lo);
-void dot_accumulate(const std::uint64_t* a, const std::uint64_t* b, std::size_t n,
-                    std::uint64_t& hi, std::uint64_t& lo, Isa isa);
-
 // acc128[k] += w * x[k] for k in [0, n), accumulators split SoA as
-// (acc_hi[k], acc_lo[k]). One Bconv/DecompPolyMult input channel folded into
-// a blocked accumulator; never records a dispatch itself (weighted_sum
-// counts once per kernel call).
+// (acc_hi[k], acc_lo[k]). One Bconv input channel folded into a blocked
+// accumulator; never records a dispatch itself (weighted_sum counts once per
+// kernel call).
 void weighted_accumulate(const std::uint64_t* x, std::uint64_t w, std::size_t n,
                          std::uint64_t* acc_lo, std::uint64_t* acc_hi);
 void weighted_accumulate(const std::uint64_t* x, std::uint64_t w, std::size_t n,
                          std::uint64_t* acc_lo, std::uint64_t* acc_hi, Isa isa);
 
 // acc128[k] += a[k] * b[k] for k in [0, n), same SoA accumulators: one
-// NTT-domain sum of pointwise products, reduced once per coefficient after
-// the last term (the TFHE external product). Never records a dispatch
-// itself; callers count MulAcc once per composite operation.
+// term of an NTT-domain sum of pointwise products, reduced once per
+// coefficient after the last term (DecompPolyMult). Never records a dispatch
+// itself; mul_sum counts MulAcc once per call.
 void mul_accumulate(const std::uint64_t* a, const std::uint64_t* b, std::size_t n,
                     std::uint64_t* acc_lo, std::uint64_t* acc_hi);
 void mul_accumulate(const std::uint64_t* a, const std::uint64_t* b, std::size_t n,
@@ -123,8 +113,6 @@ namespace detail {
 void ntt_forward_lazy_scalar(const NttTables& t, std::uint64_t* a);
 void ntt_inverse_lazy_scalar(const NttTables& t, std::uint64_t* a,
                              std::uint64_t ninv_op, std::uint64_t ninv_quot);
-void dot_accumulate_scalar(const std::uint64_t* a, const std::uint64_t* b,
-                           std::size_t n, std::uint64_t& hi, std::uint64_t& lo);
 void weighted_accumulate_scalar(const std::uint64_t* x, std::uint64_t w, std::size_t n,
                                 std::uint64_t* acc_lo, std::uint64_t* acc_hi);
 void mul_accumulate_scalar(const std::uint64_t* a, const std::uint64_t* b,
@@ -133,8 +121,6 @@ void mul_accumulate_scalar(const std::uint64_t* a, const std::uint64_t* b,
 void ntt_forward_lazy_avx2(const NttTables& t, std::uint64_t* a);
 void ntt_inverse_lazy_avx2(const NttTables& t, std::uint64_t* a,
                            std::uint64_t ninv_op, std::uint64_t ninv_quot);
-void dot_accumulate_avx2(const std::uint64_t* a, const std::uint64_t* b,
-                         std::size_t n, std::uint64_t& hi, std::uint64_t& lo);
 void weighted_accumulate_avx2(const std::uint64_t* x, std::uint64_t w, std::size_t n,
                               std::uint64_t* acc_lo, std::uint64_t* acc_hi);
 void mul_accumulate_avx2(const std::uint64_t* a, const std::uint64_t* b,
@@ -143,8 +129,6 @@ void mul_accumulate_avx2(const std::uint64_t* a, const std::uint64_t* b,
 void ntt_forward_lazy_avx512(const NttTables& t, std::uint64_t* a);
 void ntt_inverse_lazy_avx512(const NttTables& t, std::uint64_t* a,
                              std::uint64_t ninv_op, std::uint64_t ninv_quot);
-void dot_accumulate_avx512(const std::uint64_t* a, const std::uint64_t* b,
-                           std::size_t n, std::uint64_t& hi, std::uint64_t& lo);
 void weighted_accumulate_avx512(const std::uint64_t* x, std::uint64_t w, std::size_t n,
                                 std::uint64_t* acc_lo, std::uint64_t* acc_hi);
 void mul_accumulate_avx512(const std::uint64_t* a, const std::uint64_t* b,

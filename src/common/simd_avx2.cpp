@@ -326,36 +326,6 @@ void ntt_inverse_lazy_avx2(const NttTables& t, u64* a, u64 ninv_op, u64 ninv_quo
   }
 }
 
-void dot_accumulate_avx2(const u64* a, const u64* b, std::size_t n, u64& hi, u64& lo) {
-  const __m256i sign = _mm256_set1_epi64x(static_cast<long long>(0x8000000000000000ull));
-  __m256i acc_lo = _mm256_setzero_si256();
-  __m256i acc_hi = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va = loadu(a + i);
-    const __m256i vb = loadu(b + i);
-    const __m256i va_hi = _mm256_srli_epi64(va, 32);
-    const __m256i vb_hi = _mm256_srli_epi64(vb, 32);
-    const __m256i plo = mullo64(va, vb, va_hi, vb_hi);
-    const __m256i phi = mulhi64(va, vb, va_hi, vb_hi);
-    const __m256i nlo = _mm256_add_epi64(acc_lo, plo);
-    // Unsigned carry: nlo < plo, tested via sign-bias signed compare.
-    const __m256i carry = _mm256_cmpgt_epi64(_mm256_xor_si256(plo, sign),
-                                             _mm256_xor_si256(nlo, sign));
-    acc_lo = nlo;
-    acc_hi = _mm256_add_epi64(acc_hi, phi);
-    acc_hi = _mm256_sub_epi64(acc_hi, carry);  // carry mask is -1 per lane
-  }
-  alignas(32) u64 lo4[4], hi4[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lo4), acc_lo);
-  _mm256_store_si256(reinterpret_cast<__m256i*>(hi4), acc_hi);
-  u128 total = 0;
-  for (int k = 0; k < 4; ++k) total += (u128{hi4[k]} << 64) | lo4[k];
-  for (; i < n; ++i) total += u128{a[i]} * b[i];
-  hi = static_cast<u64>(total >> 64);
-  lo = static_cast<u64>(total);
-}
-
 void weighted_accumulate_avx2(const u64* x, u64 w, std::size_t n,
                               u64* acc_lo, u64* acc_hi) {
   const __m256i sign = _mm256_set1_epi64x(static_cast<long long>(0x8000000000000000ull));

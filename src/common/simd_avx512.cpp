@@ -279,34 +279,6 @@ void ntt_inverse_lazy_avx512(const NttTables& t, u64* a, u64 ninv_op, u64 ninv_q
   }
 }
 
-void dot_accumulate_avx512(const u64* a, const u64* b, std::size_t n, u64& hi, u64& lo) {
-  __m512i acc_lo = _mm512_setzero_si512();
-  __m512i acc_hi = _mm512_setzero_si512();
-  const __m512i one = _mm512_set1_epi64(1);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i va = loadu(a + i);
-    const __m512i vb = loadu(b + i);
-    const __m512i va_hi = _mm512_srli_epi64(va, 32);
-    const __m512i vb_hi = _mm512_srli_epi64(vb, 32);
-    const __m512i plo = _mm512_mullo_epi64(va, vb);
-    const __m512i phi = mulhi64(va, vb, va_hi, vb_hi);
-    const __m512i nlo = _mm512_add_epi64(acc_lo, plo);
-    const __mmask8 carry = _mm512_cmplt_epu64_mask(nlo, plo);
-    acc_lo = nlo;
-    acc_hi = _mm512_add_epi64(acc_hi, phi);
-    acc_hi = _mm512_mask_add_epi64(acc_hi, carry, acc_hi, one);
-  }
-  alignas(64) u64 lo8[8], hi8[8];
-  _mm512_store_si512(lo8, acc_lo);
-  _mm512_store_si512(hi8, acc_hi);
-  u128 total = 0;
-  for (int k = 0; k < 8; ++k) total += (u128{hi8[k]} << 64) | lo8[k];
-  for (; i < n; ++i) total += u128{a[i]} * b[i];
-  hi = static_cast<u64>(total >> 64);
-  lo = static_cast<u64>(total);
-}
-
 void weighted_accumulate_avx512(const u64* x, u64 w, std::size_t n,
                                 u64* acc_lo, u64* acc_hi) {
   const __m512i vw = _mm512_set1_epi64(static_cast<long long>(w));

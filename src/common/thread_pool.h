@@ -12,8 +12,6 @@
 // substrate kernel writes only to slots owned by its index range and all
 // arithmetic is exact mod q, so results are bit-identical for every thread
 // count (including ALCHEMIST_THREADS=1, which runs everything inline).
-// Reductions that are order-sensitive (keyswitch digit accumulation) are
-// computed into per-index slots in parallel and folded sequentially.
 //
 // Nested calls — a kernel invoked from inside another fan-out's chunk, e.g. a
 // weighted_sum under a parallelized Bconv target loop — run inline on the

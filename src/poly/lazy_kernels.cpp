@@ -23,35 +23,47 @@ bool lazy_accumulation_fits(std::size_t terms, int bits_a, int bits_b) {
   return bits_a + bits_b + log_terms <= 127;
 }
 
-u64 dot_mod_eager(std::span<const u64> a, std::span<const u64> b, const Modulus& mod) {
-  if (a.size() != b.size()) throw std::invalid_argument("dot_mod: size mismatch");
-  u64 acc = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    acc = mod.add(acc, mod.mul(a[i], b[i]));  // reduce every term
+void mul_sum_eager(std::span<const u64* const> a, std::span<const u64* const> b,
+                   const Modulus& mod, std::span<u64> out) {
+  if (a.size() != b.size()) throw std::invalid_argument("mul_sum: size mismatch");
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    u64 acc = 0;
+    for (std::size_t t = 0; t < a.size(); ++t) {
+      acc = mod.add(acc, mod.mul(a[t][k], b[t][k]));  // reduce every term
+    }
+    out[k] = acc;
   }
-  return acc;
 }
 
-u64 dot_mod_lazy(std::span<const u64> a, std::span<const u64> b, const Modulus& mod) {
-  if (a.size() != b.size()) throw std::invalid_argument("dot_mod: size mismatch");
-  if (!lazy_accumulation_fits(a.size(), bit_width_u64(mod.value()),
-                              bit_width_u64(mod.value()))) {
-    // Headroom exhausted: fall back to block-wise accumulation. Each block's
-    // exact 128-bit sum fits by construction, so the vectorized accumulator
-    // still applies per block.
-    u64 acc = 0;
-    const std::size_t block = std::size_t{1} << (127 - 2 * bit_width_u64(mod.value()));
-    for (std::size_t start = 0; start < a.size(); start += block) {
-      const std::size_t end = std::min(a.size(), start + block);
-      u64 hi = 0, lo = 0;
-      simd::dot_accumulate(a.data() + start, b.data() + start, end - start, hi, lo);
-      acc = mod.add(acc, mod.reduce((u128{hi} << 64) | lo));
+void mul_sum_lazy(std::span<const u64* const> a, std::span<const u64* const> b,
+                  const Modulus& mod, std::span<u64> out) {
+  if (a.size() != b.size()) throw std::invalid_argument("mul_sum: size mismatch");
+  simd::note_dispatch(simd::Kern::MulAcc, simd::active_isa());
+  const int qbits = bit_width_u64(mod.value());
+  // Blocked SoA accumulators: every term streams one contiguous slice of
+  // a[t] and b[t] through the vectorized 128-bit accumulator.
+  constexpr std::size_t kBlock = 256;
+  u64 lo[kBlock], hi[kBlock];
+  for (std::size_t base = 0; base < out.size(); base += kBlock) {
+    const std::size_t len = std::min(kBlock, out.size() - base);
+    std::fill_n(lo, len, u64{0});
+    std::fill_n(hi, len, u64{0});
+    std::size_t pending = 0;  // terms in the accumulators; a folded residue counts as one
+    for (std::size_t t = 0; t < a.size(); ++t) {
+      if (!lazy_accumulation_fits(pending + 1, qbits, qbits)) {
+        for (std::size_t k = 0; k < len; ++k) {
+          lo[k] = mod.reduce((u128{hi[k]} << 64) | lo[k]);
+          hi[k] = 0;
+        }
+        pending = 1;
+      }
+      simd::mul_accumulate(a[t] + base, b[t] + base, len, lo, hi);
+      ++pending;
     }
-    return acc;
+    for (std::size_t k = 0; k < len; ++k) {
+      out[base + k] = mod.reduce((u128{hi[k]} << 64) | lo[k]);
+    }
   }
-  u64 hi = 0, lo = 0;
-  simd::dot_accumulate(a.data(), b.data(), a.size(), hi, lo);
-  return mod.reduce((u128{hi} << 64) | lo);  // one reduction for the whole sum
 }
 
 // Output coefficients are independent, so both variants split the k-range

@@ -3,10 +3,15 @@
 // The Meta-OP (M_j A_j)_n R_j defers modular reduction until after the n-term
 // accumulation. In software the same transformation turns n Barrett
 // reductions into one: products are accumulated in 128-bit and reduced once,
-// valid while n * max(a) * max(b) stays below 2^128. These kernels are the
-// measurable counterpart of the paper's #Mults columns — the eager and lazy
-// variants compute identical results (tested), with the lazy ones running
-// the fewer-multiplications dataflow.
+// valid while n * max(a) * max(b) stays below 2^128. Each lazy kernel has an
+// eager reference that reduces every product; the two are bit-identical
+// (tested), because a residue sum reduced once equals the same sum reduced
+// term by term.
+//
+// mul_sum is the one DecompPolyMult kernel of both schemes: the CKKS hybrid
+// keyswitch (digits x evaluation key, per RNS channel) and the TFHE external
+// product (gadget digits x TGSW rows, per output polynomial) both call it.
+// weighted_sum is the BConv accumulation behind modup and moddown.
 #pragma once
 
 #include <span>
@@ -16,10 +21,16 @@
 
 namespace alchemist {
 
-// Inner product sum_i a[i] * b[i] mod q — the DecompPolyMult accumulation
-// pattern (Table 2).
-u64 dot_mod_eager(std::span<const u64> a, std::span<const u64> b, const Modulus& mod);
-u64 dot_mod_lazy(std::span<const u64> a, std::span<const u64> b, const Modulus& mod);
+// out[k] = sum_t a[t][k] * b[t][k] mod q for k in [0, out.size()) — the
+// DecompPolyMult accumulation (Table 2). a[t] and b[t] each point at
+// out.size() residues below q. The lazy variant
+// sums the products in 128 bits and reduces once per coefficient, folding
+// early only where lazy_accumulation_fits says the headroom is spent. It
+// does not allocate and records one MulAcc dispatch per call.
+void mul_sum_eager(std::span<const u64* const> a, std::span<const u64* const> b,
+                   const Modulus& mod, std::span<u64> out);
+void mul_sum_lazy(std::span<const u64* const> a, std::span<const u64* const> b,
+                  const Modulus& mod, std::span<u64> out);
 
 // out[k] = sum_i w[i] * x[i][k] mod q — one Bconv output channel (Table 3):
 // L input channels combined with per-channel weights.

@@ -1,7 +1,8 @@
 // Dense polynomial over a single prime modulus in R_q = Z_q[X]/(X^N + 1).
 //
-// This is the single-channel building block: TFHE's TRLWE rings and test
-// references use it directly; CKKS works with the multi-channel RnsPoly.
+// The single-channel reference: tests check the multi-channel RnsPoly (which
+// CKKS works with) against it channel by channel. TFHE does not use it; its
+// rings are torus polynomials (tfhe/torus_poly.h).
 #pragma once
 
 #include <cstddef>

@@ -1,5 +1,6 @@
 #include "poly/rns.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "common/biguint.h"
@@ -294,10 +295,22 @@ RnsPoly BConv::apply(const RnsPoly& x) const {
   return out;
 }
 
-RnsPoly modup(const RnsPoly& x, const std::vector<u64>& special_moduli) {
-  const BConv conv(x.moduli(), special_moduli);
-  RnsPoly out = x;
-  out.append_channels(conv.apply(x));
+RnsPoly modup(const RnsPoly& x, const std::vector<u64>& basis, std::size_t first) {
+  const std::size_t count = x.num_channels();
+  if (first + count > basis.size() ||
+      !std::equal(x.moduli().begin(), x.moduli().end(), basis.begin() + first)) {
+    throw std::invalid_argument("modup: x's basis is not a run of the target basis");
+  }
+  std::vector<u64> others(basis.begin(), basis.begin() + first);
+  others.insert(others.end(), basis.begin() + first + count, basis.end());
+  const RnsPoly converted = BConv(x.moduli(), others).apply(x);
+  RnsPoly out(x.degree(), basis, RnsPoly::Form::Coeff);
+  for (std::size_t c = 0; c < basis.size(); ++c) {
+    const std::span<const u64> src = c < first           ? converted.channel(c)
+                                     : c < first + count ? x.channel(c - first)
+                                                         : converted.channel(c - count);
+    std::copy(src.begin(), src.end(), out.channel(c).begin());
+  }
   return out;
 }
 

@@ -6,7 +6,7 @@
 //   * RnsPoly      — a polynomial held as per-channel residue vectors, with a
 //                    coefficient/NTT form flag;
 //   * BConv        — fast RNS basis conversion (Eq. 1 of the paper);
-//   * modup        — extend [x]_Q to [x]_{Q·P} (Eq. 2);
+//   * modup        — extend one digit group to a larger basis (Eq. 2);
 //   * moddown      — divide-and-round back from Q·P to Q (Eq. 3).
 //
 // The Bconv here is the standard fast (HPS-style) conversion without the
@@ -102,9 +102,12 @@ class BConv {
   std::vector<std::vector<u64>> qhat_mod_pj_;  // [K][L]
 };
 
-// Eq. 2: extend [x]_Q (coeff form) with the channels [x]_{p_j}, j in [0, K).
-// Returns a poly over basis Q ∪ P.
-RnsPoly modup(const RnsPoly& x, const std::vector<u64>& special_moduli);
+// Eq. 2: extend x (coeff form), whose basis is the run
+// basis[first, first + x.num_channels()), to every channel of `basis`: its
+// own residues stay in place and the other channels come from one BConv.
+// With first = 0 and basis = Q ∪ P this is the classic [x]_Q -> [x]_{Q·P};
+// the hybrid keyswitch calls it once per digit group of the extended basis.
+RnsPoly modup(const RnsPoly& x, const std::vector<u64>& basis, std::size_t first);
 
 // Eq. 3: given [x]_{Q·P} (coeff form, with the K special channels last),
 // return ([x] - Bconv([x]_P)) · P^{-1} over Q — i.e. round(x / P) up to the

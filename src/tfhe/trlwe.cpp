@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "common/simd.h"
 #include "poly/lazy_kernels.h"
 
 namespace alchemist::tfhe {
@@ -146,12 +145,13 @@ class ExtProductScratch {
     if (bound > ((p / 2) >> 32)) {
       throw std::invalid_argument("external_product: lift not exact for this shape");
     }
-    // 128-bit accumulators take `group_` products below p^2 before one reduction.
-    const int qbits = 64 - __builtin_clzll(p);
-    group_ = 1;
-    while (lazy_accumulation_fits(2 * group_, qbits, qbits)) group_ *= 2;
     rows_ = (g.k + 1) * g.l;
     digits_.assign(rows_ * g.degree, 0);
+    layers_.resize(rows_);
+    for (std::size_t row = 0; row < rows_; ++row) {
+      layers_[row] = digits_.data() + row * g.degree;
+    }
+    keys_.resize(rows_);
     acc_.assign((g.k + 1) * 2 * g.degree, 0);
     operand_.assign((g.k + 1) * g.degree, 0);
     table_ = &ctx.table();
@@ -167,11 +167,9 @@ class ExtProductScratch {
 
   // out[c] += (g ⊡ operand)[c] for c in [0, k].
   void accumulate(const TgswNtt& g, TrlweSample& out) {
-    simd::note_dispatch(simd::Kern::MulAcc, simd::active_isa());
     // 1. Gadget-decompose every input coefficient once, writing each digit as
     //    its canonical residue mod p (|digit| <= Bg/2 < p).
     const NttTable& table = *table_;
-    const Modulus& mod = table.mod();
     const u64 p = table.modulus();
     for (std::size_t comp = 0; comp <= k_; ++comp) {
       for (std::size_t i = 0; i < l_; ++i) {
@@ -185,32 +183,16 @@ class ExtProductScratch {
     }
     // 2. Forward NTT of every digit polynomial.
     for (std::size_t row = 0; row < rows_; ++row) table.forward({layer(row), n_});
-    // 3. Per output component and key half, sum the rows' pointwise products
-    //    in 128 bits, reduce each coefficient once and transform back.
-    constexpr std::size_t kBlock = 256;
-    u64 lo[kBlock], hi[kBlock];
+    // 3. DecompPolyMult per output component and key half: sum the rows'
+    //    pointwise products with one reduction per coefficient, then
+    //    transform back.
     for (std::size_t c = 0; c <= k_; ++c) {
       for (std::size_t h = 0; h < 2; ++h) {
-        u64* acc = acc_.data() + (c * 2 + h) * n_;
-        for (std::size_t b = 0; b < n_; b += kBlock) {
-          const std::size_t len = std::min(kBlock, n_ - b);
-          std::fill_n(lo, len, u64{0});
-          std::fill_n(hi, len, u64{0});
-          for (std::size_t row = 0; row < rows_; ++row) {
-            if (row != 0 && row % group_ == 0) {
-              // Headroom spent: fold the partial sum back below p.
-              for (std::size_t j = 0; j < len; ++j) {
-                lo[j] = mod.reduce((u128{hi[j]} << 64) | lo[j]);
-                hi[j] = 0;
-              }
-            }
-            simd::mul_accumulate(layer(row) + b, g.rows[row][c].halves[h].data() + b, len,
-                                 lo, hi);
-          }
-          for (std::size_t j = 0; j < len; ++j) {
-            acc[b + j] = mod.reduce((u128{hi[j]} << 64) | lo[j]);
-          }
+        for (std::size_t row = 0; row < rows_; ++row) {
+          keys_[row] = g.rows[row][c].halves[h].data();
         }
+        u64* acc = acc_.data() + (c * 2 + h) * n_;
+        mul_sum_lazy(layers_, keys_, table.mod(), {acc, n_});
         table.inverse({acc, n_});
       }
     }
@@ -231,12 +213,13 @@ class ExtProductScratch {
   std::size_t k_ = 0, l_ = 0, n_ = 0;
   int bg_bits_ = 0;
   std::size_t rows_ = 0;
-  std::size_t group_ = 1;
   const NttTable* table_ = nullptr;
   Gadget gadget_{1, 1};
-  std::vector<u64> digits_;     // [row][N]: digit polynomials, then their NTTs
-  std::vector<u64> acc_;        // [component][half][N]: reduced sums, then inverse NTTs
-  std::vector<Torus> operand_;  // [component][N]
+  std::vector<u64> digits_;         // [row][N]: digit polynomials, then their NTTs
+  std::vector<const u64*> layers_;  // [row]: mul_sum's table of the rows of digits_
+  std::vector<const u64*> keys_;    // [row]: one component half of each TGSW row
+  std::vector<u64> acc_;            // [component][half][N]: reduced sums, then inverse NTTs
+  std::vector<Torus> operand_;      // [component][N]
 };
 
 ExtProductScratch& scratch_for(const TgswNtt& g, std::size_t k, std::size_t n) {

@@ -10,6 +10,7 @@
 #include "ckks/keygen.h"
 #include "ckks/params.h"
 #include "common/rng.h"
+#include "common/simd.h"
 
 namespace alchemist::ckks {
 namespace {
@@ -310,6 +311,55 @@ TEST(Ckks, KeyswitchAtLowerLevelAfterRescale) {
     const Complex expected = std::pow(z[(i + 2) % num_slots], 4);
     EXPECT_LT(std::abs(decrypted[i] - expected), 5e-2) << i;
   }
+}
+
+// Keys can come from serdes::read_relin_keys / read_galois_keys, so every
+// keyswitch entry point checks a key's shape before indexing it.
+TEST(Ckks, KeyswitchEntryPointsRejectTruncatedKeys) {
+  CkksFixture f(CkksParams::toy(1024, 4, 2));
+  const auto z = random_message(f.encoder->slots(), 21);
+  const Ciphertext ct = f.encryptor->encrypt(
+      f.encoder->encode(std::span<const Complex>(z), 4, f.ctx->params().scale()));
+  const RelinKeys rk = f.keygen->make_relin_keys();
+  const GaloisKeys gk = f.keygen->make_galois_keys({1}, /*include_conjugate=*/true);
+  const std::vector<int> steps = {1};
+  // [0]: a digit missing; [1]: the last digit polynomial lost a channel.
+  auto truncated = [](const KSwitchKey& key, int which) {
+    KSwitchKey out = key;
+    if (which == 0) {
+      out.digits.pop_back();
+    } else {
+      RnsPoly& a = out.digits.back().second;
+      a.drop_channels_to(a.num_channels() - 1);
+    }
+    return out;
+  };
+  for (int which : {0, 1}) {
+    const KSwitchKey bad = truncated(rk.key, which);
+    EXPECT_THROW(f.evaluator->keyswitch(ct.c1, 4, bad), std::invalid_argument) << which;
+    EXPECT_THROW(f.evaluator->multiply(ct, ct, RelinKeys{bad}), std::invalid_argument)
+        << which;
+    GaloisKeys bad_gk;
+    for (const auto& [g, key] : gk.keys) bad_gk.keys.emplace(g, truncated(key, which));
+    EXPECT_THROW(f.evaluator->rotate(ct, 1, bad_gk), std::invalid_argument) << which;
+    EXPECT_THROW(f.evaluator->conjugate(ct, bad_gk), std::invalid_argument) << which;
+    EXPECT_THROW(f.evaluator->rotate_hoisted(ct, steps, bad_gk), std::invalid_argument)
+        << which;
+  }
+}
+
+TEST(Ckks, KeyswitchRecordsMulAccDispatch) {
+  CkksFixture f(CkksParams::toy(1024, 4, 2));
+  const RelinKeys rk = f.keygen->make_relin_keys();
+  const auto z = random_message(f.encoder->slots(), 22);
+  const Ciphertext ct = f.encryptor->encrypt(
+      f.encoder->encode(std::span<const Complex>(z), 4, f.ctx->params().scale()));
+  const simd::Isa isa = simd::active_isa();
+  const std::uint64_t before = simd::dispatch_count(simd::Kern::MulAcc, isa);
+  f.evaluator->keyswitch(ct.c1, 4, rk.key);
+  // One DecompPolyMult per channel of Q·P and key half.
+  EXPECT_EQ(simd::dispatch_count(simd::Kern::MulAcc, isa) - before,
+            2 * f.ctx->extended_basis_at(4).size());
 }
 
 }  // namespace

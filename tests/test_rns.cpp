@@ -223,12 +223,35 @@ TEST(ModUpDown, ModupPreservesOriginalChannels) {
   const auto q_moduli = generate_ntt_primes(30, n, 3);
   const auto p_moduli = generate_ntt_primes(32, n, 2);
   const RnsPoly x = random_rns(n, q_moduli, 16);
-  const RnsPoly up = modup(x, p_moduli);
+  std::vector<u64> qp = q_moduli;
+  qp.insert(qp.end(), p_moduli.begin(), p_moduli.end());
+  const RnsPoly up = modup(x, qp, 0);
   ASSERT_EQ(up.num_channels(), 5u);
   for (std::size_t c = 0; c < 3; ++c) {
     EXPECT_TRUE(std::equal(x.channel(c).begin(), x.channel(c).end(),
                            up.channel(c).begin()));
   }
+}
+
+TEST(ModUpDown, ModupPlacesDigitInsideBasis) {
+  // A digit group in the middle of the basis keeps its own residues in place
+  // and gets every other channel, in basis order, from one BConv.
+  const std::size_t n = 16;
+  const auto basis = generate_ntt_primes(30, n, 5);
+  const std::vector<u64> group(basis.begin() + 1, basis.begin() + 3);
+  const std::vector<u64> others = {basis[0], basis[3], basis[4]};
+  const RnsPoly x = random_rns(n, group, 17);
+  const RnsPoly up = modup(x, basis, 1);
+  const RnsPoly converted = BConv(group, others).apply(x);
+  ASSERT_EQ(up.moduli(), basis);
+  for (std::size_t c = 0; c < basis.size(); ++c) {
+    const std::span<const u64> want = c == 1 || c == 2 ? x.channel(c - 1)
+                                      : c == 0         ? converted.channel(0)
+                                                       : converted.channel(c - 2);
+    EXPECT_TRUE(std::equal(want.begin(), want.end(), up.channel(c).begin())) << c;
+  }
+  EXPECT_THROW(modup(x, basis, 2), std::invalid_argument);  // not where x's basis sits
+  EXPECT_THROW(modup(x, basis, 4), std::invalid_argument);  // runs past the end
 }
 
 TEST(ModUpDown, ModdownExactWhenDivisible) {

@@ -86,12 +86,12 @@ TEST(SimdDispatch, ForcedKernelRejectsUnsupported) {
   NttTable table(q, 16);
   Rng rng(7);
   std::vector<u64> a = rng.uniform_vector(16, q);
-  u64 hi = 0, lo = 0;
+  std::vector<u64> lo(16), hi(16);
   for (Isa isa : all_isas()) {
     if (simd::isa_supported(isa)) continue;
     std::vector<u64> copy = a;
     EXPECT_THROW(table.forward(copy, isa), std::invalid_argument);
-    EXPECT_THROW(simd::dot_accumulate(a.data(), a.data(), a.size(), hi, lo, isa),
+    EXPECT_THROW(simd::mul_accumulate(a.data(), a.data(), a.size(), lo.data(), hi.data(), isa),
                  std::invalid_argument);
   }
 }
@@ -211,26 +211,6 @@ TEST(SimdLazyNtt, ProcessWideForcedSelectionsAgree) {
   }
 }
 
-TEST(SimdAccumulate, DotBitIdenticalAcrossIsasAndTails) {
-  Rng rng(21);
-  const u64 q = max_ntt_prime(62, 64);
-  for (std::size_t len : {std::size_t{0}, std::size_t{1}, std::size_t{3},
-                          std::size_t{5}, std::size_t{8}, std::size_t{9},
-                          std::size_t{15}, std::size_t{16}, std::size_t{17},
-                          std::size_t{100}, std::size_t{131}}) {
-    const std::vector<u64> a = rng.uniform_vector(len, q);
-    const std::vector<u64> b = rng.uniform_vector(len, q);
-    u64 ref_hi = 0, ref_lo = 0;
-    simd::dot_accumulate(a.data(), b.data(), len, ref_hi, ref_lo, Isa::Scalar);
-    for (Isa isa : supported_isas()) {
-      u64 hi = 1, lo = 1;  // must be overwritten, not accumulated into
-      simd::dot_accumulate(a.data(), b.data(), len, hi, lo, isa);
-      EXPECT_EQ(hi, ref_hi) << "isa=" << simd::isa_name(isa) << " len=" << len;
-      EXPECT_EQ(lo, ref_lo) << "isa=" << simd::isa_name(isa) << " len=" << len;
-    }
-  }
-}
-
 TEST(SimdAccumulate, WeightedBitIdenticalAcrossIsasAndTails) {
   Rng rng(22);
   const u64 q = max_ntt_prime(62, 64);
@@ -287,21 +267,27 @@ TEST(SimdAccumulate, LazyKernelsMatchEagerUnderForcedIsa) {
   Rng rng(23);
   const u64 q = max_ntt_prime(62, 64);
   const Modulus mod(q);
-  const std::vector<u64> a = rng.uniform_vector(500, q);  // forces block path
-  const std::vector<u64> b = rng.uniform_vector(500, q);
   const std::size_t channels = 20, n = 777;  // non-lane-multiple length
-  std::vector<std::vector<u64>> x(channels);
+  std::vector<std::vector<u64>> x(channels), y(channels);
   for (auto& ch : x) ch = rng.uniform_vector(n, q);
+  for (auto& ch : y) ch = rng.uniform_vector(n, q);
+  std::vector<const u64*> xp, yp;  // 20 terms of 62-bit products: folds on the way
+  for (std::size_t i = 0; i < channels; ++i) {
+    xp.push_back(x[i].data());
+    yp.push_back(y[i].data());
+  }
   const std::vector<u64> w = rng.uniform_vector(channels, q);
-  const u64 dot_ref = dot_mod_eager(a, b, mod);
+  std::vector<u64> mul_ref(n);
+  mul_sum_eager(xp, yp, mod, mul_ref);
   std::vector<u64> sum_ref(n);
   weighted_sum_eager(std::span<const std::vector<u64>>(x), std::span<const u64>(w),
                      mod, sum_ref);
 
   for (Isa isa : supported_isas()) {
     simd::set_isa(isa);
-    EXPECT_EQ(dot_mod_lazy(a, b, mod), dot_ref) << "isa=" << simd::isa_name(isa);
     std::vector<u64> out(n);
+    mul_sum_lazy(xp, yp, mod, out);
+    EXPECT_EQ(out, mul_ref) << "isa=" << simd::isa_name(isa);
     weighted_sum_lazy(std::span<const std::vector<u64>>(x), std::span<const u64>(w),
                       mod, out);
     EXPECT_EQ(out, sum_ref) << "isa=" << simd::isa_name(isa);

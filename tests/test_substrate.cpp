@@ -245,7 +245,9 @@ TEST(PooledRns, BconvModupModdownBitIdenticalAcrossThreadCounts) {
 
     auto run_all = [&](std::size_t threads) {
       ScopedThreads guard(threads);
-      const RnsPoly up = modup(x, special);
+      std::vector<u64> basis = source;
+      basis.insert(basis.end(), special.begin(), special.end());
+      const RnsPoly up = modup(x, basis, 0);
       const RnsPoly down = moddown(up, special.size());
       const BConv conv(source, special);
       RnsPoly out = conv.apply(x);
