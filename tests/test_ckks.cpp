@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
+#include <limits>
 #include <memory>
+#include <span>
+#include <string>
 
 #include "ckks/encoder.h"
 #include "ckks/encryptor.h"
@@ -44,11 +48,73 @@ std::vector<Complex> random_message(std::size_t count, u64 seed, double mag = 1.
   return z;
 }
 
-double max_error(const std::vector<Complex>& a, const std::vector<Complex>& b) {
+template <typename T>
+double max_error(const std::vector<T>& a, const std::vector<T>& b) {
   double err = 0;
   for (std::size_t i = 0; i < a.size(); ++i) err = std::max(err, std::abs(a[i] - b[i]));
   return err;
 }
+
+// omega^t for t in [0, 2N), omega = exp(i*pi/N).
+std::vector<Complex> omega_powers(std::size_t n) {
+  std::vector<Complex> omega(2 * n);
+  for (std::size_t t = 0; t < 2 * n; ++t) {
+    omega[t] = std::polar(1.0, M_PI * static_cast<double>(t) / static_cast<double>(n));
+  }
+  return omega;
+}
+
+// The dense O(N·slots) embedding sums the encoder ran before its special
+// FFT, kept as the reference for the FFT paths. Inverse embedding, unscaled:
+// m_k = (2/N) * sum_j Re(z_j * conj(zeta_j^k)), zeta_j = omega^(5^j mod 2N).
+std::vector<double> dense_inverse_embedding(std::span<const Complex> z, std::size_t n) {
+  const std::size_t two_n = 2 * n;
+  const std::vector<Complex> omega = omega_powers(n);
+  std::vector<double> m(n, 0.0);
+  std::size_t sigma = 1;
+  for (const Complex& zj : z) {
+    for (std::size_t k = 0; k < n; ++k) {
+      const Complex& w = omega[(sigma * k) % two_n];
+      m[k] += zj.real() * w.real() + zj.imag() * w.imag();
+    }
+    sigma = (sigma * 5) % two_n;
+  }
+  for (double& x : m) x *= 2.0 / static_cast<double>(n);
+  return m;
+}
+
+// Forward embedding: slot j = sum_k c_k * zeta_j^k.
+std::vector<Complex> dense_embedding(std::span<const double> c) {
+  const std::size_t n = c.size();
+  const std::size_t two_n = 2 * n;
+  const std::vector<Complex> omega = omega_powers(n);
+  std::vector<Complex> out(n / 2);
+  std::size_t sigma = 1;
+  for (Complex& slot : out) {
+    for (std::size_t k = 0; k < n; ++k) slot += c[k] * omega[(sigma * k) % two_n];
+    sigma = (sigma * 5) % two_n;
+  }
+  return out;
+}
+
+// Unscaled coefficients of a plaintext: centered residues / scale.
+std::vector<double> unscaled_coeffs(const Plaintext& pt) {
+  RnsPoly coeff = pt.poly;
+  coeff.to_coeff();
+  std::vector<double> m = to_centered_doubles(coeff);
+  for (double& x : m) x /= pt.scale;
+  return m;
+}
+
+template <typename T>
+double max_abs(const std::vector<T>& v) {
+  double r = 0;
+  for (const T& x : v) r = std::max(r, std::abs(x));
+  return r;
+}
+
+// The encoder's stated bound against the dense reference (encoder.h).
+constexpr double kFftBound = 1e-12;
 
 TEST(CkksContext, ModuliChainShape) {
   CkksParams p = CkksParams::toy(1024, 4, 2);
@@ -100,9 +166,88 @@ TEST(CkksEncoder, ZeroPaddingAndScalar) {
     EXPECT_LT(std::abs(decoded[i]), 1e-7);
   }
 
-  const Plaintext ps = f.encoder->encode_scalar({0.5, 0.25}, 2, f.ctx->params().scale());
+  const Complex c{0.5, 0.25};
+  const Plaintext ps = f.encoder->encode_constant(c, 2, f.ctx->params().scale());
   const auto ds = f.encoder->decode(ps);
-  for (const Complex& v : ds) EXPECT_LT(std::abs(v - Complex{0.5, 0.25}), 1e-7);
+  for (const Complex& v : ds) EXPECT_LT(std::abs(v - c), 1e-7);
+
+  // The two-coefficient constant is the FFT encoding of the broadcast.
+  // Scale 2^50 keeps the rounding (2^-51) under the bound.
+  const double fine = 0x1.0p50;
+  const std::vector<Complex> broadcast(f.encoder->slots(), c);
+  const auto constant = unscaled_coeffs(f.encoder->encode_constant(c, 2, fine));
+  const auto fft = unscaled_coeffs(f.encoder->encode(std::span<const Complex>(broadcast), 2, fine));
+  EXPECT_LE(max_error(constant, fft), kFftBound * std::abs(c));
+}
+
+// The special FFTs against the dense embedding sums, for every power-of-two
+// degree from 4 to 4096: full, zero-padded, real-only and single-slot
+// messages. Encode goes through the whole public path (FFT, rounding at
+// scale 2^50, RNS lift, NTT, CRT back), so rounding adds at most 2^-51.
+// Both bounds are relative to the slot vector: the message z for encode,
+// the decoded slots for decode (whose entries reach N·max|coefficient|).
+TEST(CkksEncoder, SpecialFftMatchesDenseReference) {
+  const double fine = 0x1.0p50;
+  for (std::size_t n = 4; n <= 4096; n *= 2) {
+    SCOPED_TRACE("N=" + std::to_string(n));
+    const auto ctx = std::make_shared<CkksContext>(CkksParams::toy(n, 2, 1));
+    const CkksEncoder encoder(ctx);
+    const std::size_t slots = encoder.slots();
+
+    std::vector<Complex> real_only = random_message(slots, 3 * n + 1, 2.5);
+    for (Complex& z : real_only) z = z.real();
+    const std::vector<std::vector<Complex>> messages = {
+        random_message(slots, 3 * n, 1.0),
+        random_message(std::max<std::size_t>(1, slots / 2 - 1), 3 * n + 2, 4.0),
+        real_only,
+        {Complex{0.75, -1.5}},
+    };
+    for (const auto& z : messages) {
+      const std::vector<double> dense = dense_inverse_embedding(z, n);
+      const std::vector<double> fft =
+          unscaled_coeffs(encoder.encode(std::span<const Complex>(z), 2, fine));
+      EXPECT_LE(max_error(fft, dense), kFftBound * max_abs(z)) << "size " << z.size();
+
+      // Decode the reference coefficients back: FFT against dense sum.
+      const std::vector<Complex> slots_dense = dense_embedding(dense);
+      EXPECT_LE(max_error(encoder.decode_centered(dense, 1.0), slots_dense),
+                kFftBound * max_abs(slots_dense))
+          << "size " << z.size();
+    }
+
+    // Decode of arbitrary coefficients, not just those of an encoding.
+    Rng rng(n);
+    std::vector<double> coeffs(n);
+    for (double& x : coeffs) x = 2 * rng.uniform_real() - 1;
+    const std::vector<Complex> slots_dense = dense_embedding(coeffs);
+    EXPECT_LE(max_error(encoder.decode_centered(coeffs, 1.0), slots_dense),
+              kFftBound * max_abs(slots_dense));
+  }
+}
+
+// A NaN or infinity would poison every coefficient through the FFT (and
+// llround/i128 casts of NaN are undefined), so both encoders refuse them.
+TEST(CkksEncoder, RejectsNonFiniteInput) {
+  const auto ctx = std::make_shared<CkksContext>(CkksParams::toy(64, 2, 1));
+  const CkksEncoder encoder(ctx);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double scale = ctx->params().scale();
+
+  for (const Complex bad : {Complex{nan, 0}, Complex{0, nan}, Complex{inf, 0}, Complex{0, -inf}}) {
+    std::vector<Complex> z(encoder.slots(), Complex{0.5, 0.5});
+    z.back() = bad;
+    EXPECT_THROW(encoder.encode(std::span<const Complex>(z), 2, scale), std::invalid_argument);
+    EXPECT_THROW(encoder.encode_constant(bad, 2, scale), std::invalid_argument);
+  }
+  const std::vector<double> real = {1.0, nan};
+  EXPECT_THROW(encoder.encode(std::span<const double>(real), 2, scale), std::invalid_argument);
+
+  const std::vector<Complex> ok = {Complex{1.0, 0.0}};
+  for (const double bad_scale : {nan, inf, 0.0}) {
+    EXPECT_THROW(encoder.encode(std::span<const Complex>(ok), 2, bad_scale), std::invalid_argument);
+    EXPECT_THROW(encoder.encode_constant(ok[0], 2, bad_scale), std::invalid_argument);
+  }
 }
 
 TEST(CkksEncoder, RejectsBadArguments) {
