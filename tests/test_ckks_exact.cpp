@@ -4,14 +4,17 @@
 // DecompPolyMult, Moddown) or of the ops built on it must reproduce earlier
 // outputs bit for bit. The pinned FNV-1a digests below come from the
 // straightforward implementation (eager per-digit products folded term by
-// term). Every input is a seeded uniform RnsPoly, keys included: no encoder
-// and no Gaussian sampler, so the digests do not depend on the math library.
+// term, scalars encoded as constant plaintexts). Every input is a seeded
+// uniform RnsPoly, keys included, and every coefficient list is written out:
+// no Gaussian sampler and no libm call feeds a digest.
 #include <gtest/gtest.h>
 
+#include <complex>
 #include <cstdint>
 #include <memory>
 
 #include "ckks/evaluator.h"
+#include "ckks/poly_eval.h"
 #include "common/rng.h"
 
 namespace alchemist::ckks {
@@ -126,6 +129,100 @@ TEST(CkksExact, RotationsPinned) {
   EXPECT_EQ(low.rotate, 0x0e5c8540d6716b8aull) << "rotate, level 2";
   EXPECT_EQ(low.hoisted, 0xb120031e2b759becull) << "rotate_hoisted, level 2";
   EXPECT_EQ(low.conjugate, 0xd9f59597f923296cull) << "conjugate, level 2";
+}
+
+struct ScalarDigests {
+  std::uint64_t mul, add;
+};
+
+// Real mul_scalar (by a scalar at `scale`) and add_scalar of one ciphertext
+// at `level` and `scale`, over positive, negative and zero values.
+ScalarDigests scalar_digests(std::size_t level, double scale, u64 seed) {
+  const auto ctx = std::make_shared<CkksContext>(CkksParams::toy(256, 5, 2));
+  Rng rng(seed);
+  Ciphertext ct = random_ct(*ctx, level, rng);
+  ct.scale = scale;
+  const CkksEncoder encoder(ctx);
+  const Evaluator eval(ctx);
+  Digest mul, add;
+  for (double v : {0.8125, -3.3, 0.0, -0.0, 1e-3, -12345.5}) {
+    mul.add(eval.mul_scalar(ct, v, encoder, scale));
+    add.add(eval.add_scalar(ct, v, encoder));
+  }
+  return {mul.value(), add.value()};
+}
+
+TEST(CkksExact, ScalarOpsPinned) {
+  const double delta = 0x1.0p40;
+  const ScalarDigests top = scalar_digests(5, delta, 7);
+  EXPECT_EQ(top.mul, 0x6146868e25e49989ull) << "mul_scalar, Delta, top level";
+  EXPECT_EQ(top.add, 0x12e8e2e01e19f903ull) << "add_scalar, Delta, top level";
+  const ScalarDigests top_sq = scalar_digests(5, delta * delta, 8);
+  EXPECT_EQ(top_sq.mul, 0x8040ed54c8955f07ull) << "mul_scalar, Delta^2, top level";
+  EXPECT_EQ(top_sq.add, 0xb6a38b02f344a937ull) << "add_scalar, Delta^2, top level";
+  const ScalarDigests low = scalar_digests(2, delta, 9);
+  EXPECT_EQ(low.mul, 0x39d54bc0bfd46b31ull) << "mul_scalar, Delta, level 2";
+  EXPECT_EQ(low.add, 0x08e552e56bdbb4e1ull) << "add_scalar, Delta, level 2";
+  const ScalarDigests low_sq = scalar_digests(2, delta * delta, 10);
+  EXPECT_EQ(low_sq.mul, 0x844bc655aebbe566ull) << "mul_scalar, Delta^2, level 2";
+  EXPECT_EQ(low_sq.add, 0x19ab3aa1dcd6db28ull) << "add_scalar, Delta^2, level 2";
+}
+
+TEST(CkksExact, MulScalarByIPinned) {
+  const auto ctx = std::make_shared<CkksContext>(CkksParams::toy(256, 5, 2));
+  Rng rng(11);
+  const Ciphertext ct = random_ct(*ctx, 4, rng);
+  const CkksEncoder encoder(ctx);
+  const Evaluator eval(ctx);
+  Digest d;
+  d.add(eval.mul_scalar(ct, std::complex<double>{0.0, 1.0}, encoder, ct.scale));
+  d.add(eval.mul_scalar(ct, std::complex<double>{0.5, -2.25}, encoder, ct.scale));
+  EXPECT_EQ(d.value(), 0xf32e6bef228dcdb5ull);
+}
+
+// PolyEvaluator over a uniform ciphertext with a uniform relinearization key.
+class PolyEvalDigest {
+ public:
+  PolyEvalDigest(CkksParams params, u64 seed)
+      : ctx_(std::make_shared<CkksContext>(params)),
+        rng_(seed),
+        rk_{random_key(*ctx_, rng_)},
+        ct_(random_ct(*ctx_, params.num_levels, rng_)),
+        encoder_(ctx_),
+        eval_(ctx_),
+        poly_(ctx_, encoder_, eval_, rk_) {}
+
+  std::uint64_t evaluate(std::vector<double> coeffs) const {
+    return Digest().add(poly_.evaluate(ct_, coeffs)).value();
+  }
+  std::uint64_t chebyshev(std::vector<double> coeffs, double a, double b) const {
+    return Digest().add(poly_.evaluate_chebyshev_stable(ct_, coeffs, a, b)).value();
+  }
+
+ private:
+  ContextPtr ctx_;
+  Rng rng_;
+  RelinKeys rk_;
+  Ciphertext ct_;
+  CkksEncoder encoder_;
+  Evaluator eval_;
+  PolyEvaluator poly_;
+};
+
+TEST(CkksExact, PolyEvaluatePinned) {
+  const PolyEvalDigest p(CkksParams::toy(256, 6, 3), 12);
+  EXPECT_EQ(p.evaluate({0.5}), 0xd4c8c24325ed5d25ull) << "degree 0";
+  EXPECT_EQ(p.evaluate({0.25, -1.5}), 0x070c254be714962cull) << "degree 1";
+  EXPECT_EQ(p.evaluate({0.125, -0.75, 0.0625, 1.375}), 0x5a78b5ef578df660ull) << "degree 3";
+}
+
+TEST(CkksExact, ChebyshevPinned) {
+  // Degree 8 splits into babies T_1..T_3 and giants T_3, T_6, and recurses
+  // twice; the zero coefficients exercise the skipped terms.
+  const PolyEvalDigest p(CkksParams::toy(256, 8, 4), 13);
+  EXPECT_EQ(p.chebyshev({0.3, -1.25, 0.0, 0.5, -0.125, 0.0, 0.75, -0.0625, 0.4375},
+                        -1.5, 2.5),
+            0xa55868f8832851f9ull);
 }
 
 }  // namespace
