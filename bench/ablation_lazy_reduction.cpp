@@ -70,21 +70,15 @@ int main() {
               "speedup", "paper #Mults ratio", "lazy==eager");
   for (std::size_t l : {4, 11, 22, 44}) {
     std::vector<std::vector<u64>> x(l);
-    for (auto& ch : x) ch = rng.uniform_vector(n, q);
+    std::vector<const u64*> xp;
+    for (auto& ch : x) {
+      ch = rng.uniform_vector(n, q);
+      xp.push_back(ch.data());
+    }
     std::vector<u64> w = rng.uniform_vector(l, q);
     std::vector<u64> eager(n), lazy(n);
-    const double t_eager = time_us(
-        [&] {
-          weighted_sum_eager(std::span<const std::vector<u64>>(x),
-                             std::span<const u64>(w), mod, eager);
-        },
-        20);
-    const double t_lazy = time_us(
-        [&] {
-          weighted_sum_lazy(std::span<const std::vector<u64>>(x),
-                            std::span<const u64>(w), mod, lazy);
-        },
-        20);
+    const double t_eager = time_us([&] { weighted_sum_eager(xp, w, mod, eager); }, 20);
+    const double t_lazy = time_us([&] { weighted_sum_lazy(xp, w, mod, lazy); }, 20);
     const auto counts = metaop::bconv_mults(1, l, 1);
     all_match &= eager == lazy;
     print_row(l, t_eager, t_lazy, static_cast<double>(counts.origin) / counts.meta,

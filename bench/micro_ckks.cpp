@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "ckks/bootstrap.h"
 #include "ckks/encoder.h"
 #include "ckks/encryptor.h"
 #include "ckks/evaluator.h"
@@ -114,6 +115,86 @@ void BM_CkksRotation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CkksRotation)->Arg(2048)->Arg(8192);
+
+// The ckks_boot shape of bench/e2e: N=256, L=20, dnum=4, 45-bit scaling
+// primes and a sparse secret. The scalar ops and the rescale run on a
+// top-level ciphertext; EvalMod runs on the first CoeffToSlot output of a
+// bootstrap, as Bootstrapper::bootstrap calls it.
+struct BootEnv {
+  ContextPtr ctx;
+  std::unique_ptr<CkksEncoder> encoder;
+  std::unique_ptr<KeyGenerator> keygen;
+  std::unique_ptr<Evaluator> evaluator;
+  RelinKeys rk;
+  GaloisKeys gk;
+  std::unique_ptr<Bootstrapper> boot;
+  Ciphertext top;
+  Ciphertext eval_mod_input;
+
+  BootEnv() {
+    CkksParams params = CkksParams::toy(256, 20, 4);
+    params.prime_bits = 45;
+    params.log_scale = 45;
+    params.secret_hamming_weight = 32;
+    ctx = std::make_shared<CkksContext>(params);
+    encoder = std::make_unique<CkksEncoder>(ctx);
+    keygen = std::make_unique<KeyGenerator>(ctx, 7);
+    evaluator = std::make_unique<Evaluator>(ctx);
+    rk = keygen->make_relin_keys();
+    gk = keygen->make_galois_keys(Bootstrapper::required_rotations(*ctx),
+                                  /*include_conjugate=*/true);
+    BootstrapConfig config;
+    config.i_bound = 9.0;
+    config.sine_degree = 140;
+    boot = std::make_unique<Bootstrapper>(ctx, *encoder, *evaluator, rk, gk, config);
+    Rng rng(1);
+    std::vector<double> values(params.slots());
+    for (double& v : values) v = 0.9 * (2 * rng.uniform_real() - 1);
+    Encryptor encryptor(ctx, keygen->make_public_key());
+    top = encryptor.encrypt(
+        encoder->encode(std::span<const double>(values), params.num_levels, params.scale()));
+    eval_mod_input =
+        boot->coeff_to_slot(boot->mod_raise(evaluator->mod_drop(top, 1))).first;
+  }
+};
+
+BootEnv& boot_env() {
+  static BootEnv e;
+  return e;
+}
+
+void BM_CkksRescale(benchmark::State& state) {
+  BootEnv& e = boot_env();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(e.evaluator->rescale(e.top));
+  }
+}
+BENCHMARK(BM_CkksRescale);
+
+void BM_CkksMulScalar(benchmark::State& state) {
+  BootEnv& e = boot_env();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        e.evaluator->mul_scalar(e.top, -0.3125, *e.encoder, e.top.scale));
+  }
+}
+BENCHMARK(BM_CkksMulScalar);
+
+void BM_CkksAddScalar(benchmark::State& state) {
+  BootEnv& e = boot_env();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(e.evaluator->add_scalar(e.top, -0.3125, *e.encoder));
+  }
+}
+BENCHMARK(BM_CkksAddScalar);
+
+void BM_CkksEvalMod(benchmark::State& state) {
+  BootEnv& e = boot_env();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(e.boot->eval_mod(e.eval_mod_input));
+  }
+}
+BENCHMARK(BM_CkksEvalMod)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -84,13 +84,13 @@ Ciphertext Bootstrapper::mod_raise(const Ciphertext& ct) const {
     coeff.to_coeff();
     RnsPoly out(coeff.degree(), target, RnsPoly::Form::Coeff);
     for (std::size_t c = 0; c < target.size(); ++c) {
-      const u64 q = target[c];
+      const Modulus& mod = out.channel_modulus(c);
       auto dst = out.channel(c);
       auto src = coeff.channel(0);
       for (std::size_t k = 0; k < coeff.degree(); ++k) {
         const u64 v = src[k];
-        // Centered lift of the q0 residue into each channel.
-        dst[k] = v <= q0 / 2 ? v % q : q - (q0 - v) % q;
+        // Centered lift of the q0 residue into each channel: v or v - q0.
+        dst[k] = v <= q0 / 2 ? mod.reduce(v) : mod.neg(mod.reduce(q0 - v));
       }
     }
     out.to_ntt();

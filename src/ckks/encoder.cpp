@@ -105,16 +105,11 @@ i64 round_scaled(double scaled) {
 }
 
 // x mod q for a signed x, through the channel's Barrett reduction. Callers
-// keep |x| below 2^62 (i64) or 2^120 (i128), so the negation cannot overflow.
+// keep |x| below 2^62, so the negation cannot overflow.
 u64 reduce_signed(const Modulus& mod, i64 x) {
   // Most coefficients of a Delta-scaled message are already below q.
   const u64 a = static_cast<u64>(x < 0 ? -x : x);
   const u64 r = a < mod.value() ? a : mod.reduce(a);
-  return x < 0 ? mod.neg(r) : r;
-}
-
-u64 reduce_signed(const Modulus& mod, i128 x) {
-  const u64 r = mod.reduce(static_cast<u128>(x < 0 ? -x : x));
   return x < 0 ? mod.neg(r) : r;
 }
 
@@ -176,28 +171,38 @@ Plaintext CkksEncoder::encode(std::span<const double> values, std::size_t level,
   return encode(std::span<const std::complex<double>>(complex_values), level, scale);
 }
 
-Plaintext CkksEncoder::encode_constant(std::complex<double> value, std::size_t level,
-                                       double scale) const {
-  const std::size_t n = ctx_->degree();
+std::vector<u64> CkksEncoder::constant_residues(double value, std::size_t level,
+                                                double scale) const {
   check_scale(scale, "encode_constant");
-  if (!is_finite(value)) throw std::invalid_argument("encode_constant: non-finite value");
+  if (!std::isfinite(value)) throw std::invalid_argument("encode_constant: non-finite value");
   // Scaled constants can exceed 64 bits (e.g. a constant added at scale
   // Delta^2 during polynomial evaluation); form them in 128-bit and reduce
   // per channel. long double keeps ~64 mantissa bits, so the rounding error
   // is below 2^-60 relative — far under the CKKS noise floor.
-  const long double re = static_cast<long double>(value.real()) * scale;
-  const long double im = static_cast<long double>(value.imag()) * scale;
-  if (!(std::abs(re) < 0x1.0p120L) || !(std::abs(im) < 0x1.0p120L)) {
+  const long double scaled = static_cast<long double>(value) * scale;
+  if (!(std::abs(scaled) < 0x1.0p120L)) {
     throw std::invalid_argument("encode_constant: scaled value exceeds 2^120");
   }
-  const i128 re_r = static_cast<i128>(re);
-  const i128 im_r = static_cast<i128>(im);
+  const i128 v = static_cast<i128>(scaled);
+  const u128 magnitude = static_cast<u128>(v < 0 ? -v : v);
+  const std::vector<u64> basis = ctx_->basis_at(level);
+  std::vector<u64> residues(basis.size());
+  for (std::size_t c = 0; c < basis.size(); ++c) {
+    const u64 r = static_cast<u64>(magnitude % basis[c]);
+    residues[c] = v < 0 ? neg_mod(r, basis[c]) : r;
+  }
+  return residues;
+}
 
+Plaintext CkksEncoder::encode_constant(std::complex<double> value, std::size_t level,
+                                       double scale) const {
+  const std::size_t n = ctx_->degree();
+  const std::vector<u64> re = constant_residues(value.real(), level, scale);
+  const std::vector<u64> im = constant_residues(value.imag(), level, scale);
   RnsPoly poly(n, ctx_->basis_at(level));
   for (std::size_t c = 0; c < poly.num_channels(); ++c) {
-    const Modulus& mod = poly.channel_modulus(c);
-    poly.channel(c)[0] = reduce_signed(mod, re_r);
-    poly.channel(c)[n / 2] = reduce_signed(mod, im_r);
+    poly.channel(c)[0] = re[c];
+    poly.channel(c)[n / 2] = im[c];
   }
   poly.to_ntt();
   return Plaintext{std::move(poly), level, scale};

@@ -55,6 +55,14 @@ class CkksEncoder {
   Plaintext encode_constant(std::complex<double> value, std::size_t level,
                             double scale) const;
 
+  // The residues of a real constant value·scale (truncated toward zero) in
+  // each channel of basis_at(level), with encode_constant's checks. The NTT
+  // of a constant polynomial is that constant in every slot, so these are
+  // also its NTT-form residues: real scalar ops multiply or add them per
+  // channel without a plaintext.
+  std::vector<u64> constant_residues(double value, std::size_t level,
+                                     double scale) const;
+
   // Exact decode: CRT-composes the RNS residues, centers mod Q, divides by
   // the scale and evaluates the embedding.
   std::vector<std::complex<double>> decode(const Plaintext& pt) const;

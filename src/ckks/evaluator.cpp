@@ -123,15 +123,9 @@ std::pair<RnsPoly, RnsPoly> Evaluator::mult_moddown(const std::vector<RnsPoly>& 
     }
   });
 
-  // Moddown: divide by P and return to the Q basis.
+  // Moddown: divide by P and return to the Q basis, in the NTT domain.
   const std::size_t num_special = ctx_->params().num_special();
-  acc0.to_coeff();
-  acc1.to_coeff();
-  RnsPoly ks0 = moddown(acc0, num_special);
-  RnsPoly ks1 = moddown(acc1, num_special);
-  ks0.to_ntt();
-  ks1.to_ntt();
-  return {std::move(ks0), std::move(ks1)};
+  return {moddown(acc0, num_special), moddown(acc1, num_special)};
 }
 
 std::pair<RnsPoly, RnsPoly> Evaluator::keyswitch(const RnsPoly& d, std::size_t level,
@@ -170,16 +164,8 @@ Ciphertext Evaluator::rescale(const Ciphertext& a) const {
   const u64 dropped = ctx_->q_moduli()[a.level - 1];
 
   // Exact RNS rescale is a Moddown with the last ciphertext prime playing the
-  // special modulus (Eq. 3 with P = q_{l-1}).
-  RnsPoly c0 = a.c0;
-  RnsPoly c1 = a.c1;
-  c0.to_coeff();
-  c1.to_coeff();
-  RnsPoly r0 = moddown(c0, 1);
-  RnsPoly r1 = moddown(c1, 1);
-  r0.to_ntt();
-  r1.to_ntt();
-  return Ciphertext{std::move(r0), std::move(r1), a.level - 1,
+  // special modulus (Eq. 3 with P = q_{l-1}): one inverse NTT per polynomial.
+  return Ciphertext{moddown(a.c0, 1), moddown(a.c1, 1), a.level - 1,
                     a.scale / static_cast<double>(dropped)};
 }
 
@@ -187,32 +173,56 @@ Ciphertext Evaluator::mod_drop(const Ciphertext& a, std::size_t level) const {
   if (level == 0 || level > a.level) {
     throw std::invalid_argument("Evaluator::mod_drop: bad target level");
   }
-  Ciphertext out = a;
-  out.c0.drop_channels_to(level);
-  out.c1.drop_channels_to(level);
-  out.level = level;
-  return out;
+  return Ciphertext{a.c0.extract_channels(0, level), a.c1.extract_channels(0, level), level,
+                    a.scale};
 }
 
+// A real constant is the same residue in every NTT slot, so real scalar ops
+// are per-channel residue ops. A non-real one, a + b·X^(N/2), is not
+// constant in the NTT domain and goes through its plaintext.
 Ciphertext Evaluator::add_scalar(const Ciphertext& a, std::complex<double> value,
                                  const CkksEncoder& encoder) const {
-  return add_plain(a, encoder.encode_constant(value, a.level, a.scale));
+  if (value.imag() != 0.0) {
+    return add_plain(a, encoder.encode_constant(value, a.level, a.scale));
+  }
+  Ciphertext out = a;
+  out.c0.add_scalar(encoder.constant_residues(value.real(), a.level, a.scale));
+  return out;
 }
 
 Ciphertext Evaluator::mul_scalar(const Ciphertext& a, std::complex<double> value,
                                  const CkksEncoder& encoder,
                                  double scalar_scale) const {
-  return mul_plain(a, encoder.encode_constant(value, a.level, scalar_scale));
+  if (value.imag() != 0.0) {
+    return mul_plain(a, encoder.encode_constant(value, a.level, scalar_scale));
+  }
+  const std::vector<u64> residues =
+      encoder.constant_residues(value.real(), a.level, scalar_scale);
+  Ciphertext out = a;
+  out.c0.mul_scalar(residues);
+  out.c1.mul_scalar(residues);
+  out.scale = a.scale * scalar_scale;
+  return out;
+}
+
+void Evaluator::check_scale_near(double scale, double target, double tolerance) {
+  // Written so that NaN fails every comparison into the throw.
+  if (!(target > 0) || !std::isfinite(target) || !(scale > 0) || !std::isfinite(scale)) {
+    throw std::invalid_argument("Evaluator::normalize_scale: scale " + std::to_string(scale) +
+                                " and target " + std::to_string(target) +
+                                " must be positive and finite");
+  }
+  const double rel = std::abs(scale - target) / target;
+  if (rel > tolerance) {
+    throw std::invalid_argument("Evaluator::normalize_scale: scale " +
+                                std::to_string(scale) + " too far from target " +
+                                std::to_string(target));
+  }
 }
 
 Ciphertext Evaluator::normalize_scale(const Ciphertext& a, double target,
                                       double tolerance) const {
-  const double rel = std::abs(a.scale - target) / target;
-  if (rel > tolerance) {
-    throw std::invalid_argument("Evaluator::normalize_scale: scale " +
-                                std::to_string(a.scale) + " too far from target " +
-                                std::to_string(target));
-  }
+  check_scale_near(a.scale, target, tolerance);
   Ciphertext out = a;
   out.scale = target;
   return out;

@@ -34,14 +34,19 @@ class Evaluator {
                       const RelinKeys& rk) const;
 
   // Exact RNS rescale: divide by the last prime of the current basis and drop
-  // it. Scale is divided by that prime.
+  // it. Scale is divided by that prime. A Moddown with P = q_{l-1}: only the
+  // dropped channel leaves the NTT domain.
   Ciphertext rescale(const Ciphertext& a) const;
 
   // Drop to `level` without dividing (modulus switch for level alignment).
+  // Copies only the kept channels.
   Ciphertext mod_drop(const Ciphertext& a, std::size_t level) const;
 
-  // Scalar convenience ops (O(N) constant encoding, no full embedding).
-  // add_scalar keeps the ciphertext scale; mul_scalar multiplies scales.
+  // Scalar ops. add_scalar keeps the ciphertext scale; mul_scalar multiplies
+  // scales. A real value is a per-channel residue op on the NTT-form
+  // polynomials (CkksEncoder::constant_residues): no plaintext, no NTT. A
+  // non-real value is encoded with encode_constant and applied as a
+  // plaintext.
   Ciphertext add_scalar(const Ciphertext& a, std::complex<double> value,
                         const CkksEncoder& encoder) const;
   Ciphertext mul_scalar(const Ciphertext& a, std::complex<double> value,
@@ -53,6 +58,10 @@ class Evaluator {
   // exceeds `tolerance` (protecting against real mistakes).
   Ciphertext normalize_scale(const Ciphertext& a, double target,
                              double tolerance = 1e-3) const;
+  // The check normalize_scale runs: throws std::invalid_argument unless
+  // `scale` and `target` are positive and finite and within `tolerance` of
+  // each other, relative to `target`.
+  static void check_scale_near(double scale, double target, double tolerance = 1e-3);
 
   // Bring both operands to the lower of the two levels, normalize scales to
   // match, then multiply + relinearize + rescale. The workhorse of

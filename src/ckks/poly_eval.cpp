@@ -4,6 +4,9 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "common/thread_pool.h"
+#include "poly/lazy_kernels.h"
+
 namespace alchemist::ckks {
 
 namespace {
@@ -80,27 +83,13 @@ Ciphertext PolyEvaluator::evaluate(const Ciphertext& x,
   std::size_t work_level = baby[0].level;
   for (const Ciphertext& c : baby) work_level = std::min(work_level, c.level);
   for (const Ciphertext& c : giants) work_level = std::min(work_level, c.level);
-  const double delta = baby[0].scale;
 
-  // Inner sums: s_g(x) = sum_{j<k} c_{gk+j} x^j, evaluated at work_level with
-  // scalar multiplies, rescaled once to scale ~Delta.
+  // Inner sums: s_g(x) = sum_{j<k} c_{gk+j} x^j at work_level, rescaled
+  // once to scale ~Delta.
   auto inner_sum = [&](std::size_t g) -> Ciphertext {
-    Ciphertext acc = evaluator_.mod_drop(baby[0], work_level);
-    acc = evaluator_.mul_scalar(acc, 0.0, encoder_, delta);  // zero at Delta^2
-    for (std::size_t j = 1; j < k; ++j) {
-      const std::size_t idx = g * k + j;
-      if (idx > degree || coeffs[idx] == 0.0) continue;
-      Ciphertext term = evaluator_.mod_drop(baby[j - 1], work_level);
-      term = evaluator_.normalize_scale(term, delta);
-      term = evaluator_.mul_scalar(term, coeffs[idx], encoder_, delta);
-      acc = evaluator_.add_aligned(acc, term);
-    }
-    // Constant of the group rides at the accumulated Delta^2 scale.
-    const std::size_t c0 = g * k;
-    if (c0 <= degree && coeffs[c0] != 0.0) {
-      acc = evaluator_.add_scalar(acc, coeffs[c0], encoder_);
-    }
-    return evaluator_.rescale(acc);  // scale ~Delta, level work_level - 1
+    const std::size_t first = g * k;
+    return weighted_sum(coeffs.subspan(first, std::min(k, degree + 1 - first)), baby,
+                        work_level);
   };
 
   Ciphertext result = inner_sum(0);
@@ -117,25 +106,51 @@ Ciphertext PolyEvaluator::evaluate(const Ciphertext& x,
   return result;
 }
 
-Ciphertext PolyEvaluator::eval_cheb_direct(std::span<const double> coeffs,
-                                           const std::vector<Ciphertext>& babies,
-                                           std::size_t common_level) const {
+Ciphertext PolyEvaluator::weighted_sum(std::span<const double> coeffs,
+                                       const std::vector<Ciphertext>& babies,
+                                       std::size_t level) const {
   const double delta = babies[0].scale;
-  // acc accumulates at scale Delta^2 (terms are T_i * scalar at Delta each).
-  Ciphertext acc = evaluator_.mod_drop(babies[0], common_level);
-  acc = evaluator_.normalize_scale(acc, delta);
-  acc = evaluator_.mul_scalar(acc, 0.0, encoder_, delta);
+  // The nonzero terms, each checked against Delta and read in place, with
+  // the residues of c_i at scale Delta.
+  std::vector<const Ciphertext*> terms;
+  std::vector<std::vector<u64>> residues;
   for (std::size_t i = 1; i < coeffs.size(); ++i) {
     if (coeffs[i] == 0.0) continue;
-    Ciphertext term = evaluator_.mod_drop(babies[i - 1], common_level);
-    term = evaluator_.normalize_scale(term, delta);
-    term = evaluator_.mul_scalar(term, coeffs[i], encoder_, delta);
-    acc = evaluator_.add_aligned(acc, term);
+    const Ciphertext& term = babies[i - 1];
+    if (term.level < level) {
+      throw std::invalid_argument("PolyEvaluator: a power sits below the working level");
+    }
+    Evaluator::check_scale_near(term.scale, delta);
+    terms.push_back(&term);
+    residues.push_back(encoder_.constant_residues(coeffs[i], level, delta));
   }
+
+  // The paper's Meta-OP (M_j A_j)_n R_j: per channel of c0 and of c1,
+  // out[k] = sum_t r_t * term_t[k] accumulated in 128 bits and reduced once.
+  const std::vector<u64> basis = ctx_->basis_at(level);
+  Ciphertext out{RnsPoly(ctx_->degree(), basis, RnsPoly::Form::Ntt),
+                 RnsPoly(ctx_->degree(), basis, RnsPoly::Form::Ntt), level, delta * delta};
+  if (!terms.empty()) {
+    parallel_for(2 * level, 1, [&](std::size_t b, std::size_t e) {
+      std::vector<const u64*> x(terms.size());
+      std::vector<u64> w(terms.size());
+      for (std::size_t j = b; j < e; ++j) {
+        const bool is_c1 = j >= level;
+        const std::size_t c = is_c1 ? j - level : j;
+        for (std::size_t t = 0; t < terms.size(); ++t) {
+          x[t] = (is_c1 ? terms[t]->c1 : terms[t]->c0).channel(c).data();
+          w[t] = residues[t][c];
+        }
+        RnsPoly& dst = is_c1 ? out.c1 : out.c0;
+        weighted_sum_lazy(x, w, dst.channel_modulus(c), dst.channel(c));
+      }
+    });
+  }
+  // The constant rides at the accumulated Delta^2 scale.
   if (!coeffs.empty() && coeffs[0] != 0.0) {
-    acc = evaluator_.add_scalar(acc, coeffs[0], encoder_);
+    out.c0.add_scalar(encoder_.constant_residues(coeffs[0], level, out.scale));
   }
-  return evaluator_.rescale(acc);
+  return evaluator_.rescale(out);  // scale ~Delta, level - 1
 }
 
 Ciphertext PolyEvaluator::eval_cheb_recursive(std::vector<double> coeffs,
@@ -147,7 +162,7 @@ Ciphertext PolyEvaluator::eval_cheb_recursive(std::vector<double> coeffs,
   while (degree > 0 && coeffs[degree] == 0.0) --degree;
   coeffs.resize(degree + 1);
   if (degree < baby_count) {
-    return eval_cheb_direct(coeffs, babies, common_level);
+    return weighted_sum(coeffs, babies, common_level);
   }
 
   // Split at the largest giant m = 2^r * baby_count with m <= degree < 2m:

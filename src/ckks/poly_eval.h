@@ -45,10 +45,14 @@ class PolyEvaluator {
                                  const std::vector<Ciphertext>& giants,
                                  std::size_t baby_count,
                                  std::size_t common_level) const;
-  // Direct sum c_i T_i for degree < baby_count.
-  Ciphertext eval_cheb_direct(std::span<const double> coeffs,
-                              const std::vector<Ciphertext>& babies,
-                              std::size_t common_level) const;
+  // sum_{i>=1} c_i * babies[i-1] + c_0 at `level`, then one rescale to
+  // ~Delta at level - 1 (Delta = babies[0].scale): the direct Chebyshev sum
+  // for degree < baby_count and the power-basis inner sums. Each used baby
+  // must sit within normalize_scale's tolerance of Delta; its first `level`
+  // channels are read in place by one lazy weighted sum per channel.
+  Ciphertext weighted_sum(std::span<const double> coeffs,
+                          const std::vector<Ciphertext>& babies,
+                          std::size_t level) const;
   // x^1..x^count, each at scale ~Delta; built with log-depth squaring.
   std::vector<Ciphertext> build_powers(const Ciphertext& x,
                                        std::size_t count) const;

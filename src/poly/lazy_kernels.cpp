@@ -70,7 +70,7 @@ void mul_sum_lazy(std::span<const u64* const> a, std::span<const u64* const> b,
 // over the pool (each chunk owns a disjoint slice of `out`). Calls arriving
 // from an already-parallel caller — e.g. BConv's target-channel fan-out —
 // run inline on that worker.
-void weighted_sum_eager(std::span<const std::vector<u64>> x, std::span<const u64> w,
+void weighted_sum_eager(std::span<const u64* const> x, std::span<const u64> w,
                         const Modulus& mod, std::span<u64> out) {
   if (x.size() != w.size()) throw std::invalid_argument("weighted_sum: size mismatch");
   KernelTimer timer(Kernel::WeightedSum);
@@ -84,7 +84,7 @@ void weighted_sum_eager(std::span<const std::vector<u64>> x, std::span<const u64
   });
 }
 
-void weighted_sum_lazy(std::span<const std::vector<u64>> x, std::span<const u64> w,
+void weighted_sum_lazy(std::span<const u64* const> x, std::span<const u64> w,
                        const Modulus& mod, std::span<u64> out) {
   if (x.size() != w.size()) throw std::invalid_argument("weighted_sum: size mismatch");
   const int qbits = bit_width_u64(mod.value());
@@ -108,7 +108,7 @@ void weighted_sum_lazy(std::span<const std::vector<u64>> x, std::span<const u64>
       std::fill_n(acc_lo, len, u64{0});
       std::fill_n(acc_hi, len, u64{0});
       for (std::size_t i = 0; i < x.size(); ++i) {
-        simd::weighted_accumulate(x[i].data() + b, w[i], len, acc_lo, acc_hi);
+        simd::weighted_accumulate(x[i] + b, w[i], len, acc_lo, acc_hi);
       }
       for (std::size_t k = 0; k < len; ++k) {
         out[b + k] = mod.reduce((u128{acc_hi[k]} << 64) | acc_lo[k]);

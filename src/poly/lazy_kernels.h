@@ -11,11 +11,11 @@
 // mul_sum is the one DecompPolyMult kernel of both schemes: the CKKS hybrid
 // keyswitch (digits x evaluation key, per RNS channel) and the TFHE external
 // product (gadget digits x TGSW rows, per output polynomial) both call it.
-// weighted_sum is the BConv accumulation behind modup and moddown.
+// weighted_sum is the BConv accumulation behind modup and moddown, and the
+// Chebyshev/power-basis term sum of CKKS polynomial evaluation.
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "common/modarith.h"
 
@@ -32,11 +32,14 @@ void mul_sum_eager(std::span<const u64* const> a, std::span<const u64* const> b,
 void mul_sum_lazy(std::span<const u64* const> a, std::span<const u64* const> b,
                   const Modulus& mod, std::span<u64> out);
 
-// out[k] = sum_i w[i] * x[i][k] mod q — one Bconv output channel (Table 3):
-// L input channels combined with per-channel weights.
-void weighted_sum_eager(std::span<const std::vector<u64>> x, std::span<const u64> w,
+// out[k] = sum_i w[i] * x[i][k] mod q for k in [0, out.size()) — one Bconv
+// output channel (Table 3), L input channels combined with per-channel
+// weights, and one channel of a CKKS linear combination sum_i c_i * ct_i.
+// x[i] points at out.size() residues below q and w[i] < q. The lazy
+// variant sums in 128 bits and reduces once per coefficient.
+void weighted_sum_eager(std::span<const u64* const> x, std::span<const u64> w,
                         const Modulus& mod, std::span<u64> out);
-void weighted_sum_lazy(std::span<const std::vector<u64>> x, std::span<const u64> w,
+void weighted_sum_lazy(std::span<const u64* const> x, std::span<const u64> w,
                        const Modulus& mod, std::span<u64> out);
 
 // True iff `terms` products of values below 2^`bits_a` * 2^`bits_b` can be

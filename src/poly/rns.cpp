@@ -146,11 +146,8 @@ RnsPoly& RnsPoly::mul_scalar(std::span<const u64> scalar_per_channel) {
   parallel_for(channels_.size() * n_, kElementwiseGrain,
                [&](std::size_t b, std::size_t e) {
     for_channel_segments(b, e, n_, [&](std::size_t c, std::size_t i0, std::size_t i1) {
-      const Modulus& mod = moduli_[c];
-      const u64 s = mod.reduce(scalar_per_channel[c]);
-      for (std::size_t i = i0; i < i1; ++i) {
-        channels_[c][i] = mod.mul(channels_[c][i], s);
-      }
+      const MulModShoup s(moduli_[c].reduce(scalar_per_channel[c]), moduli_values_[c]);
+      for (std::size_t i = i0; i < i1; ++i) channels_[c][i] = s.mul(channels_[c][i]);
     });
   });
   return *this;
@@ -161,10 +158,28 @@ RnsPoly& RnsPoly::mul_scalar(u64 scalar) {
   parallel_for(channels_.size() * n_, kElementwiseGrain,
                [&](std::size_t b, std::size_t e) {
     for_channel_segments(b, e, n_, [&](std::size_t c, std::size_t i0, std::size_t i1) {
-      const Modulus& mod = moduli_[c];
-      const u64 s = mod.reduce(scalar);
+      const MulModShoup s(moduli_[c].reduce(scalar), moduli_values_[c]);
+      for (std::size_t i = i0; i < i1; ++i) channels_[c][i] = s.mul(channels_[c][i]);
+    });
+  });
+  return *this;
+}
+
+RnsPoly& RnsPoly::add_scalar(std::span<const u64> scalar_per_channel) {
+  if (scalar_per_channel.size() != channels_.size()) {
+    throw std::invalid_argument("RnsPoly::add_scalar: scalar count mismatch");
+  }
+  if (form_ != Form::Ntt) {
+    throw std::invalid_argument("RnsPoly::add_scalar: operand must be in NTT form");
+  }
+  KernelTimer timer(Kernel::Elementwise);
+  parallel_for(channels_.size() * n_, kElementwiseGrain,
+               [&](std::size_t b, std::size_t e) {
+    for_channel_segments(b, e, n_, [&](std::size_t c, std::size_t i0, std::size_t i1) {
+      const u64 q = moduli_values_[c];
+      const u64 s = moduli_[c].reduce(scalar_per_channel[c]);
       for (std::size_t i = i0; i < i1; ++i) {
-        channels_[c][i] = mod.mul(channels_[c][i], s);
+        channels_[c][i] = add_mod(channels_[c][i], s, q);
       }
     });
   });
@@ -181,15 +196,16 @@ void RnsPoly::drop_channels_to(std::size_t count) {
 }
 
 RnsPoly RnsPoly::extract_channels(std::size_t first, std::size_t count) const {
-  if (first + count > channels_.size()) {
+  if (count == 0 || first + count > channels_.size()) {
     throw std::invalid_argument("RnsPoly::extract_channels: out of range");
   }
-  std::vector<u64> sub(moduli_values_.begin() + first,
-                       moduli_values_.begin() + first + count);
-  RnsPoly out(n_, std::move(sub), form_);
-  for (std::size_t c = 0; c < count; ++c) {
-    out.channels_[c] = channels_[first + c];
-  }
+  RnsPoly out;
+  out.n_ = n_;
+  out.form_ = form_;
+  out.moduli_.assign(moduli_.begin() + first, moduli_.begin() + first + count);
+  out.moduli_values_.assign(moduli_values_.begin() + first,
+                            moduli_values_.begin() + first + count);
+  out.channels_.assign(channels_.begin() + first, channels_.begin() + first + count);
   return out;
 }
 
@@ -268,6 +284,8 @@ RnsPoly BConv::apply(const RnsPoly& x) const {
   // v_i = [x_i * q̂_i^{-1}]_{q_i}, shared across all target channels; each
   // source channel is independent.
   std::vector<std::vector<u64>> v(src_count, std::vector<u64>(n));
+  std::vector<const u64*> v_ptrs(src_count);
+  for (std::size_t i = 0; i < src_count; ++i) v_ptrs[i] = v[i].data();
   parallel_for(src_count, 1, [&](std::size_t b, std::size_t e) {
     for (std::size_t i = b; i < e; ++i) {
       const Modulus& qi = x.channel_modulus(i);
@@ -288,8 +306,7 @@ RnsPoly BConv::apply(const RnsPoly& x) const {
   parallel_for(target_.size(), 1, [&](std::size_t b, std::size_t e) {
     for (std::size_t j = b; j < e; ++j) {
       const Modulus pj(target_[j]);
-      weighted_sum_lazy(std::span<const std::vector<u64>>(v),
-                        std::span<const u64>(qhat_mod_pj_[j]), pj, out.channel(j));
+      weighted_sum_lazy(v_ptrs, qhat_mod_pj_[j], pj, out.channel(j));
     }
   });
   return out;
@@ -315,30 +332,33 @@ RnsPoly modup(const RnsPoly& x, const std::vector<u64>& basis, std::size_t first
 }
 
 RnsPoly moddown(const RnsPoly& x, std::size_t num_special) {
-  if (x.is_ntt()) throw std::invalid_argument("moddown: input must be in coefficient form");
+  if (!x.is_ntt()) throw std::invalid_argument("moddown: input must be in NTT form");
   if (num_special == 0 || num_special >= x.num_channels()) {
     throw std::invalid_argument("moddown: bad special count");
   }
   const std::size_t num_q = x.num_channels() - num_special;
-  const RnsPoly q_part = x.extract_channels(0, num_q);
-  const RnsPoly p_part = x.extract_channels(num_q, num_special);
-
   std::vector<u64> q_moduli(x.moduli().begin(), x.moduli().begin() + num_q);
   std::vector<u64> p_moduli(x.moduli().begin() + num_q, x.moduli().end());
 
-  const BConv conv(p_moduli, q_moduli);
-  RnsPoly converted = conv.apply(p_part);
+  // Only the P channels leave the NTT domain: BConv needs their
+  // coefficients, and its output is NTT'd channel by channel under each
+  // q_i. The NTT is linear mod q_i, so the correction is exact there too.
+  RnsPoly p_part = x.extract_channels(num_q, num_special);
+  p_part.to_coeff();
+  RnsPoly out = BConv(p_moduli, q_moduli).apply(p_part);
+  out.to_ntt();
 
+  // out_i = (x_i - Bconv(x_P)_i) * P^{-1} mod q_i, in place over the
+  // converted channels.
   const BigUInt big_p = BigUInt::product(p_moduli);
-  RnsPoly out = q_part;
   parallel_for(num_q, 1, [&](std::size_t b, std::size_t e) {
     for (std::size_t i = b; i < e; ++i) {
       const Modulus& qi = out.channel_modulus(i);
-      const u64 p_inv = qi.inv(big_p.mod_u64(qi.value()));
+      const MulModShoup p_inv(qi.inv(big_p.mod_u64(qi.value())), qi.value());
       std::span<u64> oi = out.channel(i);
-      std::span<const u64> ci = converted.channel(i);
+      std::span<const u64> xi = x.channel(i);
       for (std::size_t k = 0; k < out.degree(); ++k) {
-        oi[k] = qi.mul(qi.sub(oi[k], ci[k]), p_inv);
+        oi[k] = p_inv.mul(qi.sub(xi[k], oi[k]));
       }
     }
   });

@@ -7,7 +7,8 @@
 //                    coefficient/NTT form flag;
 //   * BConv        — fast RNS basis conversion (Eq. 1 of the paper);
 //   * modup        — extend one digit group to a larger basis (Eq. 2);
-//   * moddown      — divide-and-round back from Q·P to Q (Eq. 3).
+//   * moddown      — divide-and-round back from Q·P to Q (Eq. 3), in the
+//                    NTT domain: only the P channels are inverse-NTT'd.
 //
 // The Bconv here is the standard fast (HPS-style) conversion without the
 // gamma-correction: the output can carry a small multiple of Q. CKKS absorbs
@@ -57,6 +58,9 @@ class RnsPoly {
   RnsPoly& mul_scalar(std::span<const u64> scalar_per_channel);
   // Multiply every channel by the same small integer (reduced per channel).
   RnsPoly& mul_scalar(u64 scalar);
+  // Add the constant polynomial with residue scalar[i] in channel i, which in
+  // NTT form is that residue in every slot. Requires NTT form.
+  RnsPoly& add_scalar(std::span<const u64> scalar_per_channel);
 
   // Keep only the first `count` channels (level drop / rescale tail).
   void drop_channels_to(std::size_t count);
@@ -109,9 +113,13 @@ class BConv {
 // the hybrid keyswitch calls it once per digit group of the extended basis.
 RnsPoly modup(const RnsPoly& x, const std::vector<u64>& basis, std::size_t first);
 
-// Eq. 3: given [x]_{Q·P} (coeff form, with the K special channels last),
-// return ([x] - Bconv([x]_P)) · P^{-1} over Q — i.e. round(x / P) up to the
-// fast-conversion error.
+// Eq. 3: given [x]_{Q·P} (NTT form, with the K special channels last),
+// return ([x] - Bconv([x]_P)) · P^{-1} over Q in NTT form — i.e.
+// round(x / P) up to the fast-conversion error. Only the K channels of P
+// leave the NTT domain: they are inverse-NTT'd and BConv'd to Q, and the
+// converted channels are NTT'd and subtracted in the NTT domain, so one
+// call runs K inverse and L forward NTTs. A rescale is this with K = 1 and
+// P = q_{l-1}. Throws std::invalid_argument on coefficient-form input.
 RnsPoly moddown(const RnsPoly& x, std::size_t num_special);
 
 }  // namespace alchemist

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <complex>
+#include <limits>
 #include <memory>
 
 #include "ckks/bootstrap.h"
@@ -86,6 +87,25 @@ TEST(EvaluatorHelpers, AlignedOpsAcrossLevels) {
   dec = f.decryptor->decrypt(f.evaluator->mul_aligned(deep, shallow, f.relin), *f.encoder);
   EXPECT_NEAR(dec[0].real(), 0.25, 1e-3);
   EXPECT_THROW(f.evaluator->normalize_scale(deep, deep.scale * 2), std::invalid_argument);
+}
+
+TEST(EvaluatorHelpers, NormalizeScaleRejectsNonPositiveAndNonFiniteScales) {
+  Fixture f(CkksParams::toy(1024, 4, 2));
+  const Ciphertext ct = f.encrypt({0.5}, 4);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // A negative, zero or NaN target makes the relative gap negative or NaN,
+  // which no tolerance test alone rejects.
+  for (double target : {-ct.scale, 0.0, nan, inf, -inf}) {
+    EXPECT_THROW(f.evaluator->normalize_scale(ct, target), std::invalid_argument) << target;
+  }
+  for (double scale : {-ct.scale, 0.0, nan, inf}) {
+    Ciphertext bad = ct;
+    bad.scale = scale;
+    EXPECT_THROW(f.evaluator->normalize_scale(bad, ct.scale), std::invalid_argument) << scale;
+  }
+  const double target = ct.scale * (1 + 1e-4);
+  EXPECT_EQ(f.evaluator->normalize_scale(ct, target).scale, target);
 }
 
 TEST(PolyEval, QuadraticAndCubic) {

@@ -97,6 +97,26 @@ TEST(CkksBootstrap, ModRaisePreservesResiduesModQ0) {
   EXPECT_GT(max_i, 0.0);  // the lift genuinely wraps
 }
 
+TEST(CkksBootstrap, ModRaiseLiftsMultiplesOfAChannelPrimeToZero) {
+  // A q0 residue v in the upper half lifts to v - q0. With q0 - v = q_1 that
+  // is 0 mod q_1, which must be stored as 0, not as q_1.
+  BootFixture& f = fixture();
+  const std::vector<u64>& q = f.ctx->q_moduli();
+  ASSERT_LT(q[1], q[0] / 2);  // v = q0 - q1 lies in the upper half
+  const std::size_t n = f.ctx->degree();
+  RnsPoly c0(n, f.ctx->basis_at(1));
+  c0.channel(0)[0] = q[0] - q[1];
+  c0.to_ntt();
+  const RnsPoly c1(n, f.ctx->basis_at(1), RnsPoly::Form::Ntt);
+  Ciphertext raised = f.boot->mod_raise(Ciphertext{c0, c1, 1, f.ctx->params().scale()});
+  raised.c0.to_coeff();
+  for (std::size_t c = 0; c < q.size(); ++c) {
+    EXPECT_EQ(raised.c0.channel(c)[0], neg_mod(q[1] % q[c], q[c])) << c;
+    for (std::size_t k = 1; k < n; ++k) EXPECT_EQ(raised.c0.channel(c)[k], 0u) << c;
+  }
+  EXPECT_EQ(raised.c0.channel(1)[0], 0u);
+}
+
 TEST(CkksBootstrap, CoeffToSlotExposesScaledCoefficients) {
   BootFixture& f = fixture();
   const auto z = test_message(f.encoder->slots());

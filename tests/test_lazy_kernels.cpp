@@ -81,12 +81,12 @@ TEST(LazyKernels, WeightedSumsAgree) {
   std::vector<std::vector<u64>> x(channels);
   for (auto& ch : x) ch = rng.uniform_vector(n, q);
   std::vector<u64> w = rng.uniform_vector(channels, q);
+  std::vector<const u64*> xp;
+  for (const auto& ch : x) xp.push_back(ch.data());
 
   std::vector<u64> eager(n), lazy(n);
-  weighted_sum_eager(std::span<const std::vector<u64>>(x), std::span<const u64>(w),
-                     mod, eager);
-  weighted_sum_lazy(std::span<const std::vector<u64>>(x), std::span<const u64>(w),
-                    mod, lazy);
+  weighted_sum_eager(xp, w, mod, eager);
+  weighted_sum_lazy(xp, w, mod, lazy);
   EXPECT_EQ(eager, lazy);
 }
 

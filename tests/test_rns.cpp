@@ -31,6 +31,25 @@ RnsPoly constant_rns(std::size_t n, const std::vector<u64>& moduli,
   return p;
 }
 
+// The coefficient-form Moddown: every channel leaves the NTT domain. Kept as
+// the reference the NTT-domain moddown must match once its output is NTT'd.
+RnsPoly moddown_coeff_reference(const RnsPoly& x, std::size_t num_special) {
+  const std::size_t num_q = x.num_channels() - num_special;
+  const std::vector<u64> q_moduli(x.moduli().begin(), x.moduli().begin() + num_q);
+  const std::vector<u64> p_moduli(x.moduli().begin() + num_q, x.moduli().end());
+  const RnsPoly converted = BConv(p_moduli, q_moduli).apply(x.extract_channels(num_q, num_special));
+  const BigUInt big_p = BigUInt::product(p_moduli);
+  RnsPoly out = x.extract_channels(0, num_q);
+  for (std::size_t i = 0; i < num_q; ++i) {
+    const Modulus& qi = out.channel_modulus(i);
+    const u64 p_inv = qi.inv(big_p.mod_u64(qi.value()));
+    for (std::size_t k = 0; k < out.degree(); ++k) {
+      out.channel(i)[k] = qi.mul(qi.sub(out.channel(i)[k], converted.channel(i)[k]), p_inv);
+    }
+  }
+  return out;
+}
+
 TEST(RnsPoly, ConstructionAndAccessors) {
   const auto moduli = generate_ntt_primes(30, 64, 3);
   RnsPoly p(64, moduli);
@@ -218,6 +237,28 @@ TEST(BConvTest, RejectsBadInput) {
   EXPECT_THROW(conv.apply(ntt_form), std::invalid_argument);
 }
 
+TEST(RnsPoly, AddScalarAddsAConstantPolynomial) {
+  // Adding residue s_c to every NTT slot of channel c adds the constant
+  // polynomial s: coefficient 0 moves, the others stay.
+  const std::size_t n = 32;
+  const auto moduli = generate_ntt_primes(30, n, 3);
+  const RnsPoly a = random_rns(n, moduli, 21);
+  const std::vector<u64> s = {moduli[0] - 1, 0, 12345};
+
+  RnsPoly got = a;
+  got.to_ntt();
+  got.add_scalar(s);
+  got.to_coeff();
+  for (std::size_t c = 0; c < moduli.size(); ++c) {
+    EXPECT_EQ(got.channel(c)[0], add_mod(a.channel(c)[0], s[c], moduli[c]));
+    for (std::size_t i = 1; i < n; ++i) EXPECT_EQ(got.channel(c)[i], a.channel(c)[i]);
+  }
+  got.to_ntt();
+  EXPECT_THROW(got.add_scalar(std::vector<u64>{1, 2}), std::invalid_argument);
+  RnsPoly coeff = a;
+  EXPECT_THROW(coeff.add_scalar(s), std::invalid_argument);  // coefficient form
+}
+
 TEST(ModUpDown, ModupPreservesOriginalChannels) {
   const std::size_t n = 16;
   const auto q_moduli = generate_ntt_primes(30, n, 3);
@@ -273,8 +314,11 @@ TEST(ModUpDown, ModdownExactWhenDivisible) {
 
   std::vector<u64> all_moduli = q_moduli;
   all_moduli.insert(all_moduli.end(), p_moduli.begin(), p_moduli.end());
-  const RnsPoly y = constant_rns(n, all_moduli, y_values);
-  const RnsPoly z = moddown(y, p_moduli.size());
+  RnsPoly y = constant_rns(n, all_moduli, y_values);
+  y.to_ntt();
+  RnsPoly z = moddown(y, p_moduli.size());
+  ASSERT_TRUE(z.is_ntt());
+  z.to_coeff();
 
   ASSERT_EQ(z.num_channels(), q_moduli.size());
   for (std::size_t c = 0; c < q_moduli.size(); ++c) {
@@ -305,8 +349,10 @@ TEST(ModUpDown, ModdownApproximatesDivisionByP) {
     y_values.push_back(crt_compose(residues, all_moduli));
   }
 
-  const RnsPoly y = constant_rns(n, all_moduli, y_values);
-  const RnsPoly z = moddown(y, num_special);
+  RnsPoly y = constant_rns(n, all_moduli, y_values);
+  y.to_ntt();
+  RnsPoly z = moddown(y, num_special);
+  z.to_coeff();
 
   for (std::size_t i = 0; i < n; ++i) {
     // exact quotient (y - (y mod P)) / P
@@ -327,14 +373,35 @@ TEST(ModUpDown, ModdownApproximatesDivisionByP) {
   }
 }
 
+TEST(ModUpDown, ModdownMatchesCoefficientReference) {
+  // K = 1 is a rescale (P = q_{l-1}); K > 1 is a keyswitch Moddown. Several
+  // Q sizes per K, with the P primes wider than the Q primes as in CKKS.
+  const std::size_t n = 64;
+  for (std::size_t k : {1u, 2u, 3u}) {
+    for (std::size_t num_q : {1u, 3u, 6u}) {
+      std::vector<u64> basis = generate_ntt_primes(40, n, num_q);
+      const auto p_moduli = generate_ntt_primes(50, n, k, basis);
+      basis.insert(basis.end(), p_moduli.begin(), p_moduli.end());
+      const RnsPoly x = random_rns(n, basis, 100 * k + num_q);
+
+      RnsPoly want = moddown_coeff_reference(x, k);
+      want.to_ntt();
+      RnsPoly x_ntt = x;
+      x_ntt.to_ntt();
+      const RnsPoly got = moddown(x_ntt, k);
+      EXPECT_EQ(got, want) << "K=" << k << " L=" << num_q;
+    }
+  }
+}
+
 TEST(ModUpDown, ModdownArgumentChecks) {
   const auto moduli = generate_ntt_primes(30, 8, 3);
-  RnsPoly x = random_rns(8, moduli, 19);
+  const RnsPoly coeff = random_rns(8, moduli, 19);
+  RnsPoly x = coeff;
+  x.to_ntt();
   EXPECT_THROW(moddown(x, 0), std::invalid_argument);
   EXPECT_THROW(moddown(x, 3), std::invalid_argument);
-  RnsPoly ntt = x;
-  ntt.to_ntt();
-  EXPECT_THROW(moddown(ntt, 1), std::invalid_argument);
+  EXPECT_THROW(moddown(coeff, 1), std::invalid_argument);  // coefficient form
 }
 
 }  // namespace

@@ -280,16 +280,14 @@ TEST(SimdAccumulate, LazyKernelsMatchEagerUnderForcedIsa) {
   std::vector<u64> mul_ref(n);
   mul_sum_eager(xp, yp, mod, mul_ref);
   std::vector<u64> sum_ref(n);
-  weighted_sum_eager(std::span<const std::vector<u64>>(x), std::span<const u64>(w),
-                     mod, sum_ref);
+  weighted_sum_eager(xp, w, mod, sum_ref);
 
   for (Isa isa : supported_isas()) {
     simd::set_isa(isa);
     std::vector<u64> out(n);
     mul_sum_lazy(xp, yp, mod, out);
     EXPECT_EQ(out, mul_ref) << "isa=" << simd::isa_name(isa);
-    weighted_sum_lazy(std::span<const std::vector<u64>>(x), std::span<const u64>(w),
-                      mod, out);
+    weighted_sum_lazy(xp, w, mod, out);
     EXPECT_EQ(out, sum_ref) << "isa=" << simd::isa_name(isa);
   }
 }

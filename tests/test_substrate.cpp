@@ -247,8 +247,10 @@ TEST(PooledRns, BconvModupModdownBitIdenticalAcrossThreadCounts) {
       ScopedThreads guard(threads);
       std::vector<u64> basis = source;
       basis.insert(basis.end(), special.begin(), special.end());
-      const RnsPoly up = modup(x, basis, 0);
-      const RnsPoly down = moddown(up, special.size());
+      RnsPoly up = modup(x, basis, 0);
+      up.to_ntt();
+      RnsPoly down = moddown(up, special.size());
+      down.to_coeff();
       const BConv conv(source, special);
       RnsPoly out = conv.apply(x);
       out.append_channels(down);
@@ -276,17 +278,17 @@ TEST(PooledWeightedSum, LazyMatchesEagerAcrossThreadCounts) {
     for (auto& v : xi) v = rng.uniform(mod.value());
   }
   for (auto& v : w) v = rng.uniform(mod.value());
+  std::vector<const u64*> xp;
+  for (const auto& xi : x) xp.push_back(xi.data());
 
   std::vector<u64> eager_seq(n), lazy_par(n);
   {
     ScopedThreads guard(1);
-    weighted_sum_eager(std::span<const std::vector<u64>>(x), std::span<const u64>(w),
-                       mod, eager_seq);
+    weighted_sum_eager(xp, w, mod, eager_seq);
   }
   {
     ScopedThreads guard(4);
-    weighted_sum_lazy(std::span<const std::vector<u64>>(x), std::span<const u64>(w),
-                      mod, lazy_par);
+    weighted_sum_lazy(xp, w, mod, lazy_par);
   }
   EXPECT_EQ(eager_seq, lazy_par);
 }
@@ -310,11 +312,11 @@ TEST(PooledWeightedSum, HeadroomBoundaryFallsBackAndStaysExact) {
       for (auto& v : xi) v = rng.uniform(q);
     }
     for (auto& v : w) v = rng.uniform(q);
+    std::vector<const u64*> xp;
+    for (const auto& xi : x) xp.push_back(xi.data());
     std::vector<u64> eager(n), lazy(n);
-    weighted_sum_eager(std::span<const std::vector<u64>>(x), std::span<const u64>(w),
-                       mod, eager);
-    weighted_sum_lazy(std::span<const std::vector<u64>>(x), std::span<const u64>(w),
-                      mod, lazy);
+    weighted_sum_eager(xp, w, mod, eager);
+    weighted_sum_lazy(xp, w, mod, lazy);
     EXPECT_EQ(eager, lazy) << "terms=" << terms;
   }
 }
