@@ -116,6 +116,76 @@ void BM_CkksRotation(benchmark::State& state) {
 }
 BENCHMARK(BM_CkksRotation)->Arg(2048)->Arg(8192);
 
+// The ckks_helr shape of bench/e2e: N=2048, L=18, dnum=3 (alpha = K = 6),
+// at level 13, where the HELR step rotates: 3 digits, the last holding one
+// prime. Keys for the ten hoisted steps 0, 1, 2, 4, ..., 256.
+struct HelrEnv {
+  ContextPtr ctx;
+  std::unique_ptr<KeyGenerator> keygen;
+  std::unique_ptr<Evaluator> evaluator;
+  RelinKeys rk;
+  GaloisKeys gk;
+  std::vector<int> steps = {0};
+  Ciphertext ct;
+
+  HelrEnv() {
+    const CkksParams params = CkksParams::toy(2048, 18, 3);
+    ctx = std::make_shared<CkksContext>(params);
+    keygen = std::make_unique<KeyGenerator>(ctx, 7);
+    evaluator = std::make_unique<Evaluator>(ctx);
+    rk = keygen->make_relin_keys();
+    for (int s = 1; steps.size() < 10; s <<= 1) steps.push_back(s);
+    gk = keygen->make_galois_keys(std::vector<int>(steps.begin() + 1, steps.end()));
+    Rng rng(1);
+    std::vector<double> values(params.slots());
+    for (double& v : values) v = rng.uniform_real();
+    const CkksEncoder encoder(ctx);
+    Encryptor encryptor(ctx, keygen->make_public_key());
+    ct = evaluator->mod_drop(
+        encryptor.encrypt(encoder.encode(std::span<const double>(values), params.num_levels,
+                                         params.scale())),
+        13);
+  }
+};
+
+HelrEnv& helr_env() {
+  static HelrEnv e;
+  return e;
+}
+
+void BM_CkksRotationHelr(benchmark::State& state) {
+  HelrEnv& e = helr_env();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(e.evaluator->rotate(e.ct, 1, e.gk));
+  }
+}
+BENCHMARK(BM_CkksRotationHelr)->Name("BM_CkksRotation/helr");
+
+void BM_CkksRotateHoistedHelr(benchmark::State& state) {
+  HelrEnv& e = helr_env();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(e.evaluator->rotate_hoisted(e.ct, e.steps, e.gk));
+  }
+}
+BENCHMARK(BM_CkksRotateHoistedHelr)->Name("BM_CkksRotateHoisted/helr");
+
+void BM_CkksKeyswitchHelr(benchmark::State& state) {
+  HelrEnv& e = helr_env();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(e.evaluator->keyswitch(e.ct.c1, e.ct.level, e.rk.key));
+  }
+}
+BENCHMARK(BM_CkksKeyswitchHelr)->Name("BM_CkksKeyswitch/helr");
+
+void BM_CkksCmultRelinRescaleHelr(benchmark::State& state) {
+  HelrEnv& e = helr_env();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        e.evaluator->rescale(e.evaluator->multiply(e.ct, e.ct, e.rk)));
+  }
+}
+BENCHMARK(BM_CkksCmultRelinRescaleHelr)->Name("BM_CkksCmultRelinRescale/helr");
+
 // The ckks_boot shape of bench/e2e: N=256, L=20, dnum=4, 45-bit scaling
 // primes and a sparse secret. The scalar ops and the rescale run on a
 // top-level ciphertext; EvalMod runs on the first CoeffToSlot output of a

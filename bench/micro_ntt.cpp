@@ -237,8 +237,9 @@ constexpr std::size_t kMetricsLimbs = 8;
 constexpr std::size_t kMetricsReps = 4;
 
 // Fixed seeded workload: kMetricsReps forward+inverse multi-limb NTTs plus
-// one BConv. Returns the result poly (for equivalence checks) and fills
-// `reg` with the substrate counter deltas plus wall-clock rows.
+// one BConv, whose output channels come back NTT'd. Returns the result poly
+// (for equivalence checks) and fills `reg` with the substrate counter deltas
+// plus wall-clock rows.
 RnsPoly run_fixed_workload(obs::Registry* reg) {
   const auto moduli = generate_ntt_primes(50, kMetricsN, kMetricsLimbs);
   const auto special = generate_ntt_primes(51, kMetricsN, 2);
@@ -273,7 +274,8 @@ RnsPoly run_fixed_workload(obs::Registry* reg) {
     reg->add("substrate.inline_runs", after.inline_runs - before.inline_runs);
     reg->add("substrate.tasks", after.tasks - before.tasks);
     // Per-(kernel, isa) dispatch deltas: exact for a fixed workload and
-    // forced ISA (reps x limbs transforms + the BConv weighted sums).
+    // forced ISA (reps x limbs transforms + the BConv weighted sums and
+    // the forward NTT of each BConv output channel).
     for (std::size_t k = 0; k < simd::kNumKerns; ++k) {
       for (std::size_t i = 0; i < simd::kNumIsas; ++i) {
         const auto kern = static_cast<simd::Kern>(k);
@@ -300,7 +302,8 @@ RnsPoly run_fixed_workload(obs::Registry* reg) {
       }
     }
   }
-  x.append_channels(converted);
+  converted.to_coeff();
+  x.insert_channels(x.num_channels(), converted);
   return x;
 }
 

@@ -72,16 +72,18 @@ Ciphertext Evaluator::mul_plain(const Ciphertext& a, const Plaintext& pt) const 
 }
 
 std::vector<RnsPoly> Evaluator::modup_digits(const RnsPoly& d, std::size_t level) const {
+  if (!d.is_ntt() || d.degree() != ctx_->degree() || d.moduli() != ctx_->basis_at(level)) {
+    throw std::invalid_argument(
+        "Evaluator: keyswitch input must be in NTT form over the basis of its level");
+  }
   KernelTimer timer(Kernel::Keyswitch);
-  RnsPoly d_coeff = d;
-  d_coeff.to_coeff();
   const auto ext_basis = ctx_->extended_basis_at(level);
   // Digits are independent: fan them out (nested kernels run inline).
   std::vector<RnsPoly> digits(ctx_->num_digits_at(level));
   parallel_for(digits.size(), 1, [&](std::size_t jb, std::size_t je) {
     for (std::size_t j = jb; j < je; ++j) {
       const auto [first, count] = ctx_->digit_range(j, level);
-      digits[j] = modup(d_coeff.extract_channels(first, count), ext_basis, first);
+      digits[j] = modup(d.extract_channels(first, count), ext_basis, first);
     }
   });
   return digits;
@@ -130,9 +132,7 @@ std::pair<RnsPoly, RnsPoly> Evaluator::mult_moddown(const std::vector<RnsPoly>& 
 
 std::pair<RnsPoly, RnsPoly> Evaluator::keyswitch(const RnsPoly& d, std::size_t level,
                                                  const KSwitchKey& key) const {
-  std::vector<RnsPoly> digits = modup_digits(d, level);
-  for (RnsPoly& x : digits) x.to_ntt();
-  return mult_moddown(digits, level, key);
+  return mult_moddown(modup_digits(d, level), level, key);
 }
 
 Ciphertext Evaluator::multiply(const Ciphertext& a, const Ciphertext& b,
@@ -249,24 +249,25 @@ Ciphertext Evaluator::add_aligned(const Ciphertext& a, const Ciphertext& b) cons
 
 Ciphertext Evaluator::apply_galois(const Ciphertext& a, u64 galois_elt,
                                    const KSwitchKey& key) const {
-  // (c0(X^g), c1(X^g)) decrypts under s(X^g); keyswitch c1 back to s.
-  RnsPoly rot_c0 = a.c0.automorphism(galois_elt);
-  RnsPoly rot_c1 = a.c1.automorphism(galois_elt);
-  auto [ks0, ks1] = keyswitch(rot_c1, a.level, key);
-  ks0 += rot_c0;
+  // (c0(X^g), c1(X^g)) decrypts under s(X^g); keyswitch c1 back to s. Both
+  // automorphisms are NTT-slot permutations.
+  auto [ks0, ks1] = keyswitch(a.c1.automorphism(galois_elt), a.level, key);
+  ks0 += a.c0.automorphism(galois_elt);
   return Ciphertext{std::move(ks0), std::move(ks1), a.level, a.scale};
 }
 
 std::vector<Ciphertext> Evaluator::rotate_hoisted(const Ciphertext& a,
                                                   std::span<const int> steps,
                                                   const GaloisKeys& gk) const {
-  // Hoisted part, paid once: Modup every digit of c1. Automorphisms commute
-  // with the RNS decomposition (the digit residues are just coefficient
-  // permutations), so rotating the extended digits decomposes the rotated c1.
+  // Hoisted part, paid once: Modup every digit of c1, in NTT form.
+  // Automorphisms commute with the RNS decomposition (the digit residues are
+  // just coefficient permutations), so rotating the extended digits
+  // decomposes the rotated c1.
   const std::vector<RnsPoly> digits = modup_digits(a.c1, a.level);
 
-  // Per rotation: permute the shared digits, then DecompPolyMult with that
-  // rotation's key, Moddown, and add the rotated c0.
+  // Per rotation: permute the slots of the shared digits and of c0, then
+  // DecompPolyMult with that rotation's key and Moddown. No NTT runs outside
+  // the Moddown.
   std::vector<Ciphertext> out;
   out.reserve(steps.size());
   for (int step : steps) {
@@ -280,10 +281,7 @@ std::vector<Ciphertext> Evaluator::rotate_hoisted(const Ciphertext& a,
     }
     std::vector<RnsPoly> rotated;
     rotated.reserve(digits.size());
-    for (const RnsPoly& x : digits) {
-      rotated.push_back(x.automorphism(g));
-      rotated.back().to_ntt();
-    }
+    for (const RnsPoly& x : digits) rotated.push_back(x.automorphism(g));
     auto [ks0, ks1] = mult_moddown(rotated, a.level, gk.at(g));
     ks0 += a.c0.automorphism(g);
     out.push_back(Ciphertext{std::move(ks0), std::move(ks1), a.level, a.scale});

@@ -75,7 +75,7 @@ class Evaluator {
   Ciphertext rotate(const Ciphertext& a, int steps, const GaloisKeys& gk) const;
   // Many rotations of the same ciphertext with ONE shared decomposition +
   // Modup (the paper's "Modup hoisting", BSP-L=n+): the per-rotation cost
-  // drops to an automorphism + DecompPolyMult + Moddown.
+  // drops to slot permutations + DecompPolyMult + Moddown.
   std::vector<Ciphertext> rotate_hoisted(const Ciphertext& a,
                                          std::span<const int> steps,
                                          const GaloisKeys& gk) const;
@@ -84,8 +84,10 @@ class Evaluator {
 
   // Hybrid keyswitch core: given a polynomial d (NTT form, basis of `level`)
   // encrypted under s_from, return the (ks0, ks1) pair under s such that
-  // ks0 + ks1*s ≈ d*s_from. Exposed publicly because it *is* the paper's
-  // benchmark operator.
+  // ks0 + ks1*s ≈ d*s_from, in NTT form. Exposed publicly because it *is*
+  // the paper's benchmark operator. Throws std::invalid_argument unless d
+  // is in NTT form over exactly basis_at(level). At level l with d digits
+  // and K special primes it runs d(l+K)+l forward and l+2K inverse NTTs.
   std::pair<RnsPoly, RnsPoly> keyswitch(const RnsPoly& d, std::size_t level,
                                         const KSwitchKey& key) const;
 
@@ -97,8 +99,9 @@ class Evaluator {
 
   // The hybrid keyswitch pipeline behind keyswitch, apply_galois and
   // rotate_hoisted, in two stages so rotations can share the first.
-  // Modup: every digit group of d (NTT form, basis of `level`) extended to
-  // the keyswitch basis Q·P, in coefficient form.
+  // Modup: every digit group of d extended to the keyswitch basis Q·P, in
+  // NTT form. Throws std::invalid_argument unless d is in NTT form over
+  // exactly basis_at(level).
   std::vector<RnsPoly> modup_digits(const RnsPoly& d, std::size_t level) const;
   // DecompPolyMult of the extended digits (NTT form) with `key`, then
   // Moddown back to the basis of `level`. Throws std::invalid_argument if

@@ -273,17 +273,19 @@ SubstrateStats ThreadPool::stats() const {
 }
 
 namespace {
-thread_local int t_timer_depth = 0;
+// Open timers per kernel on this thread.
+thread_local int t_timer_depth[static_cast<std::size_t>(Kernel::kCount)] = {};
 }  // namespace
 
 KernelTimer::KernelTimer(Kernel k) : kernel_(k) {
-  if (t_timer_depth++ != 0) return;  // only the outermost timer records
+  // Only the outermost timer of a kernel records.
+  if (t_timer_depth[static_cast<std::size_t>(k)]++ != 0) return;
   active_ = true;
   start_ = std::chrono::steady_clock::now();
 }
 
 KernelTimer::~KernelTimer() {
-  --t_timer_depth;
+  --t_timer_depth[static_cast<std::size_t>(kernel_)];
   if (!active_) return;
   const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
       std::chrono::steady_clock::now() - start_);

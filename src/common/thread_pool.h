@@ -124,9 +124,14 @@ inline void parallel_for(std::size_t n, std::size_t grain,
   ThreadPool::instance().parallel_for(n, grain, fn);
 }
 
-// RAII wall-clock timer feeding substrate.kernel_ns{kernel=...}. Only the
-// outermost timer of a kernel family records (nested kernels would double
-// count their parent's time).
+// RAII wall-clock timer feeding substrate.kernel_ns{kernel=...}: the time
+// its thread spends in the kernel. On each thread only the outermost timer
+// of a kernel records, so a kernel never double counts itself. Timers of
+// different kernels nest and all record: a keyswitch's time includes the
+// NTTs and BConvs it runs, which are counted under their own kernels too.
+// The NTT and BConv kernels open their timers inside their fan-out chunks,
+// so their totals are summed lane time wherever they run; a timer opened
+// around a fan-out records the caller's wall time instead.
 class KernelTimer {
  public:
   explicit KernelTimer(Kernel k);

@@ -113,6 +113,24 @@ void NttTable::inverse_eager(std::span<u64> a) const {
   for (u64& x : a) x = n_inv_.mul(x);
 }
 
+NttAutomorphism::NttAutomorphism(std::size_t n, u64 galois_elt) : index(n) {
+  const int log_n = log2_exact(n);
+  if ((galois_elt & 1) == 0) {
+    throw std::invalid_argument("NttAutomorphism: element must be odd");
+  }
+  const u64 mask = 2 * static_cast<u64>(n) - 1;
+  const u64 g = galois_elt & mask;
+  for (std::size_t j = 0; j < n; ++j) {
+    const u64 point = ((2 * static_cast<u64>(bit_reverse(j, log_n)) + 1) * g) & mask;
+    index[j] = static_cast<std::uint32_t>(bit_reverse(point >> 1, log_n));
+  }
+}
+
+const NttAutomorphism& get_ntt_automorphism(std::size_t n, u64 galois_elt) {
+  static KeyedCache<std::pair<std::size_t, u64>, NttAutomorphism> cache;
+  return cache.get({n, galois_elt & (2 * static_cast<u64>(n) - 1)}, n, galois_elt);
+}
+
 const NttTable& get_ntt_table(u64 q, std::size_t n) {
   // Reachable from concurrent pool workers and svc::JobRunner jobs.
   static KeyedCache<std::pair<u64, std::size_t>, NttTable> cache;

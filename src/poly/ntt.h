@@ -5,6 +5,12 @@
 // natural output (Longa-Naehrig formulation). Pointwise operations in the NTT
 // domain are order-agnostic as long as both operands use the same transform.
 //
+// Slot order: slot j of the forward output holds the evaluation
+// a(ψ^(2·brev(j)+1)), where ψ = psi() and brev reverses log2(N) bits. A
+// Galois automorphism X -> X^g maps the evaluation point ψ^(2k+1) to
+// ψ^((2k+1)·g), so in NTT form it is a slot permutation (NttAutomorphism
+// below), the same for every q.
+//
 // The production butterflies are Harvey-style *lazy*: values live in [0, 4q)
 // through the forward stages (the inverse keeps [0, 2q)) and are reduced to
 // canonical [0, q) once at the end — the software analogue of the paper's
@@ -19,6 +25,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -86,6 +93,19 @@ class NttTable {
 // Thread-safe: concurrent lookups take a shared lock, first-time construction
 // an exclusive one, so pool workers and svc jobs may race freely.
 const NttTable& get_ntt_table(u64 q, std::size_t n);
+
+// Gather indices of the automorphism X -> X^g on NTT-form slots:
+// NTT(a(X^g))[j] = NTT(a)[index[j]], with
+//   index[j] = brev(((2·brev(j)+1)·g mod 2N − 1) / 2).
+// Throws std::invalid_argument unless N is a power of two and g is odd.
+struct NttAutomorphism {
+  NttAutomorphism(std::size_t n, u64 galois_elt);
+  std::vector<std::uint32_t> index;
+};
+
+// Process-wide cache of the permutations keyed by (N, g mod 2N), thread-safe
+// like get_ntt_table.
+const NttAutomorphism& get_ntt_automorphism(std::size_t n, u64 galois_elt);
 
 // Bit reversal of the low `bits` bits of x.
 constexpr std::size_t bit_reverse(std::size_t x, int bits) {

@@ -48,9 +48,10 @@ RnsPoly::RnsPoly(std::size_t n, std::vector<u64> moduli, Form form)
 
 void RnsPoly::to_ntt() {
   if (form_ == Form::Ntt) return;
-  KernelTimer timer(Kernel::NttFwd);
-  // One NTT per RNS channel — the paper's embarrassingly-parallel axis.
+  // One NTT per RNS channel — the paper's embarrassingly-parallel axis. Each
+  // lane times its own chunk, as BConv's fused NTTs do.
   parallel_for(channels_.size(), 1, [&](std::size_t b, std::size_t e) {
+    KernelTimer timer(Kernel::NttFwd);
     for (std::size_t i = b; i < e; ++i) {
       get_ntt_table(moduli_values_[i], n_).forward(channels_[i]);
     }
@@ -60,8 +61,8 @@ void RnsPoly::to_ntt() {
 
 void RnsPoly::to_coeff() {
   if (form_ == Form::Coeff) return;
-  KernelTimer timer(Kernel::NttInv);
   parallel_for(channels_.size(), 1, [&](std::size_t b, std::size_t e) {
+    KernelTimer timer(Kernel::NttInv);
     for (std::size_t i = b; i < e; ++i) {
       get_ntt_table(moduli_values_[i], n_).inverse(channels_[i]);
     }
@@ -209,29 +210,37 @@ RnsPoly RnsPoly::extract_channels(std::size_t first, std::size_t count) const {
   return out;
 }
 
-void RnsPoly::append_channels(const RnsPoly& other) {
+void RnsPoly::insert_channels(std::size_t pos, const RnsPoly& other) {
   if (other.n_ != n_ || other.form_ != form_) {
-    throw std::invalid_argument("RnsPoly::append_channels: degree/form mismatch");
+    throw std::invalid_argument("RnsPoly::insert_channels: degree/form mismatch");
   }
-  for (std::size_t c = 0; c < other.channels_.size(); ++c) {
-    moduli_.push_back(other.moduli_[c]);
-    moduli_values_.push_back(other.moduli_values_[c]);
-    channels_.push_back(other.channels_[c]);
+  if (pos > channels_.size()) {
+    throw std::invalid_argument("RnsPoly::insert_channels: position out of range");
   }
+  moduli_.insert(moduli_.begin() + pos, other.moduli_.begin(), other.moduli_.end());
+  moduli_values_.insert(moduli_values_.begin() + pos, other.moduli_values_.begin(),
+                        other.moduli_values_.end());
+  channels_.insert(channels_.begin() + pos, other.channels_.begin(), other.channels_.end());
 }
 
 RnsPoly RnsPoly::automorphism(u64 galois_elt) const {
   if ((galois_elt & 1) == 0) throw std::invalid_argument("automorphism: element must be odd");
+  RnsPoly out(n_, moduli_values_, form_);
   if (form_ == Form::Ntt) {
-    // Round-trip through coefficient form. Functionally exact; the cycle
-    // simulator charges the permutation, not this software detour.
-    RnsPoly tmp = *this;
-    tmp.to_coeff();
-    RnsPoly out = tmp.automorphism(galois_elt);
-    out.to_ntt();
+    // A slot permutation, exact mod every q: the evaluation at ψ^(2k+1)
+    // moves to the slot of ψ^((2k+1)·g).
+    const std::vector<std::uint32_t>& index = get_ntt_automorphism(n_, galois_elt).index;
+    KernelTimer timer(Kernel::Elementwise);
+    parallel_for(channels_.size() * n_, kElementwiseGrain,
+                 [&](std::size_t b, std::size_t e) {
+      for_channel_segments(b, e, n_, [&](std::size_t c, std::size_t i0, std::size_t i1) {
+        const u64* in = channels_[c].data();
+        u64* dst = out.channels_[c].data();
+        for (std::size_t i = i0; i < i1; ++i) dst[i] = in[index[i]];
+      });
+    });
     return out;
   }
-  RnsPoly out(n_, moduli_values_, Form::Coeff);
   const u64 two_n = 2 * static_cast<u64>(n_);
   // Scatter indices hit every output slot of a channel, so the parallel axis
   // is whole channels only.
@@ -267,7 +276,8 @@ BConv::BConv(std::vector<u64> source_moduli, std::vector<u64> target_moduli)
   qhat_mod_pj_.assign(target_.size(), std::vector<u64>(source_.size()));
   for (std::size_t i = 0; i < source_.size(); ++i) {
     const BigUInt qhat = big_q.div_u64(source_[i], /*require_exact=*/true);
-    qhat_inv_mod_qi_[i] = inv_mod(qhat.mod_u64(source_[i]), source_[i]);
+    qhat_inv_mod_qi_[i] =
+        MulModShoup(inv_mod(qhat.mod_u64(source_[i]), source_[i]), source_[i]);
     for (std::size_t j = 0; j < target_.size(); ++j) {
       qhat_mod_pj_[j][i] = qhat.mod_u64(target_[j]);
     }
@@ -277,22 +287,20 @@ BConv::BConv(std::vector<u64> source_moduli, std::vector<u64> target_moduli)
 RnsPoly BConv::apply(const RnsPoly& x) const {
   if (x.is_ntt()) throw std::invalid_argument("BConv: input must be in coefficient form");
   if (x.moduli() != source_) throw std::invalid_argument("BConv: basis mismatch");
-  KernelTimer timer(Kernel::BConv);
   const std::size_t n = x.degree();
   const std::size_t src_count = source_.size();
 
   // v_i = [x_i * q̂_i^{-1}]_{q_i}, shared across all target channels; each
-  // source channel is independent.
+  // source channel is independent, and q̂_i^{-1} is a Shoup constant.
   std::vector<std::vector<u64>> v(src_count, std::vector<u64>(n));
   std::vector<const u64*> v_ptrs(src_count);
   for (std::size_t i = 0; i < src_count; ++i) v_ptrs[i] = v[i].data();
   parallel_for(src_count, 1, [&](std::size_t b, std::size_t e) {
+    KernelTimer timer(Kernel::BConv);
     for (std::size_t i = b; i < e; ++i) {
-      const Modulus& qi = x.channel_modulus(i);
+      const MulModShoup& w = qhat_inv_mod_qi_[i];
       const std::span<const u64> xi = x.channel(i);
-      for (std::size_t k = 0; k < n; ++k) {
-        v[i][k] = qi.mul(xi[k], qhat_inv_mod_qi_[i]);
-      }
+      for (std::size_t k = 0; k < n; ++k) v[i][k] = w.mul(xi[k]);
     }
   });
 
@@ -300,19 +308,27 @@ RnsPoly BConv::apply(const RnsPoly& x) const {
   // in 128-bit and reduce once per output coefficient, instead of reducing
   // every product. Falls back to eager reduction when the 128-bit headroom
   // is insufficient (only possible for very long chains of 62-bit primes).
-  // Target channels fan out in parallel; the weighted sum splits its own
-  // coefficient range when it runs at top level.
-  RnsPoly out(n, target_, RnsPoly::Form::Coeff);
+  // Target channels fan out in parallel. Each chunk sums its channels and
+  // forward-NTTs them on the same lane while they are still in cache (a
+  // chunk is a few channels); the two phases keep their own kernel timers,
+  // one each per chunk rather than per channel. The weighted sum's own
+  // coefficient split only runs when apply is not already fanned out.
+  RnsPoly out(n, target_, RnsPoly::Form::Ntt);
   parallel_for(target_.size(), 1, [&](std::size_t b, std::size_t e) {
-    for (std::size_t j = b; j < e; ++j) {
-      const Modulus pj(target_[j]);
-      weighted_sum_lazy(v_ptrs, qhat_mod_pj_[j], pj, out.channel(j));
+    {
+      KernelTimer timer(Kernel::BConv);
+      for (std::size_t j = b; j < e; ++j) {
+        weighted_sum_lazy(v_ptrs, qhat_mod_pj_[j], out.channel_modulus(j), out.channel(j));
+      }
     }
+    KernelTimer timer(Kernel::NttFwd);
+    for (std::size_t j = b; j < e; ++j) get_ntt_table(target_[j], n).forward(out.channel(j));
   });
   return out;
 }
 
 RnsPoly modup(const RnsPoly& x, const std::vector<u64>& basis, std::size_t first) {
+  if (!x.is_ntt()) throw std::invalid_argument("modup: input must be in NTT form");
   const std::size_t count = x.num_channels();
   if (first + count > basis.size() ||
       !std::equal(x.moduli().begin(), x.moduli().end(), basis.begin() + first)) {
@@ -320,14 +336,12 @@ RnsPoly modup(const RnsPoly& x, const std::vector<u64>& basis, std::size_t first
   }
   std::vector<u64> others(basis.begin(), basis.begin() + first);
   others.insert(others.end(), basis.begin() + first + count, basis.end());
-  const RnsPoly converted = BConv(x.moduli(), others).apply(x);
-  RnsPoly out(x.degree(), basis, RnsPoly::Form::Coeff);
-  for (std::size_t c = 0; c < basis.size(); ++c) {
-    const std::span<const u64> src = c < first           ? converted.channel(c)
-                                     : c < first + count ? x.channel(c - first)
-                                                         : converted.channel(c - count);
-    std::copy(src.begin(), src.end(), out.channel(c).begin());
-  }
+  // Only x's own channels leave the NTT domain, as BConv's input. The
+  // converted channels come back in NTT form and x's go in unchanged.
+  RnsPoly x_coeff = x;
+  x_coeff.to_coeff();
+  RnsPoly out = BConv(x.moduli(), std::move(others)).apply(x_coeff);
+  out.insert_channels(first, x);
   return out;
 }
 
@@ -341,12 +355,11 @@ RnsPoly moddown(const RnsPoly& x, std::size_t num_special) {
   std::vector<u64> p_moduli(x.moduli().begin() + num_q, x.moduli().end());
 
   // Only the P channels leave the NTT domain: BConv needs their
-  // coefficients, and its output is NTT'd channel by channel under each
-  // q_i. The NTT is linear mod q_i, so the correction is exact there too.
+  // coefficients, and its output comes back NTT'd channel by channel under
+  // each q_i. The NTT is linear mod q_i, so the correction is exact there too.
   RnsPoly p_part = x.extract_channels(num_q, num_special);
   p_part.to_coeff();
   RnsPoly out = BConv(p_moduli, q_moduli).apply(p_part);
-  out.to_ntt();
 
   // out_i = (x_i - Bconv(x_P)_i) * P^{-1} mod q_i, in place over the
   // converted channels.

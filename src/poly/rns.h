@@ -5,10 +5,13 @@
 // This file provides:
 //   * RnsPoly      — a polynomial held as per-channel residue vectors, with a
 //                    coefficient/NTT form flag;
-//   * BConv        — fast RNS basis conversion (Eq. 1 of the paper);
+//   * BConv        — fast RNS basis conversion (Eq. 1 of the paper),
+//                    coefficient form in, NTT form out;
 //   * modup        — extend one digit group to a larger basis (Eq. 2);
-//   * moddown      — divide-and-round back from Q·P to Q (Eq. 3), in the
-//                    NTT domain: only the P channels are inverse-NTT'd.
+//   * moddown      — divide-and-round back from Q·P to Q (Eq. 3).
+// modup and moddown take and return NTT form: only the channels BConv
+// reads leave the NTT domain, and each converted channel is NTT'd as soon
+// as BConv has summed it.
 //
 // The Bconv here is the standard fast (HPS-style) conversion without the
 // gamma-correction: the output can carry a small multiple of Q. CKKS absorbs
@@ -66,11 +69,13 @@ class RnsPoly {
   void drop_channels_to(std::size_t count);
   // Extract a sub-poly holding channels [first, first+count).
   RnsPoly extract_channels(std::size_t first, std::size_t count) const;
-  // Append the channels of `other` (same degree and form).
-  void append_channels(const RnsPoly& other);
+  // Insert the channels of `other` (same degree and form) before channel
+  // `pos`; pos = num_channels() appends.
+  void insert_channels(std::size_t pos, const RnsPoly& other);
 
-  // Galois automorphism X -> X^g. Valid in both forms: coefficient form uses
-  // index folding, NTT form uses the standard odd-power permutation.
+  // Galois automorphism X -> X^g (g odd). Coefficient form folds indices
+  // with a sign; NTT form is a slot permutation (get_ntt_automorphism in
+  // poly/ntt.h) and runs no transform.
   RnsPoly automorphism(u64 galois_elt) const;
 
   bool operator==(const RnsPoly& other) const;
@@ -88,7 +93,9 @@ class RnsPoly {
 // Fast RNS base conversion from a source basis to a target basis (Eq. 1):
 //   [x]_{p_j} ≈ sum_i [[x]_{q_i} · q̂_i^{-1}]_{q_i} · q̂_i  (mod p_j)
 // where q̂_i = (prod_k q_k) / q_i. Output may exceed the exact value by a
-// small multiple of Q (fast conversion, no correction).
+// small multiple of Q (fast conversion, no correction). Both callers need
+// the result in NTT form, so each output channel is forward-NTT'd right
+// after its weighted sum, while it is still in cache.
 class BConv {
  public:
   BConv(std::vector<u64> source_moduli, std::vector<u64> target_moduli);
@@ -96,28 +103,32 @@ class BConv {
   const std::vector<u64>& source() const { return source_; }
   const std::vector<u64>& target() const { return target_; }
 
-  // x must be in coefficient form over exactly the source basis.
+  // x must be in coefficient form over exactly the source basis; the
+  // result is in NTT form over the target basis.
   RnsPoly apply(const RnsPoly& x) const;
 
  private:
   std::vector<u64> source_;
   std::vector<u64> target_;
-  std::vector<u64> qhat_inv_mod_qi_;          // [L]
+  std::vector<MulModShoup> qhat_inv_mod_qi_;   // [L]
   std::vector<std::vector<u64>> qhat_mod_pj_;  // [K][L]
 };
 
-// Eq. 2: extend x (coeff form), whose basis is the run
-// basis[first, first + x.num_channels()), to every channel of `basis`: its
-// own residues stay in place and the other channels come from one BConv.
-// With first = 0 and basis = Q ∪ P this is the classic [x]_Q -> [x]_{Q·P};
-// the hybrid keyswitch calls it once per digit group of the extended basis.
+// Eq. 2: extend x (NTT form), whose basis is the run
+// basis[first, first + x.num_channels()), to every channel of `basis`, in
+// NTT form. x's own channels are copied unchanged; the others come from one
+// BConv of x's inverse NTT. With first = 0 and basis = Q ∪ P this is the
+// classic [x]_Q -> [x]_{Q·P}; the hybrid keyswitch calls it once per digit
+// group of the extended basis. A call runs count inverse and
+// basis.size() − count forward NTTs. Throws std::invalid_argument on
+// coefficient-form input or if x's basis is not that run.
 RnsPoly modup(const RnsPoly& x, const std::vector<u64>& basis, std::size_t first);
 
 // Eq. 3: given [x]_{Q·P} (NTT form, with the K special channels last),
 // return ([x] - Bconv([x]_P)) · P^{-1} over Q in NTT form — i.e.
 // round(x / P) up to the fast-conversion error. Only the K channels of P
 // leave the NTT domain: they are inverse-NTT'd and BConv'd to Q, and the
-// converted channels are NTT'd and subtracted in the NTT domain, so one
+// converted (NTT-form) channels are subtracted in the NTT domain, so one
 // call runs K inverse and L forward NTTs. A rescale is this with K = 1 and
 // P = q_{l-1}. Throws std::invalid_argument on coefficient-form input.
 RnsPoly moddown(const RnsPoly& x, std::size_t num_special);

@@ -493,6 +493,26 @@ TEST(Ckks, KeyswitchEntryPointsRejectTruncatedKeys) {
   }
 }
 
+// keyswitch reads d's residues as NTT slots over exactly the basis of its
+// level; any other input is rejected instead of being reinterpreted.
+TEST(Ckks, KeyswitchRejectsInputOffItsFormOrLevel) {
+  CkksFixture f(CkksParams::toy(1024, 4, 2));
+  const auto z = random_message(f.encoder->slots(), 23);
+  const Ciphertext ct = f.encryptor->encrypt(
+      f.encoder->encode(std::span<const Complex>(z), 4, f.ctx->params().scale()));
+  const RelinKeys rk = f.keygen->make_relin_keys();
+  RnsPoly coeff = ct.c1;
+  coeff.to_coeff();
+  EXPECT_THROW(f.evaluator->keyswitch(coeff, 4, rk.key), std::invalid_argument)
+      << "coefficient form";
+  EXPECT_THROW(f.evaluator->keyswitch(ct.c1, 3, rk.key), std::invalid_argument)
+      << "wider than its level";
+  const RnsPoly narrow = ct.c1.extract_channels(0, 3);
+  EXPECT_THROW(f.evaluator->keyswitch(narrow, 4, rk.key), std::invalid_argument)
+      << "narrower than its level";
+  EXPECT_NO_THROW(f.evaluator->keyswitch(narrow, 3, rk.key));
+}
+
 TEST(Ckks, KeyswitchRecordsMulAccDispatch) {
   CkksFixture f(CkksParams::toy(1024, 4, 2));
   const RelinKeys rk = f.keygen->make_relin_keys();

@@ -1,5 +1,6 @@
-// common/keyed_cache.h and the three table caches built on it: NTT tables
-// (get_ntt_table), TFHE contexts (TorusNttContext::get) and the
+// common/keyed_cache.h and the table caches built on it: NTT tables
+// (get_ntt_table), NTT-slot automorphism permutations
+// (get_ntt_automorphism), TFHE contexts (TorusNttContext::get) and the
 // BFV exact-convolution contexts behind exact_negacyclic_mul. Every test
 // releases several threads at once onto keys nobody has built yet, so the
 // first-use build races; the CI TSan job runs this suite.
@@ -64,6 +65,20 @@ TEST(KeyedCache, NttTableConcurrentFirstUse) {
     for (u64 q : primes) seen[t].push_back(&get_ntt_table(q, n));
   });
   for (const auto& v : seen) EXPECT_EQ(v, seen[0]) << "cache returned different tables";
+}
+
+TEST(KeyedCache, NttAutomorphismConcurrentFirstUse) {
+  // Elements that agree mod 2N share one permutation.
+  const std::size_t n = 128;
+  const std::vector<u64> elements = {5, 25, 255, 5 + 2 * n, 25 + 6 * n};
+  std::vector<std::vector<const NttAutomorphism*>> seen(kThreads);
+  race([&](std::size_t t) {
+    for (u64 g : elements) seen[t].push_back(&get_ntt_automorphism(n, g));
+  });
+  for (const auto& v : seen) EXPECT_EQ(v, seen[0]) << "cache returned different permutations";
+  EXPECT_EQ(seen[0][3], seen[0][0]);
+  EXPECT_EQ(seen[0][4], seen[0][1]);
+  EXPECT_NE(seen[0][1], seen[0][0]);
 }
 
 TEST(KeyedCache, TorusNttContextConcurrentFirstUse) {

@@ -5,6 +5,7 @@
 #include "common/biguint.h"
 #include "common/primes.h"
 #include "common/rng.h"
+#include "poly/ntt.h"
 #include "poly/polynomial.h"
 
 namespace alchemist {
@@ -37,7 +38,8 @@ RnsPoly moddown_coeff_reference(const RnsPoly& x, std::size_t num_special) {
   const std::size_t num_q = x.num_channels() - num_special;
   const std::vector<u64> q_moduli(x.moduli().begin(), x.moduli().begin() + num_q);
   const std::vector<u64> p_moduli(x.moduli().begin() + num_q, x.moduli().end());
-  const RnsPoly converted = BConv(p_moduli, q_moduli).apply(x.extract_channels(num_q, num_special));
+  RnsPoly converted = BConv(p_moduli, q_moduli).apply(x.extract_channels(num_q, num_special));
+  converted.to_coeff();
   const BigUInt big_p = BigUInt::product(p_moduli);
   RnsPoly out = x.extract_channels(0, num_q);
   for (std::size_t i = 0; i < num_q; ++i) {
@@ -48,6 +50,24 @@ RnsPoly moddown_coeff_reference(const RnsPoly& x, std::size_t num_special) {
     }
   }
   return out;
+}
+
+// The coefficient-form Modup: x's residues stay in place and every other
+// channel of `basis` comes from BConv, all in coefficient form. Kept as the
+// reference the NTT-domain modup must match once its output is NTT'd.
+RnsPoly modup_coeff_reference(const RnsPoly& x, const std::vector<u64>& basis,
+                              std::size_t first) {
+  std::vector<u64> others(basis.begin(), basis.begin() + first);
+  others.insert(others.end(), basis.begin() + first + x.num_channels(), basis.end());
+  RnsPoly out = BConv(x.moduli(), others).apply(x);
+  out.to_coeff();
+  out.insert_channels(first, x);
+  return out;
+}
+
+RnsPoly ntt_of(RnsPoly p) {
+  p.to_ntt();
+  return p;
 }
 
 TEST(RnsPoly, ConstructionAndAccessors) {
@@ -134,8 +154,14 @@ TEST(RnsPoly, ChannelSurgeryPreservesData) {
   RnsPoly a = random_rns(16, moduli, 9);
   RnsPoly head = a.extract_channels(0, 2);
   RnsPoly tail = a.extract_channels(2, 2);
-  head.append_channels(tail);
+  head.insert_channels(2, tail);
   EXPECT_EQ(head, a);
+  RnsPoly outer = a.extract_channels(0, 1);
+  outer.insert_channels(1, a.extract_channels(3, 1));
+  outer.insert_channels(1, a.extract_channels(1, 2));
+  EXPECT_EQ(outer, a);
+  EXPECT_THROW(outer.insert_channels(5, tail), std::invalid_argument);
+  EXPECT_THROW(outer.insert_channels(0, ntt_of(tail)), std::invalid_argument);
   RnsPoly dropped = a;
   dropped.drop_channels_to(2);
   EXPECT_EQ(dropped, a.extract_channels(0, 2));
@@ -157,15 +183,43 @@ TEST(RnsPoly, AutomorphismMatchesSingleChannel) {
 }
 
 TEST(RnsPoly, AutomorphismNttFormConsistent) {
-  const std::size_t n = 32;
+  // The NTT-form automorphism is a slot permutation; it must equal the
+  // coefficient-form one followed by a forward NTT, for rotations (5^k),
+  // conjugation (2N - 1), elements above 2N and random odd elements.
+  Rng rng(11);
+  for (std::size_t n : {2u, 8u, 256u, 2048u}) {
+    const auto moduli = generate_ntt_primes(30, n, 2);
+    const RnsPoly a = random_rns(n, moduli, n);
+    const RnsPoly a_ntt = ntt_of(a);
+    const u64 two_n = 2 * n;
+    std::vector<u64> elements = {5, 25 % two_n, pow_mod(5, 7, two_n), two_n - 1,
+                                 two_n + 3, 5 * two_n + two_n - 1, 2 * rng.uniform(n) + 1,
+                                 2 * rng.uniform(u64{1} << 40) + 1};
+    for (u64 g : elements) {
+      EXPECT_EQ(a_ntt.automorphism(g), ntt_of(a.automorphism(g))) << "N=" << n << " g=" << g;
+    }
+  }
+}
+
+TEST(RnsPoly, AutomorphismsCompose) {
+  // sigma_g(sigma_h(a)) = a(X^{gh}) = sigma_{gh}(a), in both forms.
+  const std::size_t n = 256;
   const auto moduli = generate_ntt_primes(30, n, 2);
-  RnsPoly a = random_rns(n, moduli, 11);
-  RnsPoly coeff_route = a.automorphism(3);
-  RnsPoly ntt_input = a;
-  ntt_input.to_ntt();
-  RnsPoly ntt_route = ntt_input.automorphism(3);
-  ntt_route.to_coeff();
-  EXPECT_EQ(ntt_route, coeff_route);
+  const RnsPoly a = random_rns(n, moduli, 22);
+  const RnsPoly a_ntt = ntt_of(a);
+  for (auto [g, h] : {std::pair<u64, u64>{5, 25}, {511, 5}, {3, 129}, {513, 511}}) {
+    const u64 gh = g * h % (2 * n);
+    EXPECT_EQ(a_ntt.automorphism(h).automorphism(g), a_ntt.automorphism(gh)) << g << "," << h;
+    EXPECT_EQ(a.automorphism(h).automorphism(g), a.automorphism(gh)) << g << "," << h;
+  }
+}
+
+TEST(RnsPoly, AutomorphismRejectsEvenElement) {
+  const auto moduli = generate_ntt_primes(30, 16, 2);
+  const RnsPoly a = random_rns(16, moduli, 23);
+  EXPECT_THROW(a.automorphism(4), std::invalid_argument);
+  EXPECT_THROW(ntt_of(a).automorphism(32), std::invalid_argument);
+  EXPECT_THROW(get_ntt_automorphism(16, 6), std::invalid_argument);
 }
 
 TEST(BConvTest, MatchesExactFormula) {
@@ -176,7 +230,9 @@ TEST(BConvTest, MatchesExactFormula) {
   const auto target = generate_ntt_primes(31, n, 2);
   const RnsPoly x = random_rns(n, source, 12);
   BConv conv(source, target);
-  const RnsPoly out = conv.apply(x);
+  RnsPoly out = conv.apply(x);
+  ASSERT_TRUE(out.is_ntt());
+  out.to_coeff();
 
   const BigUInt big_q = BigUInt::product(source);
   for (std::size_t k = 0; k < n; ++k) {
@@ -212,7 +268,8 @@ TEST(BConvTest, OutputIsValuePlusSmallMultipleOfQ) {
   }
   const RnsPoly x = constant_rns(n, source, values);
   BConv conv(source, target);
-  const RnsPoly out = conv.apply(x);
+  RnsPoly out = conv.apply(x);
+  out.to_coeff();
 
   const u64 p = target[0];
   for (std::size_t k = 0; k < n; ++k) {
@@ -263,15 +320,13 @@ TEST(ModUpDown, ModupPreservesOriginalChannels) {
   const std::size_t n = 16;
   const auto q_moduli = generate_ntt_primes(30, n, 3);
   const auto p_moduli = generate_ntt_primes(32, n, 2);
-  const RnsPoly x = random_rns(n, q_moduli, 16);
+  const RnsPoly x = ntt_of(random_rns(n, q_moduli, 16));
   std::vector<u64> qp = q_moduli;
   qp.insert(qp.end(), p_moduli.begin(), p_moduli.end());
   const RnsPoly up = modup(x, qp, 0);
   ASSERT_EQ(up.num_channels(), 5u);
-  for (std::size_t c = 0; c < 3; ++c) {
-    EXPECT_TRUE(std::equal(x.channel(c).begin(), x.channel(c).end(),
-                           up.channel(c).begin()));
-  }
+  ASSERT_TRUE(up.is_ntt());
+  EXPECT_EQ(up.extract_channels(0, 3), x);
 }
 
 TEST(ModUpDown, ModupPlacesDigitInsideBasis) {
@@ -282,17 +337,30 @@ TEST(ModUpDown, ModupPlacesDigitInsideBasis) {
   const std::vector<u64> group(basis.begin() + 1, basis.begin() + 3);
   const std::vector<u64> others = {basis[0], basis[3], basis[4]};
   const RnsPoly x = random_rns(n, group, 17);
-  const RnsPoly up = modup(x, basis, 1);
+  const RnsPoly up = modup(ntt_of(x), basis, 1);
   const RnsPoly converted = BConv(group, others).apply(x);
   ASSERT_EQ(up.moduli(), basis);
-  for (std::size_t c = 0; c < basis.size(); ++c) {
-    const std::span<const u64> want = c == 1 || c == 2 ? x.channel(c - 1)
-                                      : c == 0         ? converted.channel(0)
-                                                       : converted.channel(c - 2);
-    EXPECT_TRUE(std::equal(want.begin(), want.end(), up.channel(c).begin())) << c;
+  EXPECT_EQ(up.extract_channels(0, 1), converted.extract_channels(0, 1));
+  EXPECT_EQ(up.extract_channels(1, 2), ntt_of(x));
+  EXPECT_EQ(up.extract_channels(3, 2), converted.extract_channels(1, 2));
+  EXPECT_THROW(modup(ntt_of(x), basis, 2), std::invalid_argument);  // not where x's basis sits
+  EXPECT_THROW(modup(ntt_of(x), basis, 4), std::invalid_argument);  // runs past the end
+  EXPECT_THROW(modup(x, basis, 1), std::invalid_argument);          // coefficient form
+}
+
+TEST(ModUpDown, ModupMatchesCoefficientReference) {
+  // The keyswitch digits of a 7-prime level with alpha = K = 3: the first,
+  // a middle and a partial last digit group.
+  const std::size_t n = 64;
+  std::vector<u64> basis = generate_ntt_primes(40, n, 7);
+  const auto p_moduli = generate_ntt_primes(50, n, 3, basis);
+  basis.insert(basis.end(), p_moduli.begin(), p_moduli.end());
+  for (auto [first, count] : {std::pair<std::size_t, std::size_t>{0, 3}, {3, 3}, {6, 1}}) {
+    const std::vector<u64> group(basis.begin() + first, basis.begin() + first + count);
+    const RnsPoly x = random_rns(n, group, 40 + first);
+    EXPECT_EQ(modup(ntt_of(x), basis, first), ntt_of(modup_coeff_reference(x, basis, first)))
+        << "digit at " << first;
   }
-  EXPECT_THROW(modup(x, basis, 2), std::invalid_argument);  // not where x's basis sits
-  EXPECT_THROW(modup(x, basis, 4), std::invalid_argument);  // runs past the end
 }
 
 TEST(ModUpDown, ModdownExactWhenDivisible) {

@@ -247,13 +247,12 @@ TEST(PooledRns, BconvModupModdownBitIdenticalAcrossThreadCounts) {
       ScopedThreads guard(threads);
       std::vector<u64> basis = source;
       basis.insert(basis.end(), special.begin(), special.end());
-      RnsPoly up = modup(x, basis, 0);
-      up.to_ntt();
-      RnsPoly down = moddown(up, special.size());
-      down.to_coeff();
+      RnsPoly x_ntt = x;
+      x_ntt.to_ntt();
+      RnsPoly down = moddown(modup(x_ntt, basis, 0), special.size());
       const BConv conv(source, special);
       RnsPoly out = conv.apply(x);
-      out.append_channels(down);
+      out.insert_channels(out.num_channels(), down);
       return out;
     };
 
