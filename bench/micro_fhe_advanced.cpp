@@ -1,11 +1,12 @@
 // Microbenchmarks of the advanced FHE machinery: polynomial evaluation,
-// linear transforms, functional bootstrapping, BFV multiplication and the
-// cross-scheme bridge.
+// linear transforms, functional bootstrapping, BFV and BGV multiplication and
+// the cross-scheme bridge.
 #include <benchmark/benchmark.h>
 
 #include <memory>
 
 #include "bfv/bfv.h"
+#include "bfv/bgv.h"
 #include "bridge/scheme_switch.h"
 #include "ckks/bootstrap.h"
 #include "ckks/encryptor.h"
@@ -154,6 +155,24 @@ void BM_BfvMultiply(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BfvMultiply)->Unit(benchmark::kMillisecond);
+
+void BM_BgvMultiply(benchmark::State& state) {
+  using namespace alchemist::bgv;
+  static auto ctx = std::make_shared<BgvContext>(BfvParams::toy(1024));
+  static BgvKeyGenerator keygen(ctx, 7);
+  static BgvEncryptor encryptor(ctx, keygen.make_public_key());
+  static BgvEvaluator evaluator(ctx);
+  static const BgvRelinKey rk = keygen.make_relin_key();
+  static Rng rng(3);
+  static const BgvCiphertext ca =
+      encryptor.encrypt(bgv_encode(*ctx, rng.uniform_vector(1024, ctx->t())));
+  static const BgvCiphertext cb =
+      encryptor.encrypt(bgv_encode(*ctx, rng.uniform_vector(1024, ctx->t())));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(evaluator.multiply(ca, cb, rk));
+  }
+}
+BENCHMARK(BM_BgvMultiply)->Unit(benchmark::kMillisecond);
 
 void BM_BridgeSwitchToTfhe(benchmark::State& state) {
   static auto setup = [] {

@@ -1,19 +1,12 @@
 #include "bfv/bfv.h"
 
-#include "bfv/ring_ops.h"
-
+#include <algorithm>
 #include <cmath>
-#include <map>
-#include <memory>
 #include <stdexcept>
-
-#include "common/primes.h"
-#include "poly/ntt.h"
 
 namespace alchemist::bfv {
 
 namespace {
-// (shared ring helpers live in bfv/ring_ops.h)
 
 // round(t * d / q) mod q for a signed exact tensor coefficient.
 u64 scale_round(i128 d, u64 t, u64 q) {
@@ -28,27 +21,24 @@ u64 scale_round(i128 d, u64 t, u64 q) {
   return negative ? neg_mod(val, q) : val;
 }
 
-}  // namespace
+Polynomial scale_round(const std::vector<i128>& d, u64 t, u64 q) {
+  Polynomial out(d.size(), q);
+  for (std::size_t i = 0; i < d.size(); ++i) out[i] = scale_round(d[i], t, q);
+  return out;
+}
 
-BfvContext::BfvContext(const BfvParams& params) : params_(params) {
-  if (!is_power_of_two(params.n)) {
-    throw std::invalid_argument("BfvContext: N must be a power of two");
-  }
-  if (!is_prime(params.t) || (params.t - 1) % (2 * params.n) != 0) {
-    throw std::invalid_argument("BfvContext: t must be prime with t = 1 mod 2N");
-  }
+// The exact tensor product's two-prime CRT holds N*(q/2)^2 only up to here.
+const BfvParams& check_q_bits(const BfvParams& params) {
   if (params.q_bits < 40 || params.q_bits > 55) {
     throw std::invalid_argument("BfvContext: q_bits must be in [40, 55]");
   }
-  // q ≡ 1 (mod 2N) for the NTT *and* q ≡ 1 (mod t) so that q mod t = 1:
-  // the Delta*w wrap term alpha*(q mod t) then stays tiny, which is what
-  // keeps plain and ciphertext multiplication exact.
-  q_ = detail::find_prime_1mod(params.q_bits,
-                               2 * static_cast<u64>(params.n) * params.t);
-  relin_digits_ =
-      (static_cast<std::size_t>(params.q_bits) + params.relin_window - 1) /
-      params.relin_window;
+  return params;
 }
+
+}  // namespace
+
+BfvContext::BfvContext(const BfvParams& params)
+    : RingContext(check_q_bits(params), "BfvContext") {}
 
 BfvEncoder::BfvEncoder(BfvContextPtr ctx) : ctx_(std::move(ctx)) {}
 
@@ -61,96 +51,44 @@ std::vector<u64> BfvEncoder::decode(std::span<const u64> plain) const {
 }
 
 BfvKeyGenerator::BfvKeyGenerator(BfvContextPtr ctx, u64 seed)
-    : ctx_(std::move(ctx)), rng_(seed) {
-  secret_.s = detail::sample_small(ctx_->degree(), ctx_->q(), 0, rng_, /*ternary=*/true);
-}
+    : ctx_(std::move(ctx)), rng_(seed), secret_{detail::ternary(*ctx_, rng_)} {}
 
 BfvPublicKey BfvKeyGenerator::make_public_key() {
-  const std::size_t n = ctx_->degree();
-  const u64 q = ctx_->q();
-  BfvPublicKey pk;
-  pk.a = rng_.uniform_vector(n, q);
-  const auto e = detail::sample_small(n, q, ctx_->params().noise_sigma, rng_, false);
-  const auto as = detail::ring_mul(pk.a, secret_.s, q);
-  pk.b.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    pk.b[i] = neg_mod(add_mod(as[i], e[i], q), q);
-  }
-  return pk;
+  return {detail::rlwe_sample(*ctx_, secret_.s, 1, rng_)};
 }
 
 BfvRelinKey BfvKeyGenerator::make_relin_key() {
-  const std::size_t n = ctx_->degree();
-  const u64 q = ctx_->q();
-  const auto s2 = detail::ring_mul(secret_.s, secret_.s, q);
-  BfvRelinKey rk;
-  u64 power = 1;  // 2^(w*i) mod q
-  for (std::size_t i = 0; i < ctx_->relin_digits(); ++i) {
-    std::vector<u64> a = rng_.uniform_vector(n, q);
-    const auto e = detail::sample_small(n, q, ctx_->params().noise_sigma, rng_, false);
-    const auto as = detail::ring_mul(a, secret_.s, q);
-    std::vector<u64> b(n);
-    for (std::size_t k = 0; k < n; ++k) {
-      b[k] = add_mod(neg_mod(add_mod(as[k], e[k], q), q), mul_mod(power, s2[k], q), q);
-    }
-    rk.digits.emplace_back(std::move(b), std::move(a));
-    for (int w = 0; w < ctx_->params().relin_window; ++w) power = add_mod(power, power, q);
-  }
-  return rk;
+  return {detail::relin_key(*ctx_, secret_.s, 1, rng_)};
 }
 
 BfvEncryptor::BfvEncryptor(BfvContextPtr ctx, BfvPublicKey pk, u64 seed)
     : ctx_(std::move(ctx)), pk_(std::move(pk)), rng_(seed) {}
 
 BfvCiphertext BfvEncryptor::encrypt(std::span<const u64> plain) {
-  const std::size_t n = ctx_->degree();
-  if (plain.size() != n) throw std::invalid_argument("BfvEncryptor: bad plaintext size");
-  const u64 q = ctx_->q();
-  const u64 delta = ctx_->delta();
-  const auto u = detail::sample_small(n, q, 0, rng_, true);
-  const auto e1 = detail::sample_small(n, q, ctx_->params().noise_sigma, rng_, false);
-  const auto e2 = detail::sample_small(n, q, ctx_->params().noise_sigma, rng_, false);
-  BfvCiphertext ct;
-  ct.c0 = detail::ring_mul(pk_.b, u, q);
-  ct.c1 = detail::ring_mul(pk_.a, u, q);
-  for (std::size_t i = 0; i < n; ++i) {
-    ct.c0[i] = add_mod(add_mod(ct.c0[i], e1[i], q),
-                       mul_mod(delta, plain[i] % ctx_->t(), q), q);
-    ct.c1[i] = add_mod(ct.c1[i], e2[i], q);
-  }
-  return ct;
+  const Polynomial m = detail::to_ring(*ctx_, plain, ctx_->delta());
+  return {detail::encrypt(*ctx_, pk_, m, 1, rng_)};
 }
 
 BfvDecryptor::BfvDecryptor(BfvContextPtr ctx, BfvSecretKey sk)
     : ctx_(std::move(ctx)), sk_(std::move(sk)) {}
 
 std::vector<u64> BfvDecryptor::decrypt(const BfvCiphertext& ct) const {
-  const std::size_t n = ctx_->degree();
   const u64 q = ctx_->q();
   const u64 t = ctx_->t();
-  const auto c1s = detail::ring_mul(ct.c1, sk_.s, q);
-  std::vector<u64> out(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const u64 v = add_mod(ct.c0[i], c1s[i], q);
-    out[i] = static_cast<u64>((u128{t} * v + q / 2) / q) % t;
-  }
+  std::vector<u64> out = std::move(detail::phase(ct, sk_.s).coeffs());
+  for (u64& v : out) v = static_cast<u64>((u128{t} * v + q / 2) / q) % t;
   return out;
 }
 
 double BfvDecryptor::noise_bits(const BfvCiphertext& ct,
                                 std::span<const u64> plain) const {
-  const std::size_t n = ctx_->degree();
   const u64 q = ctx_->q();
-  const u64 delta = ctx_->delta();
-  const auto c1s = detail::ring_mul(ct.c1, sk_.s, q);
+  const Polynomial clean = detail::to_ring(*ctx_, plain, ctx_->delta());
+  const Polynomial noise = detail::phase(ct, sk_.s) - clean;
   double max_noise = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const u64 v = add_mod(ct.c0[i], c1s[i], q);
-    const u64 clean = mul_mod(delta, plain[i] % ctx_->t(), q);
-    const u64 diff = sub_mod(v, clean, q);
-    const double centered = diff <= q / 2 ? static_cast<double>(diff)
-                                          : -static_cast<double>(q - diff);
-    max_noise = std::max(max_noise, std::abs(centered));
+  // min(d, q - d) is |d| for d centered in (-q/2, q/2).
+  for (u64 d : noise.coeffs()) {
+    max_noise = std::max(max_noise, static_cast<double>(std::min(d, q - d)));
   }
   return max_noise > 0 ? std::log2(max_noise) : 0.0;
 }
@@ -158,75 +96,44 @@ double BfvDecryptor::noise_bits(const BfvCiphertext& ct,
 BfvEvaluator::BfvEvaluator(BfvContextPtr ctx) : ctx_(std::move(ctx)) {}
 
 BfvCiphertext BfvEvaluator::add(const BfvCiphertext& x, const BfvCiphertext& y) const {
-  return {detail::add_vec(x.c0, y.c0, ctx_->q()), detail::add_vec(x.c1, y.c1, ctx_->q())};
-}
-
-BfvCiphertext BfvEvaluator::negate(const BfvCiphertext& x) const {
-  const u64 q = ctx_->q();
-  BfvCiphertext out = x;
-  for (u64& v : out.c0) v = neg_mod(v, q);
-  for (u64& v : out.c1) v = neg_mod(v, q);
-  return out;
+  return {detail::add(x, y)};
 }
 
 BfvCiphertext BfvEvaluator::sub(const BfvCiphertext& x, const BfvCiphertext& y) const {
-  return add(x, negate(y));
+  return {detail::sub(x, y)};
+}
+
+BfvCiphertext BfvEvaluator::negate(const BfvCiphertext& x) const {
+  return {detail::negate(x)};
 }
 
 BfvCiphertext BfvEvaluator::add_plain(const BfvCiphertext& x,
                                       std::span<const u64> plain) const {
-  const u64 q = ctx_->q();
-  const u64 delta = ctx_->delta();
-  BfvCiphertext out = x;
-  for (std::size_t i = 0; i < out.c0.size(); ++i) {
-    out.c0[i] = add_mod(out.c0[i], mul_mod(delta, plain[i] % ctx_->t(), q), q);
-  }
-  return out;
+  return {detail::add_plain(x, detail::to_ring(*ctx_, plain, ctx_->delta()))};
 }
 
 BfvCiphertext BfvEvaluator::mul_plain(const BfvCiphertext& x,
                                       std::span<const u64> plain) const {
   // Multiply by the *unscaled* plaintext polynomial: Delta*m1*m2 stays at one
   // Delta factor, so no rescale is needed.
-  const u64 q = ctx_->q();
-  std::vector<u64> p(plain.size());
-  for (std::size_t i = 0; i < plain.size(); ++i) p[i] = (plain[i] % ctx_->t()) % q;
-  return {detail::ring_mul(x.c0, p, q), detail::ring_mul(x.c1, p, q)};
+  return {detail::mul_plain(x, detail::to_ring(*ctx_, plain, 1))};
 }
 
 BfvCiphertext BfvEvaluator::multiply(const BfvCiphertext& x, const BfvCiphertext& y,
                                      const BfvRelinKey& rk) const {
-  const std::size_t n = ctx_->degree();
   const u64 q = ctx_->q();
   const u64 t = ctx_->t();
-  
-
-  // Exact signed tensor product.
-  const auto d0 = detail::exact_negacyclic_mul(x.c0, y.c0, q);
-  auto d1 = detail::exact_negacyclic_mul(x.c0, y.c1, q);
-  const auto d1b = detail::exact_negacyclic_mul(x.c1, y.c0, q);
-  const auto d2 = detail::exact_negacyclic_mul(x.c1, y.c1, q);
-  for (std::size_t i = 0; i < n; ++i) d1[i] += d1b[i];
-
-  // Rescale by t/q with exact rounding.
-  std::vector<u64> e0(n), e1(n), e2(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    e0[i] = scale_round(d0[i], t, q);
-    e1[i] = scale_round(d1[i], t, q);
-    e2[i] = scale_round(d2[i], t, q);
-  }
-
-  // Relinearize e2 with the base-2^w key.
-  const int w = ctx_->params().relin_window;
-  const u64 mask = (u64{1} << w) - 1;
-  BfvCiphertext out{std::move(e0), std::move(e1)};
-  std::vector<u64> digit(n);
-  for (std::size_t i = 0; i < ctx_->relin_digits(); ++i) {
-    for (std::size_t k = 0; k < n; ++k) digit[k] = (e2[k] >> (w * static_cast<int>(i))) & mask;
-    out.c0 = detail::add_vec(out.c0, detail::ring_mul(rk.digits[i].first, digit, q), q);
-    out.c1 = detail::add_vec(out.c1, detail::ring_mul(rk.digits[i].second, digit, q), q);
-  }
-  return out;
+  const auto tensor = [&](const Polynomial& a, const Polynomial& b) {
+    if (a.degree() != ctx_->degree()) throw std::invalid_argument("multiply: ring mismatch");
+    return detail::exact_negacyclic_mul(a.coeffs(), b.coeffs(), q);
+  };
+  // Exact signed tensor product, rescaled by t/q with exact rounding.
+  auto d1 = tensor(x.c0, y.c1);
+  const auto d1b = tensor(x.c1, y.c0);
+  for (std::size_t i = 0; i < d1.size(); ++i) d1[i] += d1b[i];
+  detail::Ciphertext c{scale_round(tensor(x.c0, y.c0), t, q), scale_round(d1, t, q)};
+  return {detail::relinearize(*ctx_, std::move(c), scale_round(tensor(x.c1, y.c1), t, q),
+                              rk.digits)};
 }
 
 }  // namespace alchemist::bfv

@@ -9,69 +9,41 @@
 //
 // Unlike CKKS the arithmetic is exact: decrypt(enc(a) * enc(b)) == a*b mod t,
 // bit for bit, while noise stays under Delta/2.
+//
+// Keys, encryption, relinearization and batching are the RLWE core shared
+// with BGV (ring_ops.h), called with message scale Delta and noise multiplier
+// 1. BFV itself adds the t/q-rounding decrypt and the exact tensor product.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
 
-#include "common/modarith.h"
-#include "common/rng.h"
+#include "bfv/ring_ops.h"
 
 namespace alchemist::bfv {
 
-struct BfvParams {
-  std::size_t n = 1024;
-  int q_bits = 55;      // ciphertext modulus (single NTT prime)
-  u64 t = 65537;        // plaintext modulus, prime, t ≡ 1 (mod 2N)
-  int relin_window = 16;  // base-2^w decomposition for relinearization
-  double noise_sigma = 3.2;
-
-  static BfvParams toy(std::size_t n = 1024) {
-    BfvParams p;
-    p.n = n;
-    return p;
-  }
-};
-
-class BfvContext {
+class BfvContext : public detail::RingContext {
  public:
   explicit BfvContext(const BfvParams& params);
-
-  const BfvParams& params() const { return params_; }
-  std::size_t degree() const { return params_.n; }
-  u64 q() const { return q_; }
-  u64 t() const { return params_.t; }
-  u64 delta() const { return q_ / params_.t; }
-  std::size_t relin_digits() const { return relin_digits_; }
-
- private:
-  BfvParams params_;
-  u64 q_;
-  std::size_t relin_digits_;
+  u64 delta() const { return q() / t(); }
 };
 
 using BfvContextPtr = std::shared_ptr<const BfvContext>;
 
-// Coefficient vectors mod q (c0, c1): c0 + c1*s = Delta*m + e.
-struct BfvCiphertext {
-  std::vector<u64> c0;
-  std::vector<u64> c1;
-};
+// c0 + c1*s = Delta*m + e.
+struct BfvCiphertext : detail::Ciphertext {};
 
 struct BfvSecretKey {
-  std::vector<u64> s;  // ternary, mod q
+  Polynomial s;  // ternary, mod q
 };
 
-struct BfvPublicKey {
-  std::vector<u64> b;  // -(a*s + e)
-  std::vector<u64> a;
-};
+// b = -(a*s + e).
+struct BfvPublicKey : detail::RlweSample {};
 
 struct BfvRelinKey {
-  // digit i: (b_i, a_i) with b_i = -(a_i s + e_i) + 2^(w*i) s^2.
-  std::vector<std::pair<std::vector<u64>, std::vector<u64>>> digits;
+  // digit i: b_i = -(a_i s + e_i) + 2^(w*i) s^2.
+  std::vector<detail::RlweSample> digits;
 };
 
 // SIMD batching: vector of N values mod t <-> plaintext polynomial.

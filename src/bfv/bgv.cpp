@@ -1,27 +1,8 @@
 #include "bfv/bgv.h"
 
-#include <stdexcept>
-
-#include "bfv/ring_ops.h"
-#include "common/primes.h"
-
 namespace alchemist::bgv {
 
 namespace detail = bfv::detail;
-
-BgvContext::BgvContext(const BfvParams& params) : params_(params) {
-  if (!is_power_of_two(params.n)) {
-    throw std::invalid_argument("BgvContext: N must be a power of two");
-  }
-  if (!is_prime(params.t) || (params.t - 1) % (2 * params.n) != 0) {
-    throw std::invalid_argument("BgvContext: t must be prime with t = 1 mod 2N");
-  }
-  q_ = detail::find_prime_1mod(params.q_bits,
-                               2 * static_cast<u64>(params.n) * params.t);
-  relin_digits_ =
-      (static_cast<std::size_t>(params.q_bits) + params.relin_window - 1) /
-      params.relin_window;
-}
 
 std::vector<u64> bgv_encode(const BgvContext& ctx, std::span<const u64> values) {
   return detail::batch_encode(ctx.degree(), ctx.t(), values);
@@ -32,155 +13,64 @@ std::vector<u64> bgv_decode(const BgvContext& ctx, std::span<const u64> plain) {
 }
 
 BgvKeyGenerator::BgvKeyGenerator(BgvContextPtr ctx, u64 seed)
-    : ctx_(std::move(ctx)), rng_(seed) {
-  secret_.s = detail::sample_small(ctx_->degree(), ctx_->q(), 0, rng_, true);
-}
+    : ctx_(std::move(ctx)), rng_(seed), secret_{detail::ternary(*ctx_, rng_)} {}
 
 BgvPublicKey BgvKeyGenerator::make_public_key() {
-  const std::size_t n = ctx_->degree();
-  const u64 q = ctx_->q();
-  const u64 t = ctx_->t();
-  BgvPublicKey pk;
-  pk.a = rng_.uniform_vector(n, q);
-  const auto e = detail::sample_small(n, q, ctx_->params().noise_sigma, rng_, false);
-  const auto as = detail::ring_mul(pk.a, secret_.s, q);
-  pk.b.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    // -(a*s + t*e): the noise rides at t-multiples so it vanishes mod t.
-    pk.b[i] = neg_mod(add_mod(as[i], mul_mod(t, e[i], q), q), q);
-  }
-  return pk;
+  // The noise rides at t-multiples so it vanishes mod t.
+  return {detail::rlwe_sample(*ctx_, secret_.s, ctx_->t(), rng_)};
 }
 
 BgvRelinKey BgvKeyGenerator::make_relin_key() {
-  const std::size_t n = ctx_->degree();
-  const u64 q = ctx_->q();
-  const u64 t = ctx_->t();
-  const auto s2 = detail::ring_mul(secret_.s, secret_.s, q);
-  BgvRelinKey rk;
-  u64 power = 1;
-  for (std::size_t i = 0; i < ctx_->relin_digits(); ++i) {
-    std::vector<u64> a = rng_.uniform_vector(n, q);
-    const auto e = detail::sample_small(n, q, ctx_->params().noise_sigma, rng_, false);
-    const auto as = detail::ring_mul(a, secret_.s, q);
-    std::vector<u64> b(n);
-    for (std::size_t k = 0; k < n; ++k) {
-      const u64 noisy = add_mod(as[k], mul_mod(t, e[k], q), q);
-      b[k] = add_mod(neg_mod(noisy, q), mul_mod(power, s2[k], q), q);
-    }
-    rk.digits.emplace_back(std::move(b), std::move(a));
-    for (int w = 0; w < ctx_->params().relin_window; ++w) power = add_mod(power, power, q);
-  }
-  return rk;
+  return {detail::relin_key(*ctx_, secret_.s, ctx_->t(), rng_)};
 }
 
 BgvEncryptor::BgvEncryptor(BgvContextPtr ctx, BgvPublicKey pk, u64 seed)
     : ctx_(std::move(ctx)), pk_(std::move(pk)), rng_(seed) {}
 
 BgvCiphertext BgvEncryptor::encrypt(std::span<const u64> plain) {
-  const std::size_t n = ctx_->degree();
-  if (plain.size() != n) throw std::invalid_argument("BgvEncryptor: bad plaintext size");
-  const u64 q = ctx_->q();
-  const u64 t = ctx_->t();
-  const auto u = detail::sample_small(n, q, 0, rng_, true);
-  const auto e1 = detail::sample_small(n, q, ctx_->params().noise_sigma, rng_, false);
-  const auto e2 = detail::sample_small(n, q, ctx_->params().noise_sigma, rng_, false);
-  BgvCiphertext ct;
-  ct.c0 = detail::ring_mul(pk_.b, u, q);
-  ct.c1 = detail::ring_mul(pk_.a, u, q);
-  for (std::size_t i = 0; i < n; ++i) {
-    ct.c0[i] = add_mod(ct.c0[i],
-                       add_mod(mul_mod(t, e1[i], q), plain[i] % t, q), q);
-    ct.c1[i] = add_mod(ct.c1[i], mul_mod(t, e2[i], q), q);
-  }
-  return ct;
+  const Polynomial m = detail::to_ring(*ctx_, plain, 1);
+  return {detail::encrypt(*ctx_, pk_, m, ctx_->t(), rng_)};
 }
 
 BgvDecryptor::BgvDecryptor(BgvContextPtr ctx, BgvSecretKey sk)
     : ctx_(std::move(ctx)), sk_(std::move(sk)) {}
 
 std::vector<u64> BgvDecryptor::decrypt(const BgvCiphertext& ct) const {
-  const std::size_t n = ctx_->degree();
   const u64 q = ctx_->q();
   const u64 t = ctx_->t();
-  const auto c1s = detail::ring_mul(ct.c1, sk_.s, q);
-  std::vector<u64> out(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const u64 v = add_mod(ct.c0[i], c1s[i], q);
-    // Centered lift, then mod t: the message sits in the low bits.
-    if (v <= q / 2) {
-      out[i] = v % t;
-    } else {
-      const u64 neg = (q - v) % t;  // |centered| mod t
-      out[i] = neg == 0 ? 0 : t - neg;
-    }
-  }
+  std::vector<u64> out = std::move(detail::phase(ct, sk_.s).coeffs());
+  // Centered lift, then mod t: the message sits in the low bits.
+  for (u64& v : out) v = v <= q / 2 ? v % t : (t - (q - v) % t) % t;
   return out;
 }
 
 BgvEvaluator::BgvEvaluator(BgvContextPtr ctx) : ctx_(std::move(ctx)) {}
 
 BgvCiphertext BgvEvaluator::add(const BgvCiphertext& x, const BgvCiphertext& y) const {
-  return {detail::add_vec(x.c0, y.c0, ctx_->q()), detail::add_vec(x.c1, y.c1, ctx_->q())};
+  return {detail::add(x, y)};
 }
 
 BgvCiphertext BgvEvaluator::sub(const BgvCiphertext& x, const BgvCiphertext& y) const {
-  const u64 q = ctx_->q();
-  BgvCiphertext neg = y;
-  for (u64& v : neg.c0) v = neg_mod(v, q);
-  for (u64& v : neg.c1) v = neg_mod(v, q);
-  return add(x, neg);
+  return {detail::sub(x, y)};
 }
 
 BgvCiphertext BgvEvaluator::add_plain(const BgvCiphertext& x,
                                       std::span<const u64> plain) const {
-  const u64 q = ctx_->q();
-  BgvCiphertext out = x;
-  for (std::size_t i = 0; i < out.c0.size(); ++i) {
-    out.c0[i] = add_mod(out.c0[i], plain[i] % ctx_->t(), q);
-  }
-  return out;
+  return {detail::add_plain(x, detail::to_ring(*ctx_, plain, 1))};
 }
 
 BgvCiphertext BgvEvaluator::mul_plain(const BgvCiphertext& x,
                                       std::span<const u64> plain) const {
-  const u64 q = ctx_->q();
-  std::vector<u64> p(plain.size());
-  for (std::size_t i = 0; i < plain.size(); ++i) p[i] = plain[i] % ctx_->t();
-  return {detail::ring_mul(x.c0, p, q), detail::ring_mul(x.c1, p, q)};
+  return {detail::mul_plain(x, detail::to_ring(*ctx_, plain, 1))};
 }
 
 BgvCiphertext BgvEvaluator::multiply(const BgvCiphertext& x, const BgvCiphertext& y,
                                      const BgvRelinKey& rk) const {
-  const std::size_t n = ctx_->degree();
-  const u64 q = ctx_->q();
-
-  // Exact centered tensor, reduced straight back into [0, q) — no rescaling
-  // in BGV; the t*e noise multiplies instead.
-  const auto d0 = detail::exact_negacyclic_mul(x.c0, y.c0, q);
-  auto d1 = detail::exact_negacyclic_mul(x.c0, y.c1, q);
-  const auto d1b = detail::exact_negacyclic_mul(x.c1, y.c0, q);
-  const auto d2 = detail::exact_negacyclic_mul(x.c1, y.c1, q);
-
-  std::vector<u64> e0(n), e1(n), e2(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    e0[i] = detail::center_mod(d0[i], q);
-    e1[i] = detail::center_mod(d1[i] + d1b[i], q);
-    e2[i] = detail::center_mod(d2[i], q);
-  }
-
-  const int w = ctx_->params().relin_window;
-  const u64 mask = (u64{1} << w) - 1;
-  BgvCiphertext out{std::move(e0), std::move(e1)};
-  std::vector<u64> digit(n);
-  for (std::size_t i = 0; i < ctx_->relin_digits(); ++i) {
-    for (std::size_t k = 0; k < n; ++k) {
-      digit[k] = (e2[k] >> (w * static_cast<int>(i))) & mask;
-    }
-    out.c0 = detail::add_vec(out.c0, detail::ring_mul(rk.digits[i].first, digit, q), q);
-    out.c1 = detail::add_vec(out.c1, detail::ring_mul(rk.digits[i].second, digit, q), q);
-  }
-  return out;
+  // The tensor product mod q — no rescaling in BGV; the t*e noise multiplies
+  // instead.
+  Polynomial d1 = x.c0 * y.c1;
+  d1 += x.c1 * y.c0;
+  return {detail::relinearize(*ctx_, {x.c0 * y.c0, std::move(d1)}, x.c1 * y.c1, rk.digits)};
 }
 
 }  // namespace alchemist::bgv

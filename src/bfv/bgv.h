@@ -2,11 +2,14 @@
 //
 // Where BFV stores the message in the high bits (Delta * m) and rescales
 // products by t/q, BGV stores it in the low bits: c0 + c1*s = m + t*e. Adds
-// and multiplies act on the message directly modulo t; the tensor product
-// needs no scaling (the noise t*e grows instead — this single-modulus
-// implementation supports one multiplicative level; production BGV adds
-// modulus switching). Batching reuses the negacyclic NTT over Z_t, exactly
-// as in BFV.
+// and multiplies act on the message directly modulo t; the tensor product is
+// taken mod q and needs no scaling (the noise t*e grows instead — this
+// single-modulus implementation supports one multiplicative level;
+// production BGV adds modulus switching).
+//
+// Keys, encryption, relinearization and batching are the RLWE core shared
+// with BFV (ring_ops.h), called with message scale 1 and noise multiplier t.
+// BGV itself adds the centered decrypt and its mod-q tensor product.
 #pragma once
 
 #include "bfv/bfv.h"
@@ -15,40 +18,26 @@ namespace alchemist::bgv {
 
 using bfv::BfvParams;
 
-class BgvContext {
+class BgvContext : public bfv::detail::RingContext {
  public:
-  explicit BgvContext(const BfvParams& params);
-  const BfvParams& params() const { return params_; }
-  std::size_t degree() const { return params_.n; }
-  u64 q() const { return q_; }
-  u64 t() const { return params_.t; }
-  std::size_t relin_digits() const { return relin_digits_; }
-
- private:
-  BfvParams params_;
-  u64 q_;
-  std::size_t relin_digits_;
+  explicit BgvContext(const BfvParams& params) : RingContext(params, "BgvContext") {}
 };
 
 using BgvContextPtr = std::shared_ptr<const BgvContext>;
 
-struct BgvCiphertext {
-  std::vector<u64> c0;
-  std::vector<u64> c1;
-};
+// c0 + c1*s = m + t*e.
+struct BgvCiphertext : bfv::detail::Ciphertext {};
 
 struct BgvSecretKey {
-  std::vector<u64> s;
+  Polynomial s;
 };
 
-struct BgvPublicKey {
-  std::vector<u64> b;  // -(a*s + t*e)
-  std::vector<u64> a;
-};
+// b = -(a*s + t*e).
+struct BgvPublicKey : bfv::detail::RlweSample {};
 
 struct BgvRelinKey {
-  // digit i: (b_i, a_i) with b_i = -(a_i s + t e_i) + 2^(w*i) s^2.
-  std::vector<std::pair<std::vector<u64>, std::vector<u64>>> digits;
+  // digit i: b_i = -(a_i s + t e_i) + 2^(w*i) s^2.
+  std::vector<bfv::detail::RlweSample> digits;
 };
 
 // Batching: identical plaintext ring to BFV — reuse bfv::BfvEncoder with a

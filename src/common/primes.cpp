@@ -42,17 +42,18 @@ bool is_prime(u64 n) {
   return true;
 }
 
+u64 max_prime_1mod(int bits, u64 step) {
+  if (bits < 3 || bits > 62) throw std::invalid_argument("max_prime_1mod: bits out of range");
+  // Start from the largest candidate ≡ 1 (mod step) below 2^bits.
+  for (u64 c = ((u64{1} << bits) - 1) / step * step + 1; c > step; c -= step) {
+    if (is_prime(c)) return c;
+  }
+  throw std::runtime_error("max_prime_1mod: no prime found for bits=" + std::to_string(bits));
+}
+
 u64 max_ntt_prime(int bits, std::size_t n) {
   if (!is_power_of_two(n)) throw std::invalid_argument("max_ntt_prime: N must be a power of two");
-  if (bits < 3 || bits > 62) throw std::invalid_argument("max_ntt_prime: bits out of range");
-  const u64 two_n = 2 * static_cast<u64>(n);
-  // Start from the largest candidate ≡ 1 (mod 2N) below 2^bits.
-  u64 candidate = ((u64{1} << bits) - 1) / two_n * two_n + 1;
-  while (candidate > two_n) {
-    if (is_prime(candidate)) return candidate;
-    candidate -= two_n;
-  }
-  throw std::runtime_error("max_ntt_prime: no prime found for bits=" + std::to_string(bits));
+  return max_prime_1mod(bits, 2 * static_cast<u64>(n));
 }
 
 std::vector<u64> generate_ntt_primes(int bits, std::size_t n, std::size_t count) {

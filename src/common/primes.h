@@ -15,7 +15,11 @@ namespace alchemist {
 // Deterministic Miller-Rabin for 64-bit integers.
 bool is_prime(u64 n);
 
-// Largest prime p < 2^bits with p ≡ 1 (mod 2N). Throws if none exists.
+// Largest prime p < 2^bits with p ≡ 1 (mod step), bits in [3, 62]. Throws if
+// none exists.
+u64 max_prime_1mod(int bits, u64 step);
+
+// Largest prime p < 2^bits with p ≡ 1 (mod 2N): max_prime_1mod(bits, 2N).
 u64 max_ntt_prime(int bits, std::size_t n);
 
 // `count` distinct primes, each ≡ 1 (mod 2N), descending from just below

@@ -1,8 +1,9 @@
 // Dense polynomial over a single prime modulus in R_q = Z_q[X]/(X^N + 1).
 //
-// The single-channel reference: tests check the multi-channel RnsPoly (which
-// CKKS works with) against it channel by channel. TFHE does not use it; its
-// rings are torus polynomials (tfhe/torus_poly.h).
+// The single-modulus ring of BFV and BGV (their shared RLWE core,
+// bfv/ring_ops.h), and the reference that tests check the multi-channel
+// RnsPoly (which CKKS works with) against, channel by channel. TFHE does not
+// use it; its rings are torus polynomials (tfhe/torus_poly.h).
 #pragma once
 
 #include <cstddef>

@@ -37,6 +37,18 @@ TEST(Primes, MaxNttPrimeProperties) {
   }
 }
 
+TEST(Primes, MaxPrime1ModSearchesAnyStep) {
+  const u64 step = 2 * 1024 * u64{65537};  // BFV/BGV: q ≡ 1 (mod 2Nt)
+  const u64 q = max_prime_1mod(55, step);
+  EXPECT_TRUE(is_prime(q));
+  EXPECT_LT(q, u64{1} << 55);
+  EXPECT_EQ((q - 1) % step, 0u);
+  EXPECT_EQ(max_prime_1mod(50, 2 * 4096), max_ntt_prime(50, 4096));
+  for (int bits : {2, 63, 64}) {
+    EXPECT_THROW(max_prime_1mod(bits, 2048), std::invalid_argument) << bits;
+  }
+}
+
 TEST(Primes, GenerateNttPrimesDistinctAndValid) {
   const std::size_t n = 4096;
   const auto primes = generate_ntt_primes(36, n, 10);
