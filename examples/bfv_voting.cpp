@@ -46,8 +46,10 @@ int main() {
   }
 
   const auto counts = encoder.decode(decryptor.decrypt(tally));
+  bool all_ok = true;
   std::printf("\n%-12s %-10s %-10s\n", "candidate", "decrypted", "expected");
   for (std::size_t c = 0; c < candidates; ++c) {
+    all_ok &= counts[c] == true_tally[c];
     std::printf("%-12zu %-10llu %-10llu %s\n", c,
                 static_cast<unsigned long long>(counts[c]),
                 static_cast<unsigned long long>(true_tally[c]),
@@ -65,7 +67,6 @@ int main() {
   const auto wscore = encoder.decode(decryptor.decrypt(weighted));
   const auto sq = encoder.decode(decryptor.decrypt(squares));
   std::printf("\nweighted points per candidate (exact): ");
-  bool all_ok = true;
   for (std::size_t c = 0; c < candidates; ++c) {
     std::printf("%llu ", static_cast<unsigned long long>(wscore[c]));
     all_ok &= wscore[c] == weights[c] * true_tally[c];
@@ -76,5 +77,5 @@ int main() {
     std::printf("%llu ", static_cast<unsigned long long>(sq[c]));
   }
   std::printf("\nall homomorphic results exact: %s\n", all_ok ? "yes" : "NO");
-  return 0;
+  return all_ok ? 0 : 1;
 }

@@ -84,10 +84,11 @@ int main() {
   const auto start = std::chrono::steady_clock::now();
   const LweSample nand = gate_nand(a, b, rctx);
   const auto stop = std::chrono::steady_clock::now();
+  const bool nand_ok = decrypt_bit(nand, lk);
   std::printf("  NAND(true, false) = %s in %.1f ms (software, single thread)\n",
-              decrypt_bit(nand, lk) ? "true" : "false",
+              nand_ok ? "true" : "false",
               std::chrono::duration<double, std::milli>(stop - start).count());
   std::printf("  (the Alchemist simulator bootstraps ~100k/s of these — see "
               "bench/fig6b_tfhe_pbs)\n");
-  return 0;
+  return correct == checked && nand_ok ? 0 : 1;
 }
