@@ -86,8 +86,9 @@ int main() {
   }
 
   bench::print_footnote(
-      "the CKKS keyswitch and the TFHE external product run mul_sum_lazy, and "
-      "BConv runs weighted_sum_lazy (src/poly/lazy_kernels.h)");
+      "the CKKS keyswitch runs mul_sum_lazy and BConv runs weighted_sum_lazy "
+      "(src/poly/lazy_kernels.h); the TFHE external product runs the 32-bit-word "
+      "simd::mul_sum_narrow");
   if (!all_match) {
     std::fprintf(stderr, "ablation_lazy_reduction: a lazy kernel differs from its eager "
                          "reference\n");

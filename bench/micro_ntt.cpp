@@ -19,8 +19,8 @@
 //                            and the avx2/avx512 runs are host-dependent so
 //                            the gate treats them as --optional.
 //   --smoke                  1-vs-2-thread + lazy-vs-eager + per-ISA
-//                            bit-identity assertions; exit non-zero on
-//                            mismatch.
+//                            bit-identity assertions, the narrow kernels
+//                            included; exit non-zero on mismatch.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -376,6 +376,48 @@ int run_smoke_mode() {
       return 1;
     }
   }
+  // Narrow (30-bit prime, 32-bit word) transforms and MAC on every supported
+  // ISA: the transforms against the 64-bit eager ones on the same prime, the
+  // MAC against an exact 128-bit sum.
+  {
+    const std::size_t n = 4096;
+    const u64 p = max_ntt_prime(30, n);
+    const NarrowNttTable narrow(static_cast<u32>(p), n);
+    const NttTable& wide = get_ntt_table(p, n);
+    const std::vector<u64> input = rng.uniform_vector(n, p);
+    std::vector<u64> fwd = input, inv = input;
+    wide.forward_eager(fwd);
+    wide.inverse_eager(inv);
+    constexpr std::size_t kRows = 20;  // folds once mid-way
+    std::vector<std::vector<u32>> rows(kRows);
+    std::vector<const u32*> row_ptrs(kRows);
+    for (std::size_t t = 0; t < kRows; ++t) {
+      rows[t].assign(n, static_cast<u32>(p - 1 - t));
+      row_ptrs[t] = rows[t].data();
+    }
+    std::vector<u32> mac_ref(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      u128 sum = 0;
+      for (std::size_t t = 0; t < kRows; ++t) sum += u128{rows[t][k]} * rows[t][k];
+      mac_ref[k] = static_cast<u32>(sum % p);
+    }
+    for (simd::Isa isa : {simd::Isa::Scalar, simd::Isa::Avx2, simd::Isa::Avx512}) {
+      if (!simd::isa_supported(isa)) continue;
+      std::vector<u32> a(input.begin(), input.end());
+      narrow.forward(a, isa);
+      const bool fwd_ok = std::equal(a.begin(), a.end(), fwd.begin());
+      a.assign(input.begin(), input.end());
+      narrow.inverse(a, isa);
+      const bool inv_ok = std::equal(a.begin(), a.end(), inv.begin());
+      simd::mul_sum_narrow(row_ptrs.data(), row_ptrs.data(), kRows, n, static_cast<u32>(p),
+                           a.data(), isa);
+      if (!fwd_ok || !inv_ok || a != mac_ref) {
+        std::fprintf(stderr, "SMOKE FAIL: %s narrow %s != reference\n", simd::isa_name(isa),
+                     !fwd_ok ? "forward NTT" : !inv_ok ? "inverse NTT" : "MAC");
+        return 1;
+      }
+    }
+  }
   // Pooled path vs sequential, bit for bit.
   ThreadPool::set_threads(1);
   const RnsPoly seq = run_fixed_workload(nullptr);
@@ -386,8 +428,8 @@ int run_smoke_mode() {
     return 1;
   }
   std::fprintf(stderr,
-               "SMOKE OK: lazy==eager, per-ISA==eager (<=%s), 2-thread==sequential "
-               "(bit-identical)\n",
+               "SMOKE OK: lazy==eager, per-ISA==eager (<=%s), narrow==wide eager, "
+               "2-thread==sequential (bit-identical)\n",
                simd::isa_name(simd::best_supported_isa()));
   return 0;
 }

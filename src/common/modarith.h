@@ -13,6 +13,7 @@
 
 namespace alchemist {
 
+using u32 = std::uint32_t;
 using u64 = std::uint64_t;
 using u128 = unsigned __int128;
 using i64 = std::int64_t;

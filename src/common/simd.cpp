@@ -1,14 +1,18 @@
 #include "common/simd.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
+#include "common/modarith.h"
+
 namespace alchemist::simd {
 
 namespace {
 
+using u32 = std::uint32_t;
 using u64 = std::uint64_t;
 using u128 = unsigned __int128;
 
@@ -75,6 +79,9 @@ const char* kern_name(Kern k) {
     case Kern::NttInv: return "ntt_inv";
     case Kern::WeightedSum: return "weighted_sum";
     case Kern::MulAcc: return "mul_acc";
+    case Kern::NttFwdNarrow: return "ntt_fwd_narrow";
+    case Kern::NttInvNarrow: return "ntt_inv_narrow";
+    case Kern::MulSumNarrow: return "mul_sum_narrow";
     case Kern::kCount: break;
   }
   return "unknown";
@@ -155,12 +162,30 @@ void note_dispatch(Kern k, Isa isa) {
       .fetch_add(1, std::memory_order_relaxed);
 }
 
+NarrowCrt::NarrowCrt(u32 prime1, u32 prime2) : q1(prime1), q2(prime2) {
+  if (q2 < 2 || q2 >= q1 || q1 >= 2 * u64{q2} || q1 > kMaxNarrowModulus) {
+    throw std::invalid_argument("NarrowCrt: need q2 < q1 < 2 q2 and q1 < 2^30");
+  }
+  q1_inv = static_cast<u32>(inv_mod(q1 - q2, q2));  // q1 mod q2 = q1 - q2
+  q1_inv_quot = static_cast<u32>((u64{q1_inv} << 32) / q2);
+  q = u64{q1} * q2;
+}
+
 // ---------------------------------------------------------------------------
 // Scalar reference kernels. These mirror the pre-SIMD NttTable butterflies
 // exactly (same operation sequence mod 2^64) and stay the pinned baseline
 // the vector variants are proved against.
 
 namespace detail {
+
+NarrowFold::NarrowFold(u32 modulus) : q(modulus) {
+  if (q < 2 || q > kMaxNarrowModulus) {
+    throw std::invalid_argument("NarrowFold: modulus must be in [2, 2^30)");
+  }
+  r32 = static_cast<u32>((u64{1} << 32) % q);
+  r32_quot = static_cast<u32>((u64{r32} << 32) / q);
+  one_quot = static_cast<u32>((u64{1} << 32) / q);
+}
 
 namespace {
 
@@ -169,6 +194,22 @@ namespace {
 inline u64 shoup_mul_lazy(u64 x, u64 op, u64 quot, u64 q) {
   const u64 hi = static_cast<u64>((u128{quot} * x) >> 64);
   return op * x - hi * q;
+}
+
+// The narrow Shoup multiply: [0, 2q) for any 32-bit x when q < 2^30, with
+// w * x and hi * q formed mod 2^32.
+inline u32 shoup_mul_lazy32(u32 x, u32 op, u32 quot, u32 q) {
+  const u32 hi = static_cast<u32>((u64{quot} * x) >> 32);
+  return op * x - hi * q;
+}
+
+inline u32 fold32(u32 x, u32 bound) { return x - (bound & (x >= bound ? ~u32{0} : 0)); }
+
+// A u64 sum mod q, canonical: hi * (2^32 mod q) + lo, each in [0, 2q).
+inline u32 fold_sum(u64 s, const NarrowFold& f) {
+  const u32 r = shoup_mul_lazy32(static_cast<u32>(s >> 32), f.r32, f.r32_quot, f.q) +
+                shoup_mul_lazy32(static_cast<u32>(s), 1, f.one_quot, f.q);
+  return fold32(fold32(r, 2 * f.q), f.q);
 }
 
 }  // namespace
@@ -255,6 +296,105 @@ void mul_accumulate_scalar(const u64* a, const u64* b, std::size_t n,
   }
 }
 
+void ntt_forward_narrow_scalar(const NttTables32& t, u32* a) {
+  const u32 q = t.q;
+  const u32 two_q = 2 * q;
+  std::size_t len = t.n;
+  for (std::size_t m = 1; m < t.n; m <<= 1) {
+    len >>= 1;
+    for (std::size_t i = 0; i < m; ++i) {
+      const std::size_t j1 = 2 * i * len;
+      const u32 op = t.w_op[m + i];
+      const u32 quot = t.w_quot[m + i];
+      for (std::size_t j = j1; j < j1 + len; ++j) {
+        const u32 u = fold32(a[j], two_q);
+        const u32 v = shoup_mul_lazy32(a[j + len], op, quot, q);
+        a[j] = u + v;
+        a[j + len] = u + two_q - v;
+      }
+    }
+  }
+  for (std::size_t j = 0; j < t.n; ++j) a[j] = fold32(fold32(a[j], two_q), q);
+}
+
+void ntt_inverse_narrow_scalar(const NttTables32& t, u32* a, u32 ninv_op, u32 ninv_quot) {
+  const u32 q = t.q;
+  const u32 two_q = 2 * q;
+  std::size_t len = 1;
+  for (std::size_t m = t.n; m > 1; m >>= 1) {
+    const std::size_t h = m >> 1;
+    std::size_t j1 = 0;
+    for (std::size_t i = 0; i < h; ++i) {
+      const u32 op = t.w_op[h + i];
+      const u32 quot = t.w_quot[h + i];
+      for (std::size_t j = j1; j < j1 + len; ++j) {
+        const u32 u = a[j];
+        const u32 v = a[j + len];
+        a[j] = fold32(u + v, two_q);
+        a[j + len] = shoup_mul_lazy32(u + two_q - v, op, quot, q);
+      }
+      j1 += 2 * len;
+    }
+    len <<= 1;
+  }
+  for (std::size_t j = 0; j < t.n; ++j) {
+    a[j] = fold32(shoup_mul_lazy32(a[j], ninv_op, ninv_quot, q), q);
+  }
+}
+
+void mul_sum_narrow_scalar(const u32* const* a, const u32* const* b, std::size_t rows,
+                           std::size_t begin, std::size_t end, const NarrowFold& f,
+                           u32* out) {
+  constexpr std::size_t kBlock = 256;
+  u64 acc[kBlock];
+  for (std::size_t base = begin; base < end; base += kBlock) {
+    const std::size_t len = std::min(kBlock, end - base);
+    std::fill_n(acc, len, u64{0});
+    for (std::size_t t0 = 0; t0 < rows; t0 += kNarrowMacRows) {
+      if (t0 > 0) {
+        for (std::size_t k = 0; k < len; ++k) acc[k] = fold_sum(acc[k], f);
+      }
+      for (std::size_t t = t0; t < std::min(rows, t0 + kNarrowMacRows); ++t) {
+        const u32* at = a[t] + base;
+        const u32* bt = b[t] + base;
+        for (std::size_t k = 0; k < len; ++k) acc[k] += u64{at[k]} * bt[k];
+      }
+    }
+    for (std::size_t k = 0; k < len; ++k) out[base + k] = fold_sum(acc[k], f);
+  }
+}
+
+void gadget_residues_narrow_scalar(const u64* src, std::size_t begin, std::size_t n,
+                                   u64 offset, int bg_bits, std::size_t levels,
+                                   const NarrowCrt& crt, u32* dst) {
+  const u32 mask = (u32{1} << bg_bits) - 1;
+  const u32 half = u32{1} << (bg_bits - 1);
+  for (std::size_t k = begin; k < n; ++k) {
+    const u64 s = src[k] + offset;
+    for (std::size_t i = 0; i < levels; ++i) {
+      const unsigned shift = 64 - static_cast<unsigned>((i + 1) * bg_bits);
+      const u32 f = static_cast<u32>(s >> shift) & mask;
+      const u32 neg = f < half ? ~u32{0} : 0;  // digit f - half < 0: add q
+      dst[(2 * i) * n + k] = f - half + (crt.q1 & neg);
+      dst[(2 * i + 1) * n + k] = f - half + (crt.q2 & neg);
+    }
+  }
+}
+
+void crt_lift_add_narrow_scalar(const u32* lo, const u32* hi, std::size_t begin,
+                                std::size_t n, const NarrowCrt& crt, u64* dst) {
+  const u64 half_q = crt.q / 2;
+  auto lift = [&](u32 r1, u32 r2) -> u64 {
+    const u32 d = r2 + crt.q2 - fold32(r1, crt.q2);  // (r2 - r1) mod q2, in (0, 2 q2)
+    const u32 t = fold32(shoup_mul_lazy32(d, crt.q1_inv, crt.q1_inv_quot, crt.q2), crt.q2);
+    const u64 x = r1 + u64{crt.q1} * t;  // in [0, Q)
+    return x - (crt.q & (x > half_q ? ~u64{0} : 0));  // wraps to the negative value
+  };
+  for (std::size_t k = begin; k < n; ++k) {
+    dst[k] += lift(lo[k], lo[n + k]) + (lift(hi[k], hi[n + k]) << 32);
+  }
+}
+
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
@@ -314,6 +454,77 @@ void mul_acc_with(const u64* a, const u64* b, std::size_t n, u64* acc_lo, u64* a
   }
 }
 
+void forward_narrow_with(const NttTables32& t, u32* a, Isa isa) {
+  switch (isa) {
+#if ALCHEMIST_SIMD_AVX512
+    case Isa::Avx512: detail::ntt_forward_narrow_avx512(t, a); return;
+#endif
+#if ALCHEMIST_SIMD_AVX2
+    case Isa::Avx2: detail::ntt_forward_narrow_avx2(t, a); return;
+#endif
+    default: detail::ntt_forward_narrow_scalar(t, a); return;
+  }
+}
+
+void inverse_narrow_with(const NttTables32& t, u32* a, u32 ninv_op, u32 ninv_quot,
+                         Isa isa) {
+  switch (isa) {
+#if ALCHEMIST_SIMD_AVX512
+    case Isa::Avx512: detail::ntt_inverse_narrow_avx512(t, a, ninv_op, ninv_quot); return;
+#endif
+#if ALCHEMIST_SIMD_AVX2
+    case Isa::Avx2: detail::ntt_inverse_narrow_avx2(t, a, ninv_op, ninv_quot); return;
+#endif
+    default: detail::ntt_inverse_narrow_scalar(t, a, ninv_op, ninv_quot); return;
+  }
+}
+
+void mul_sum_narrow_with(const u32* const* a, const u32* const* b, std::size_t rows,
+                         std::size_t n, u32 q, u32* out, Isa isa) {
+  const detail::NarrowFold f(q);
+  switch (isa) {
+#if ALCHEMIST_SIMD_AVX512
+    case Isa::Avx512: detail::mul_sum_narrow_avx512(a, b, rows, n, f, out); return;
+#endif
+#if ALCHEMIST_SIMD_AVX2
+    case Isa::Avx2: detail::mul_sum_narrow_avx2(a, b, rows, n, f, out); return;
+#endif
+    default: detail::mul_sum_narrow_scalar(a, b, rows, 0, n, f, out); return;
+  }
+}
+
+void gadget_residues_with(const u64* src, std::size_t n, u64 offset, int bg_bits,
+                          std::size_t levels, const NarrowCrt& crt, u32* dst, Isa isa) {
+  switch (isa) {
+#if ALCHEMIST_SIMD_AVX512
+    case Isa::Avx512:
+      detail::gadget_residues_narrow_avx512(src, n, offset, bg_bits, levels, crt, dst);
+      return;
+#endif
+#if ALCHEMIST_SIMD_AVX2
+    case Isa::Avx2:
+      detail::gadget_residues_narrow_avx2(src, n, offset, bg_bits, levels, crt, dst);
+      return;
+#endif
+    default:
+      detail::gadget_residues_narrow_scalar(src, 0, n, offset, bg_bits, levels, crt, dst);
+      return;
+  }
+}
+
+void crt_lift_with(const u32* lo, const u32* hi, std::size_t n, const NarrowCrt& crt,
+                   u64* dst, Isa isa) {
+  switch (isa) {
+#if ALCHEMIST_SIMD_AVX512
+    case Isa::Avx512: detail::crt_lift_add_narrow_avx512(lo, hi, n, crt, dst); return;
+#endif
+#if ALCHEMIST_SIMD_AVX2
+    case Isa::Avx2: detail::crt_lift_add_narrow_avx2(lo, hi, n, crt, dst); return;
+#endif
+    default: detail::crt_lift_add_narrow_scalar(lo, hi, 0, n, crt, dst); return;
+  }
+}
+
 Isa checked(Isa isa) {
   if (!isa_supported(isa)) {
     throw std::invalid_argument(std::string("forced ISA ") + isa_name(isa) +
@@ -362,6 +573,61 @@ void mul_accumulate(const u64* a, const u64* b, std::size_t n, u64* acc_lo, u64*
 void mul_accumulate(const u64* a, const u64* b, std::size_t n, u64* acc_lo, u64* acc_hi,
                     Isa isa) {
   mul_acc_with(a, b, n, acc_lo, acc_hi, checked(isa));
+}
+
+void ntt_forward_narrow(const NttTables32& t, u32* a) {
+  const Isa isa = active_isa();
+  note_dispatch(Kern::NttFwdNarrow, isa);
+  forward_narrow_with(t, a, isa);
+}
+
+void ntt_forward_narrow(const NttTables32& t, u32* a, Isa isa) {
+  note_dispatch(Kern::NttFwdNarrow, checked(isa));
+  forward_narrow_with(t, a, isa);
+}
+
+void ntt_inverse_narrow(const NttTables32& t, u32* a, u32 ninv_op, u32 ninv_quot) {
+  const Isa isa = active_isa();
+  note_dispatch(Kern::NttInvNarrow, isa);
+  inverse_narrow_with(t, a, ninv_op, ninv_quot, isa);
+}
+
+void ntt_inverse_narrow(const NttTables32& t, u32* a, u32 ninv_op, u32 ninv_quot, Isa isa) {
+  note_dispatch(Kern::NttInvNarrow, checked(isa));
+  inverse_narrow_with(t, a, ninv_op, ninv_quot, isa);
+}
+
+void mul_sum_narrow(const u32* const* a, const u32* const* b, std::size_t rows,
+                    std::size_t n, u32 q, u32* out) {
+  const Isa isa = active_isa();
+  note_dispatch(Kern::MulSumNarrow, isa);
+  mul_sum_narrow_with(a, b, rows, n, q, out, isa);
+}
+
+void mul_sum_narrow(const u32* const* a, const u32* const* b, std::size_t rows,
+                    std::size_t n, u32 q, u32* out, Isa isa) {
+  note_dispatch(Kern::MulSumNarrow, checked(isa));
+  mul_sum_narrow_with(a, b, rows, n, q, out, isa);
+}
+
+void gadget_residues_narrow(const u64* src, std::size_t n, u64 offset, int bg_bits,
+                            std::size_t levels, const NarrowCrt& crt, u32* dst) {
+  gadget_residues_with(src, n, offset, bg_bits, levels, crt, dst, active_isa());
+}
+
+void gadget_residues_narrow(const u64* src, std::size_t n, u64 offset, int bg_bits,
+                            std::size_t levels, const NarrowCrt& crt, u32* dst, Isa isa) {
+  gadget_residues_with(src, n, offset, bg_bits, levels, crt, dst, checked(isa));
+}
+
+void crt_lift_add_narrow(const u32* lo, const u32* hi, std::size_t n, const NarrowCrt& crt,
+                         u64* dst) {
+  crt_lift_with(lo, hi, n, crt, dst, active_isa());
+}
+
+void crt_lift_add_narrow(const u32* lo, const u32* hi, std::size_t n, const NarrowCrt& crt,
+                         u64* dst, Isa isa) {
+  crt_lift_with(lo, hi, n, crt, dst, checked(isa));
 }
 
 }  // namespace alchemist::simd

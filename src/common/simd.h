@@ -4,7 +4,18 @@
 // AVX-512 — that are *bit-identical*: the lazy Harvey butterfly over
 // [0, 4q)/[0, 2q), the Shoup twiddle multiply (64x64 high/low products in
 // lanes), and the 128-bit lazy accumulators behind weighted_sum (BConv) and
-// mul_sum (DecompPolyMult, poly/lazy_kernels.h).
+// mul_sum (CKKS DecompPolyMult, poly/lazy_kernels.h).
+//
+// The narrow kernels run the same lazy transforms on 32-bit words for
+// primes q < 2^30, so every lazy value (< 4q) and every Shoup quotient fits
+// one 32x32->64 multiply (vpmuludq), twice as many lanes per vector as the
+// 64-bit words. With them comes a narrow multiply-accumulate: products of
+// two residues are below 2^60, so up to 15 of them are summed in a u64 and
+// folded mod q, without 128-bit accumulators. Two more cut signed gadget
+// digits straight into residues mod two such primes and lift residue pairs
+// back by CRT. Together they serve the TFHE external product
+// (tfhe/torus_poly.h), which works mod two such primes.
+//
 // All SIMD arithmetic replays the exact scalar operation sequence modulo
 // 2^64, so the eager and scalar-lazy paths remain pinned references that
 // every vector variant is provable against (tests sweep the (q, N) matrix
@@ -34,11 +45,22 @@ enum class Isa : std::uint8_t { Scalar = 0, Avx2 = 1, Avx512 = 2 };
 inline constexpr std::size_t kNumIsas = 3;
 
 // Kernel families with per-(kernel, isa) dispatch counters.
-enum class Kern : std::uint8_t { NttFwd = 0, NttInv, WeightedSum, MulAcc, kCount };
-inline constexpr std::size_t kNumKerns = 4;
+// The narrow kernels count apart from the 64-bit ones.
+enum class Kern : std::uint8_t {
+  NttFwd = 0,
+  NttInv,
+  WeightedSum,
+  MulAcc,
+  NttFwdNarrow,
+  NttInvNarrow,
+  MulSumNarrow,
+  kCount
+};
+inline constexpr std::size_t kNumKerns = 7;
 
 const char* isa_name(Isa isa);    // "scalar" | "avx2" | "avx512"
-// "ntt_fwd" | "ntt_inv" | "weighted_sum" | "mul_acc"
+// "ntt_fwd" | "ntt_inv" | "weighted_sum" | "mul_acc" | "ntt_fwd_narrow" |
+// "ntt_inv_narrow" | "mul_sum_narrow"
 const char* kern_name(Kern k);
 
 // Parse "scalar" / "avx2" / "avx512" / "native" (= best supported).
@@ -105,7 +127,84 @@ void mul_accumulate(const std::uint64_t* a, const std::uint64_t* b, std::size_t 
 void mul_accumulate(const std::uint64_t* a, const std::uint64_t* b, std::size_t n,
                     std::uint64_t* acc_lo, std::uint64_t* acc_hi, Isa isa);
 
+// Narrow words. A Shoup twiddle table for a prime q < 2^30 in the layout of
+// NttTables; quotients are floor(w << 32 / q).
+inline constexpr std::uint32_t kMaxNarrowModulus = (std::uint32_t{1} << 30) - 1;
+
+struct NttTables32 {
+  const std::uint32_t* w_op;
+  const std::uint32_t* w_quot;
+  std::uint32_t q;
+  std::size_t n;  // power of two
+};
+
+// The transforms of ntt_forward_lazy / ntt_inverse_lazy on 32-bit words,
+// lazy values below 4q < 2^32 in between. The forward transform takes any
+// input below 4q (its first butterflies fold it), the inverse canonical
+// input; both give canonical [0, q) output. Each call records one
+// NttFwdNarrow / NttInvNarrow dispatch.
+void ntt_forward_narrow(const NttTables32& t, std::uint32_t* a);
+void ntt_forward_narrow(const NttTables32& t, std::uint32_t* a, Isa isa);
+void ntt_inverse_narrow(const NttTables32& t, std::uint32_t* a,
+                        std::uint32_t ninv_op, std::uint32_t ninv_quot);
+void ntt_inverse_narrow(const NttTables32& t, std::uint32_t* a,
+                        std::uint32_t ninv_op, std::uint32_t ninv_quot, Isa isa);
+
+// out[k] = sum_t a[t][k] * b[t][k] mod q, canonical, for k in [0, n) and
+// t in [0, rows): the narrow DecompPolyMult. Every a[t][k], b[t][k] is below
+// q <= kMaxNarrowModulus. Records one MulSumNarrow dispatch per call.
+void mul_sum_narrow(const std::uint32_t* const* a, const std::uint32_t* const* b,
+                    std::size_t rows, std::size_t n, std::uint32_t q, std::uint32_t* out);
+void mul_sum_narrow(const std::uint32_t* const* a, const std::uint32_t* const* b,
+                    std::size_t rows, std::size_t n, std::uint32_t q, std::uint32_t* out,
+                    Isa isa);
+
+// Two narrow primes q1 > q2 with q1 < 2 q2, and the constants of the
+// centred Garner lift mod Q = q1 * q2: the integer x with |x| < Q/2 and
+// residues (r1, r2) is r1 + q1 * ((r2 - r1) * q1^-1 mod q2), less Q when
+// that exceeds Q/2.
+struct NarrowCrt {
+  std::uint32_t q1, q2;
+  std::uint32_t q1_inv, q1_inv_quot;  // q1^-1 mod q2 and its Shoup quotient
+  std::uint64_t q;                    // q1 * q2
+  // Throws std::invalid_argument unless q2 < q1 < 2 q2, q1 <= kMaxNarrowModulus
+  // and q1, q2 are coprime.
+  NarrowCrt(std::uint32_t q1, std::uint32_t q2);
+};
+
+// Signed base-2^bg_bits digits of 64-bit words as residues mod q1 and q2:
+// with s = src[k] + offset, digit i in [0, levels) is
+// ((s >> (64 - (i+1) * bg_bits)) mod 2^bg_bits) - 2^(bg_bits-1), and its
+// residue mod q_j goes to dst[(2 * i + j) * n + k], j = 0 for q1. Needs
+// levels * bg_bits <= 63 and 2^(bg_bits-1) < q2. Records no dispatch.
+void gadget_residues_narrow(const std::uint64_t* src, std::size_t n, std::uint64_t offset,
+                            int bg_bits, std::size_t levels, const NarrowCrt& crt,
+                            std::uint32_t* dst);
+void gadget_residues_narrow(const std::uint64_t* src, std::size_t n, std::uint64_t offset,
+                            int bg_bits, std::size_t levels, const NarrowCrt& crt,
+                            std::uint32_t* dst, Isa isa);
+
+// dst[k] += x_lo + 2^32 * x_hi mod 2^64 for k in [0, n), where x_lo is the
+// centred lift of the canonical residues (lo[k] mod q1, lo[n + k] mod q2),
+// and x_hi likewise from hi. Records no dispatch.
+void crt_lift_add_narrow(const std::uint32_t* lo, const std::uint32_t* hi, std::size_t n,
+                         const NarrowCrt& crt, std::uint64_t* dst);
+void crt_lift_add_narrow(const std::uint32_t* lo, const std::uint32_t* hi, std::size_t n,
+                         const NarrowCrt& crt, std::uint64_t* dst, Isa isa);
+
 namespace detail {
+// Constants of the narrow MAC's fold of a u64 sum s = hi * 2^32 + lo:
+// s mod q = (hi * (2^32 mod q) + lo) mod q, each term by a Shoup multiply.
+struct NarrowFold {
+  std::uint32_t q;
+  std::uint32_t r32, r32_quot;  // 2^32 mod q and its Shoup quotient
+  std::uint32_t one_quot;       // floor(2^32 / q), the Shoup quotient of 1
+  explicit NarrowFold(std::uint32_t q);
+};
+// Rows the MAC sums in a u64 before folding: a folded sum below q plus 15
+// products below (q-1)^2 < 2^60 stays below 2^64.
+inline constexpr std::size_t kNarrowMacRows = 15;
+
 // Per-ISA entry points. The scalar ones always exist; the AVX ones are
 // compiled only when the toolchain supports the per-file flags
 // (ALCHEMIST_SIMD_AVX2 / ALCHEMIST_SIMD_AVX512) and must only be called
@@ -117,6 +216,22 @@ void weighted_accumulate_scalar(const std::uint64_t* x, std::uint64_t w, std::si
                                 std::uint64_t* acc_lo, std::uint64_t* acc_hi);
 void mul_accumulate_scalar(const std::uint64_t* a, const std::uint64_t* b,
                            std::size_t n, std::uint64_t* acc_lo, std::uint64_t* acc_hi);
+void ntt_forward_narrow_scalar(const NttTables32& t, std::uint32_t* a);
+void ntt_inverse_narrow_scalar(const NttTables32& t, std::uint32_t* a,
+                               std::uint32_t ninv_op, std::uint32_t ninv_quot);
+// Coefficients [begin, end) only, so the vector variants finish their tails
+// here.
+void mul_sum_narrow_scalar(const std::uint32_t* const* a, const std::uint32_t* const* b,
+                           std::size_t rows, std::size_t begin, std::size_t end,
+                           const NarrowFold& f, std::uint32_t* out);
+// These two also start at coefficient `begin`, for the vector tails.
+void gadget_residues_narrow_scalar(const std::uint64_t* src, std::size_t begin,
+                                   std::size_t n, std::uint64_t offset, int bg_bits,
+                                   std::size_t levels, const NarrowCrt& crt,
+                                   std::uint32_t* dst);
+void crt_lift_add_narrow_scalar(const std::uint32_t* lo, const std::uint32_t* hi,
+                                std::size_t begin, std::size_t n, const NarrowCrt& crt,
+                                std::uint64_t* dst);
 
 void ntt_forward_lazy_avx2(const NttTables& t, std::uint64_t* a);
 void ntt_inverse_lazy_avx2(const NttTables& t, std::uint64_t* a,
@@ -125,6 +240,17 @@ void weighted_accumulate_avx2(const std::uint64_t* x, std::uint64_t w, std::size
                               std::uint64_t* acc_lo, std::uint64_t* acc_hi);
 void mul_accumulate_avx2(const std::uint64_t* a, const std::uint64_t* b,
                          std::size_t n, std::uint64_t* acc_lo, std::uint64_t* acc_hi);
+void ntt_forward_narrow_avx2(const NttTables32& t, std::uint32_t* a);
+void ntt_inverse_narrow_avx2(const NttTables32& t, std::uint32_t* a,
+                             std::uint32_t ninv_op, std::uint32_t ninv_quot);
+void mul_sum_narrow_avx2(const std::uint32_t* const* a, const std::uint32_t* const* b,
+                         std::size_t rows, std::size_t n, const NarrowFold& f,
+                         std::uint32_t* out);
+void gadget_residues_narrow_avx2(const std::uint64_t* src, std::size_t n,
+                                 std::uint64_t offset, int bg_bits, std::size_t levels,
+                                 const NarrowCrt& crt, std::uint32_t* dst);
+void crt_lift_add_narrow_avx2(const std::uint32_t* lo, const std::uint32_t* hi,
+                              std::size_t n, const NarrowCrt& crt, std::uint64_t* dst);
 
 void ntt_forward_lazy_avx512(const NttTables& t, std::uint64_t* a);
 void ntt_inverse_lazy_avx512(const NttTables& t, std::uint64_t* a,
@@ -133,6 +259,17 @@ void weighted_accumulate_avx512(const std::uint64_t* x, std::uint64_t w, std::si
                                 std::uint64_t* acc_lo, std::uint64_t* acc_hi);
 void mul_accumulate_avx512(const std::uint64_t* a, const std::uint64_t* b,
                            std::size_t n, std::uint64_t* acc_lo, std::uint64_t* acc_hi);
+void ntt_forward_narrow_avx512(const NttTables32& t, std::uint32_t* a);
+void ntt_inverse_narrow_avx512(const NttTables32& t, std::uint32_t* a,
+                               std::uint32_t ninv_op, std::uint32_t ninv_quot);
+void mul_sum_narrow_avx512(const std::uint32_t* const* a, const std::uint32_t* const* b,
+                           std::size_t rows, std::size_t n, const NarrowFold& f,
+                           std::uint32_t* out);
+void gadget_residues_narrow_avx512(const std::uint64_t* src, std::size_t n,
+                                   std::uint64_t offset, int bg_bits, std::size_t levels,
+                                   const NarrowCrt& crt, std::uint32_t* dst);
+void crt_lift_add_narrow_avx512(const std::uint32_t* lo, const std::uint32_t* hi,
+                                std::size_t n, const NarrowCrt& crt, std::uint64_t* dst);
 }  // namespace detail
 
 }  // namespace alchemist::simd

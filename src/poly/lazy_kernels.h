@@ -8,9 +8,9 @@
 // (tested), because a residue sum reduced once equals the same sum reduced
 // term by term.
 //
-// mul_sum is the one DecompPolyMult kernel of both schemes: the CKKS hybrid
-// keyswitch (digits x evaluation key, per RNS channel) and the TFHE external
-// product (gadget digits x TGSW rows, per output polynomial) both call it.
+// mul_sum is the DecompPolyMult kernel of the CKKS hybrid keyswitch (digits x
+// evaluation key, per RNS channel). The TFHE external product runs on 30-bit
+// primes and calls its 32-bit-word form, simd::mul_sum_narrow, instead.
 // weighted_sum is the BConv accumulation behind modup and moddown, and the
 // Chebyshev/power-basis term sum of CKKS polynomial evaluation.
 #pragma once

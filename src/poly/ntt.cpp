@@ -46,6 +46,55 @@ NttTable::NttTable(u64 q, std::size_t n)
   n_inv_ = MulModShoup(inv_mod(static_cast<u64>(n), q), q);
 }
 
+NarrowNttTable::NarrowNttTable(std::uint32_t q, std::size_t n) : q_(q), n_(n) {
+  if (q > simd::kMaxNarrowModulus) {
+    throw std::invalid_argument("NarrowNttTable: modulus must be below 2^30");
+  }
+  const int log_n = log2_exact(n);
+  const u64 psi = primitive_root_2n(q, n);
+  const u64 psi_inv = inv_mod(psi, q);
+  // Shoup pair of w < q on 32-bit words: (w, floor(w * 2^32 / q)).
+  auto quot = [q](u64 w) { return static_cast<std::uint32_t>((w << 32) / q); };
+  w_op_.resize(n);
+  w_quot_.resize(n);
+  inv_w_op_.resize(n);
+  inv_w_quot_.resize(n);
+  u64 power = 1;
+  u64 inv_power = 1;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t rev = bit_reverse(i, log_n);
+    w_op_[rev] = static_cast<std::uint32_t>(power);
+    w_quot_[rev] = quot(power);
+    inv_w_op_[rev] = static_cast<std::uint32_t>(inv_power);
+    inv_w_quot_[rev] = quot(inv_power);
+    power = mul_mod(power, psi, q);
+    inv_power = mul_mod(inv_power, psi_inv, q);
+  }
+  const u64 n_inv = inv_mod(static_cast<u64>(n), q);
+  n_inv_op_ = static_cast<std::uint32_t>(n_inv);
+  n_inv_quot_ = quot(n_inv);
+}
+
+void NarrowNttTable::forward(std::span<std::uint32_t> a) const {
+  if (a.size() != n_) throw std::invalid_argument("NarrowNttTable::forward: size mismatch");
+  simd::ntt_forward_narrow(fwd_view(), a.data());
+}
+
+void NarrowNttTable::inverse(std::span<std::uint32_t> a) const {
+  if (a.size() != n_) throw std::invalid_argument("NarrowNttTable::inverse: size mismatch");
+  simd::ntt_inverse_narrow(inv_view(), a.data(), n_inv_op_, n_inv_quot_);
+}
+
+void NarrowNttTable::forward(std::span<std::uint32_t> a, simd::Isa isa) const {
+  if (a.size() != n_) throw std::invalid_argument("NarrowNttTable::forward: size mismatch");
+  simd::ntt_forward_narrow(fwd_view(), a.data(), isa);
+}
+
+void NarrowNttTable::inverse(std::span<std::uint32_t> a, simd::Isa isa) const {
+  if (a.size() != n_) throw std::invalid_argument("NarrowNttTable::inverse: size mismatch");
+  simd::ntt_inverse_narrow(inv_view(), a.data(), n_inv_op_, n_inv_quot_, isa);
+}
+
 void NttTable::forward(std::span<u64> a) const {
   if (a.size() != n_) throw std::invalid_argument("NttTable::forward: size mismatch");
   // Harvey lazy butterflies: values live in [0, 4q) through the stages with

@@ -88,6 +88,41 @@ class NttTable {
   MulModShoup n_inv_;
 };
 
+// The same negacyclic transform on 32-bit words for a prime q < 2^30
+// (simd::kMaxNarrowModulus): the root psi and the slot order are those of
+// NttTable(q, n), so for canonical input both give the same output. Lazy
+// values stay below 4q < 2^32, so each Shoup twiddle multiply is one
+// 32x32->64 product per lane (common/simd.h).
+class NarrowNttTable {
+ public:
+  // q must be prime with q ≡ 1 (mod 2N) and q < 2^30; N a power of two.
+  NarrowNttTable(std::uint32_t q, std::size_t n);
+
+  std::uint32_t modulus() const { return q_; }
+  std::size_t size() const { return n_; }
+
+  // In-place transforms with canonical [0, q) output; forward is natural
+  // in, bit-reversed out, and takes any input below 4q; inverse is the
+  // reverse and takes canonical input. The forced-ISA overloads throw
+  // std::invalid_argument if `isa` is not supported.
+  void forward(std::span<std::uint32_t> a) const;
+  void inverse(std::span<std::uint32_t> a) const;
+  void forward(std::span<std::uint32_t> a, simd::Isa isa) const;
+  void inverse(std::span<std::uint32_t> a, simd::Isa isa) const;
+
+ private:
+  simd::NttTables32 fwd_view() const { return {w_op_.data(), w_quot_.data(), q_, n_}; }
+  simd::NttTables32 inv_view() const {
+    return {inv_w_op_.data(), inv_w_quot_.data(), q_, n_};
+  }
+
+  std::uint32_t q_;
+  std::size_t n_;
+  std::vector<std::uint32_t> w_op_, w_quot_;          // psi^brev(i), Shoup pairs
+  std::vector<std::uint32_t> inv_w_op_, inv_w_quot_;  // psi^{-brev(i)}
+  std::uint32_t n_inv_op_, n_inv_quot_;
+};
+
 // Process-wide cache of NTT tables keyed by (q, N). Table construction costs
 // O(N) modular exponentiations; every RnsPoly channel shares one table.
 // Thread-safe: concurrent lookups take a shared lock, first-time construction

@@ -28,6 +28,10 @@ LweSample keyswitch(const LweSample& in, const KeySwitchKey& ksk) {
   if (in.dimension() != ksk.ks.size()) {
     throw std::invalid_argument("keyswitch: dimension mismatch");
   }
+  if (ksk.ks.empty() || ksk.length == 0) throw std::invalid_argument("keyswitch: empty key");
+  for (const auto& rows : ksk.ks) {
+    if (rows.size() < ksk.length) throw std::invalid_argument("keyswitch: short key row");
+  }
   const std::size_t target_dim = ksk.ks[0][0].dimension();
   const Gadget gadget(ksk.base_bits, ksk.length);
   LweSample out = lwe_trivial(target_dim, in.b);
@@ -63,6 +67,9 @@ BootstrapContext make_bootstrap_context(const TfheParams& params,
 TrlweSample blind_rotate(const TrlweSample& test_vector,
                          const std::vector<u64>& bara, u64 barb,
                          const std::vector<TgswNtt>& bk) {
+  if (bara.size() != bk.size()) {
+    throw std::invalid_argument("blind_rotate: one key per mask coefficient");
+  }
   const u64 two_n = 2 * static_cast<u64>(test_vector.degree());
   TrlweSample acc = test_vector.rotate((two_n - barb % two_n) % two_n);
   for (std::size_t i = 0; i < bara.size(); ++i) {

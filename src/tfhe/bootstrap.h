@@ -22,6 +22,8 @@ struct KeySwitchKey {
 KeySwitchKey make_keyswitch_key(const LweKey& from, const LweKey& to,
                                 int base_bits, std::size_t length, double sigma,
                                 Rng& rng);
+// Throws std::invalid_argument unless the key has one row per input
+// coefficient (at least one) and every row has `length` samples.
 LweSample keyswitch(const LweSample& in, const KeySwitchKey& ksk);
 
 // Everything the evaluator needs: bootstrapping key (TGSW of each LWE secret
@@ -36,7 +38,8 @@ BootstrapContext make_bootstrap_context(const TfheParams& params,
                                         const LweKey& lwe_key,
                                         const TrlweKey& trlwe_key, Rng& rng);
 
-// Blind rotation: returns TRLWE(X^-(barb - sum bara_i s_i) * v).
+// Blind rotation: returns TRLWE(X^-(barb - sum bara_i s_i) * v). Throws
+// std::invalid_argument unless bara has one entry per key in bk.
 TrlweSample blind_rotate(const TrlweSample& test_vector,
                          const std::vector<u64>& bara, u64 barb,
                          const std::vector<TgswNtt>& bk);

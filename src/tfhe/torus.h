@@ -55,6 +55,10 @@ class Gadget {
 
   // Largest digit magnitude, Bg/2.
   u64 half_base() const { return half_; }
+  int bg_bits() const { return bg_bits_; }
+  std::size_t length() const { return l_; }
+  // The rounding offset added before the digits are cut out of t.
+  u64 offset() const { return offset_; }
 
   // Digit d_{i+1} of t, i in [0, l).
   i64 digit(Torus t, std::size_t i) const {

@@ -68,58 +68,99 @@ u64 residue(i64 a, const Modulus& mod) {
   return a >= 0 ? magnitude : mod.neg(magnitude);
 }
 
-}  // namespace
+u32 fold(u32 x, u32 bound) { return x - (bound & (x >= bound ? ~u32{0} : 0)); }
 
-TorusNttContext::TorusNttContext(std::size_t n) : n_(n) {
+simd::NarrowCrt torus_crt(std::size_t n) {
   if (!is_power_of_two(n)) {
     throw std::invalid_argument("TorusNttContext: N must be a power of two");
   }
-  table_ = &get_ntt_table(generate_ntt_primes(62, n, 1)[0], n);
+  const std::vector<u64> p = generate_ntt_primes(30, n, TorusNttContext::kPrimes);
+  if (p[1] <= (u64{1} << 29)) {
+    throw std::invalid_argument("TorusNttContext: no two NTT primes in (2^29, 2^30)");
+  }
+  return simd::NarrowCrt(static_cast<u32>(p[0]), static_cast<u32>(p[1]));
 }
 
-std::vector<u64> TorusNttContext::forward_int(const std::vector<i64>& a) const {
+}  // namespace
+
+TorusNttContext::TorusNttContext(std::size_t n) : n_(n), crt_(torus_crt(n)) {
+  for (const u32 p : {crt_.q1, crt_.q2}) {
+    tables_.emplace_back(p, n);
+    mods_.emplace_back(p);
+  }
+}
+
+std::vector<u32> TorusNttContext::forward_int(const std::vector<i64>& a) const {
   if (a.size() != n_) throw std::invalid_argument("forward_int: size mismatch");
-  std::vector<u64> out(n_);
-  for (std::size_t i = 0; i < n_; ++i) out[i] = residue(a[i], table_->mod());
-  table_->forward(out);
+  std::vector<u32> out(kPrimes * n_);
+  for (std::size_t j = 0; j < kPrimes; ++j) {
+    u32* dst = out.data() + j * n_;
+    for (std::size_t i = 0; i < n_; ++i) dst[i] = static_cast<u32>(residue(a[i], mods_[j]));
+    tables_[j].forward({dst, n_});
+  }
   return out;
 }
 
-TorusNttContext::DomainPoly TorusNttContext::forward_torus(const TorusPoly& b) const {
+void TorusNttContext::forward_torus(const TorusPoly& b, u32* dst) const {
   if (b.degree() != n_) throw std::invalid_argument("forward_torus: size mismatch");
-  DomainPoly out;
   for (int h = 0; h < 2; ++h) {
-    out.halves[h].resize(n_);
-    for (std::size_t i = 0; i < n_; ++i) out.halves[h][i] = (b[i] >> (32 * h)) & 0xffffffffu;
-    table_->forward(out.halves[h]);
+    for (std::size_t j = 0; j < kPrimes; ++j) {
+      // The narrow forward transform takes [0, 4p) in, and as p > 2^29 one
+      // subtraction of 4p brings any 32-bit half there.
+      const u32 four_p = 4 * tables_[j].modulus();
+      u32* out = dst + (h * kPrimes + j) * n_;
+      for (std::size_t i = 0; i < n_; ++i) {
+        out[i] = fold(static_cast<u32>(b[i] >> (32 * h)), four_p);
+      }
+      tables_[j].forward({out, n_});
+    }
   }
+}
+
+TorusNttContext::DomainPoly TorusNttContext::forward_torus(const TorusPoly& b) const {
+  DomainPoly out{std::vector<u32>(2 * kPrimes * n_)};
+  forward_torus(b, out.residues.data());
   return out;
 }
 
 TorusNttContext::DomainPoly TorusNttContext::zero() const {
-  DomainPoly out;
-  out.halves[0].assign(n_, 0);
-  out.halves[1].assign(n_, 0);
-  return out;
+  return DomainPoly{std::vector<u32>(2 * kPrimes * n_, 0)};
 }
 
-void TorusNttContext::mul_accumulate(DomainPoly& acc, const std::vector<u64>& a,
+void TorusNttContext::mul_accumulate(DomainPoly& acc, const std::vector<u32>& a,
                                      const DomainPoly& b) const {
-  const Modulus& mod = table_->mod();
-  for (int h = 0; h < 2; ++h) {
-    for (std::size_t i = 0; i < n_; ++i) {
-      acc.halves[h][i] = mod.add(acc.halves[h][i], mod.mul(a[i], b.halves[h][i]));
+  std::vector<u32> prod(n_);
+  for (std::size_t h = 0; h < 2; ++h) {
+    for (std::size_t j = 0; j < kPrimes; ++j) {
+      const u32 p = tables_[j].modulus();
+      const u32* aj = a.data() + j * n_;
+      const u32* bj = b.residues.data() + (h * kPrimes + j) * n_;
+      simd::mul_sum_narrow(&aj, &bj, 1, n_, p, prod.data());
+      u32* dst = acc.residues.data() + (h * kPrimes + j) * n_;
+      for (std::size_t i = 0; i < n_; ++i) dst[i] = fold(dst[i] + prod[i], p);
     }
   }
 }
 
 TorusPoly TorusNttContext::inverse(const DomainPoly& acc) const {
-  std::array<std::vector<u64>, 2> res = acc.halves;
-  for (auto& half : res) table_->inverse(half);
-  const u64 p = table_->modulus();
+  std::vector<u32> res = acc.residues;
+  for (std::size_t h = 0; h < 2; ++h) {
+    for (std::size_t j = 0; j < kPrimes; ++j) {
+      tables_[j].inverse({res.data() + (h * kPrimes + j) * n_, n_});
+    }
+  }
   TorusPoly out(n_);
-  for (std::size_t i = 0; i < n_; ++i) out[i] = lift_split(res[0][i], res[1][i], p);
+  lift_add(res.data(), res.data() + kPrimes * n_, out.data());
   return out;
+}
+
+void TorusNttContext::digit_residues(const Torus* src, const Gadget& gadget, u32* dst) const {
+  simd::gadget_residues_narrow(src, n_, gadget.offset(), gadget.bg_bits(), gadget.length(),
+                               crt_, dst);
+}
+
+void TorusNttContext::lift_add(const u32* lo, const u32* hi, Torus* dst) const {
+  simd::crt_lift_add_narrow(lo, hi, n_, crt_, dst);
 }
 
 const TorusNttContext& TorusNttContext::get(std::size_t n) {

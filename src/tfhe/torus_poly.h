@@ -4,26 +4,28 @@
 // torus polynomials in Z_{2^64}[X]/(X^N+1). Every product here is *exact*
 // and matches the schoolbook reference bit for bit (no FFT rounding).
 //
-// The fast path works mod one NTT prime p < 2^62. A torus polynomial is
-// split into 32-bit halves, b = lo + 2^32 * hi, and each half is
-// transformed on its own (DomainPoly). A sum of T products of integer
-// polynomials |a_i| <= A with one half has true coefficients of magnitude
-// below T * N * A * 2^32; while that stays under p/2 the centered lift of
-// each half is exact, and the halves recombine with a shift mod 2^64.
-// For the external product T = (k+1)*l and A = Bg/2 (set I:
-// 6 * 2^10 * 2^6 * 2^32 < 2^51, against p/2 > 2^60), and external_product()
-// checks the bound per shape and throws outside it. Key products in
-// encryption and phase have T = 1 and A = 1.
+// The fast path works mod two NTT primes p1 > p2 > 2^29, both below 2^30
+// and ≡ 1 mod 2N, on 32-bit words (poly/ntt.h NarrowNttTable). A torus
+// polynomial is split into 32-bit halves, b = lo + 2^32 * hi, and each half
+// is transformed mod each prime on its own (DomainPoly). A sum of T products
+// of integer polynomials |a_i| <= A with one half has true coefficients of
+// magnitude below T * N * A * 2^32. While that stays under P/2, P = p1 * p2
+// (about 2^60), a Garner CRT step recovers each half exactly from its two
+// residues, centred, and the halves recombine with a shift mod 2^64.
+// For the external product T = (k+1)*l and A = Bg/2, so the limit is
+// (k+1) * l * N * Bg/2 * 2^32 < P/2: set I is at 2^50.6, set II at 2^52 and
+// the toy set at 2^48. external_product() checks the bound per shape and
+// throws outside it. Key products in encryption and phase have T = 1, A = 1.
 //
-// The context holds its NTT table from construction, and every residue
-// conversion and lift uses Barrett multiplies and conditional subtractions:
-// no table lookup, lock or division per coefficient.
+// The context holds its two tables and CRT constants from construction;
+// residue conversions and the lift use Shoup multiplies and conditional
+// subtractions: no table lookup, lock or division per coefficient.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <vector>
 
+#include "common/simd.h"
 #include "poly/ntt.h"
 #include "tfhe/torus.h"
 
@@ -61,46 +63,56 @@ class TorusPoly {
 // wrap-around arithmetic mod 2^64. O(N^2).
 TorusPoly negacyclic_mul_schoolbook(const std::vector<i64>& a, const TorusPoly& b);
 
-// Fast exact path: split torus values in the NTT domain of one prime.
+// Fast exact path: split torus values in the NTT domain of two 30-bit primes.
 class TorusNttContext {
  public:
+  static constexpr std::size_t kPrimes = 2;
+
   explicit TorusNttContext(std::size_t n);
 
-  // b = lo + 2^32 * hi with lo, hi in [0, 2^32), each half in the NTT
-  // domain mod p; also an accumulator of products with such a polynomial.
+  // b = lo + 2^32 * hi with lo, hi in [0, 2^32), each half as residues mod
+  // p1 and p2 in the NTT domain, laid out [half][prime][N]; also an
+  // accumulator of products with such a polynomial.
   struct DomainPoly {
-    std::array<std::vector<u64>, 2> halves;
+    std::vector<u32> residues;
   };
 
   std::size_t degree() const { return n_; }
-  const NttTable& table() const { return *table_; }
+  const NarrowNttTable& table(std::size_t prime) const { return tables_[prime]; }
+  // P = p1 * p2; a centred lift is exact for integers of magnitude below P/2.
+  u64 modulus() const { return crt_.q; }
 
-  // A small-integer polynomial in the NTT domain mod p.
-  std::vector<u64> forward_int(const std::vector<i64>& a) const;
+  // A small-integer polynomial in the NTT domain, residues [prime][N].
+  std::vector<u32> forward_int(const std::vector<i64>& a) const;
   DomainPoly forward_torus(const TorusPoly& b) const;
+  // Writes the residues of forward_torus(b) to dst[0, 2 * kPrimes * N).
+  void forward_torus(const TorusPoly& b, u32* dst) const;
   DomainPoly zero() const;
 
-  // acc += a * b, pointwise per half.
-  void mul_accumulate(DomainPoly& acc, const std::vector<u64>& a, const DomainPoly& b) const;
+  // acc += a * b, pointwise per half and prime.
+  void mul_accumulate(DomainPoly& acc, const std::vector<u32>& a, const DomainPoly& b) const;
   // Inverse NTT of both halves, lift and recombine mod 2^64. Exact while
-  // each half's accumulated integer stays below p/2 in magnitude.
+  // each half's accumulated integer stays below P/2 in magnitude.
   TorusPoly inverse(const DomainPoly& acc) const;
 
-  // lo + 2^32 * hi mod 2^64 from the canonical residues mod p of two
-  // integers of magnitude below p/2 (centered lift of each half). Branchless:
-  // the comparisons are data-dependent and would mispredict.
-  static Torus lift_split(u64 lo, u64 hi, u64 p) {
-    lo -= p & (lo > p / 2 ? ~u64{0} : 0);  // wraps to the negative value
-    hi -= p & (hi > p / 2 ? ~u64{0} : 0);
-    return lo + (hi << 32);
-  }
+  // The external product's own layers (tfhe/trlwe.cpp).
+  // Every digit of every src[0, N) as residues mod p1 and p2, written to
+  // dst[level][prime][N]. Needs Bg/2 < p2, which the external product's
+  // exactness check implies.
+  void digit_residues(const Torus* src, const Gadget& gadget, u32* dst) const;
+  // dst[t] += lo + 2^32 * hi mod 2^64 for t in [0, N), each half recovered
+  // from its canonical residues [prime][N] as the integer of magnitude below
+  // P/2 (simd::NarrowCrt).
+  void lift_add(const u32* lo, const u32* hi, Torus* dst) const;
 
   // Process-wide cache, one context per degree.
   static const TorusNttContext& get(std::size_t n);
 
  private:
   std::size_t n_;
-  const NttTable* table_;  // owned by the process-wide table cache
+  std::vector<NarrowNttTable> tables_;  // p1, p2
+  std::vector<Modulus> mods_;           // p1, p2, for forward_int
+  simd::NarrowCrt crt_;
 };
 
 }  // namespace alchemist::tfhe

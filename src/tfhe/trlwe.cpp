@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "poly/lazy_kernels.h"
+#include "common/simd.h"
 
 namespace alchemist::tfhe {
 
@@ -50,25 +50,46 @@ TrlweSample trlwe_trivial(const TfheParams& params, TorusPoly message) {
   return out;
 }
 
-TrlweSample trlwe_encrypt_zero(const TfheParams& params, const TrlweKey& key,
-                               Rng& rng) {
+namespace {
+
+// The key polynomials in the NTT domain, once per encryption call.
+std::vector<std::vector<u32>> key_domain(const TorusNttContext& ctx, const TrlweKey& key) {
+  std::vector<std::vector<u32>> out;
+  out.reserve(key.s.size());
+  for (const auto& s : key.s) out.push_back(ctx.forward_int(s));
+  return out;
+}
+
+// TRLWE(0) with every mask's NTT-domain form also written to a_dom[j], so a
+// TGSW row can keep it instead of transforming the mask again.
+TrlweSample encrypt_zero(const TfheParams& params, const TorusNttContext& ctx,
+                         const std::vector<std::vector<u32>>& key_dom, Rng& rng,
+                         std::vector<TorusNttContext::DomainPoly>& a_dom) {
   const std::size_t n = params.degree;
-  const TorusNttContext& ctx = TorusNttContext::get(n);
   TrlweSample out;
   out.a.resize(params.k);
-  TorusPoly acc(n);
+  a_dom.resize(params.k);
+  TorusNttContext::DomainPoly acc = ctx.zero();
   for (std::size_t j = 0; j < params.k; ++j) {
     out.a[j] = TorusPoly(n);
     for (std::size_t i = 0; i < n; ++i) out.a[j][i] = rng.next();
-    auto dom = ctx.zero();
-    ctx.mul_accumulate(dom, ctx.forward_int(key.s[j]), ctx.forward_torus(out.a[j]));
-    acc += ctx.inverse(dom);
+    a_dom[j] = ctx.forward_torus(out.a[j]);
+    ctx.mul_accumulate(acc, key_dom[j], a_dom[j]);
   }
-  out.b = TorusPoly(n);
+  out.b = ctx.inverse(acc);
   for (std::size_t i = 0; i < n; ++i) {
-    out.b[i] = acc[i] + static_cast<u64>(rng.gaussian_signed(params.trlwe_sigma * 0x1.0p64));
+    out.b[i] += static_cast<u64>(rng.gaussian_signed(params.trlwe_sigma * 0x1.0p64));
   }
   return out;
+}
+
+}  // namespace
+
+TrlweSample trlwe_encrypt_zero(const TfheParams& params, const TrlweKey& key,
+                               Rng& rng) {
+  const TorusNttContext& ctx = TorusNttContext::get(params.degree);
+  std::vector<TorusNttContext::DomainPoly> a_dom;
+  return encrypt_zero(params, ctx, key_domain(ctx, key), rng, a_dom);
 }
 
 TrlweSample trlwe_encrypt(const TfheParams& params, const TrlweKey& key,
@@ -104,23 +125,27 @@ TgswNtt tgsw_encrypt(const TfheParams& params, const TrlweKey& key, i64 message,
   out.l = params.l;
   out.bg_bits = params.bg_bits;
   out.degree = n;
-  out.rows.resize((params.k + 1) * params.l);
+  const std::size_t poly_words = 2 * TorusNttContext::kPrimes * n;  // one component
+  out.residues.resize((params.k + 1) * params.l * (params.k + 1) * poly_words);
 
+  const std::vector<std::vector<u32>> key_dom = key_domain(ctx, key);
+  std::vector<TorusNttContext::DomainPoly> a_dom;
+  u32* dst = out.residues.data();
   for (std::size_t p = 0; p <= params.k; ++p) {
     for (std::size_t i = 0; i < params.l; ++i) {
-      TrlweSample row = trlwe_encrypt_zero(params, key, rng);
+      TrlweSample row = encrypt_zero(params, ctx, key_dom, rng, a_dom);
       const Torus payload = static_cast<u64>(message) * scales[i];
       if (p < params.k) {
         row.a[p][0] += payload;
+        a_dom[p] = ctx.forward_torus(row.a[p]);
       } else {
         row.b[0] += payload;
       }
-      auto& domain_row = out.rows[p * params.l + i];
-      domain_row.reserve(params.k + 1);
-      for (std::size_t c = 0; c < params.k; ++c) {
-        domain_row.push_back(ctx.forward_torus(row.a[c]));
+      for (std::size_t c = 0; c < params.k; ++c, dst += poly_words) {
+        std::copy(a_dom[c].residues.begin(), a_dom[c].residues.end(), dst);
       }
-      domain_row.push_back(ctx.forward_torus(row.b));
+      ctx.forward_torus(row.b, dst);
+      dst += poly_words;
     }
   }
   return out;
@@ -133,28 +158,26 @@ namespace {
 // the sample it returns.
 class ExtProductScratch {
  public:
+  static constexpr std::size_t kPrimes = TorusNttContext::kPrimes;
+
   // Re-sizes for g's shape (and checks it) only when the shape changes.
   void fit(const TgswNtt& g) {
     if (g.k == k_ && g.l == l_ && g.bg_bits == bg_bits_ && g.degree == n_) return;
     const TorusNttContext& ctx = TorusNttContext::get(g.degree);
     const Gadget gadget(g.bg_bits, g.l);
     // The product is exact while each half's true coefficients, at most
-    // (k+1) * l * N * Bg/2 * 2^32 in magnitude, stay below p/2.
-    const u64 p = ctx.table().modulus();
+    // (k+1) * l * N * Bg/2 * 2^32 in magnitude, stay below P/2.
     const u128 bound = u128{(g.k + 1) * g.l * g.degree} * gadget.half_base();
-    if (bound > ((p / 2) >> 32)) {
+    if (bound > ((ctx.modulus() / 2) >> 32)) {
       throw std::invalid_argument("external_product: lift not exact for this shape");
     }
     rows_ = (g.k + 1) * g.l;
-    digits_.assign(rows_ * g.degree, 0);
-    layers_.resize(rows_);
-    for (std::size_t row = 0; row < rows_; ++row) {
-      layers_[row] = digits_.data() + row * g.degree;
-    }
-    keys_.resize(rows_);
-    acc_.assign((g.k + 1) * 2 * g.degree, 0);
+    digits_.assign(rows_ * kPrimes * g.degree, 0);
+    acc_.assign((g.k + 1) * 2 * kPrimes * g.degree, 0);
     operand_.assign((g.k + 1) * g.degree, 0);
-    table_ = &ctx.table();
+    digit_rows_.resize(rows_);
+    key_rows_.resize(rows_);
+    ctx_ = &ctx;
     gadget_ = gadget;
     k_ = g.k;
     l_ = g.l;
@@ -167,59 +190,56 @@ class ExtProductScratch {
 
   // out[c] += (g ⊡ operand)[c] for c in [0, k].
   void accumulate(const TgswNtt& g, TrlweSample& out) {
-    // 1. Gadget-decompose every input coefficient once, writing each digit as
-    //    its canonical residue mod p (|digit| <= Bg/2 < p).
-    const NttTable& table = *table_;
-    const u64 p = table.modulus();
+    const TorusNttContext& ctx = *ctx_;
+    // 1. Gadget-decompose every input coefficient once, writing each digit
+    //    as its canonical residues mod p1 and p2 (|digit| <= Bg/2 < p2).
     for (std::size_t comp = 0; comp <= k_; ++comp) {
-      for (std::size_t i = 0; i < l_; ++i) {
-        const Torus* src = operand(comp);
-        u64* dst = layer(comp * l_ + i);
-        for (std::size_t t = 0; t < n_; ++t) {
-          const i64 d = gadget_.digit(src[t], i);
-          dst[t] = static_cast<u64>(d) + (p & static_cast<u64>(d >> 63));  // d < 0: d + p
-        }
-      }
+      ctx.digit_residues(operand(comp), gadget_, digits(comp * l_, 0));
     }
-    // 2. Forward NTT of every digit polynomial.
-    for (std::size_t row = 0; row < rows_; ++row) table.forward({layer(row), n_});
-    // 3. DecompPolyMult per output component and key half: sum the rows'
-    //    pointwise products with one reduction per coefficient, then
+    // 2. Forward NTT of every digit polynomial mod each prime.
+    for (std::size_t row = 0; row < rows_; ++row) {
+      for (std::size_t j = 0; j < kPrimes; ++j) ctx.table(j).forward({digits(row, j), n_});
+    }
+    // 3. DecompPolyMult per prime, output component and key half: sum the
+    //    rows' pointwise products with one fold per coefficient, then
     //    transform back.
-    for (std::size_t c = 0; c <= k_; ++c) {
-      for (std::size_t h = 0; h < 2; ++h) {
-        for (std::size_t row = 0; row < rows_; ++row) {
-          keys_[row] = g.rows[row][c].halves[h].data();
+    for (std::size_t j = 0; j < kPrimes; ++j) {
+      const NarrowNttTable& table = ctx.table(j);
+      for (std::size_t row = 0; row < rows_; ++row) digit_rows_[row] = digits(row, j);
+      for (std::size_t c = 0; c <= k_; ++c) {
+        for (std::size_t h = 0; h < 2; ++h) {
+          for (std::size_t row = 0; row < rows_; ++row) key_rows_[row] = g.poly(row, c, h, j);
+          u32* sum = acc(c, h, j);
+          simd::mul_sum_narrow(digit_rows_.data(), key_rows_.data(), rows_, n_,
+                               table.modulus(), sum);
+          table.inverse({sum, n_});
         }
-        u64* acc = acc_.data() + (c * 2 + h) * n_;
-        mul_sum_lazy(layers_, keys_, table.mod(), {acc, n_});
-        table.inverse({acc, n_});
       }
     }
     // 4. Lift both halves of each coefficient and add them to the output.
     for (std::size_t c = 0; c <= k_; ++c) {
-      Torus* dst = c < k_ ? out.a[c].data() : out.b.data();
-      const u64* lo_half = acc_.data() + (c * 2) * n_;
-      const u64* hi_half = lo_half + n_;
-      for (std::size_t t = 0; t < n_; ++t) {
-        dst[t] += TorusNttContext::lift_split(lo_half[t], hi_half[t], p);
-      }
+      ctx.lift_add(acc(c, 0, 0), acc(c, 1, 0), c < k_ ? out.a[c].data() : out.b.data());
     }
   }
 
  private:
-  u64* layer(std::size_t row) { return digits_.data() + row * n_; }
+  u32* digits(std::size_t row, std::size_t prime) {
+    return digits_.data() + (row * kPrimes + prime) * n_;
+  }
+  u32* acc(std::size_t c, std::size_t h, std::size_t prime) {
+    return acc_.data() + ((c * 2 + h) * kPrimes + prime) * n_;
+  }
 
   std::size_t k_ = 0, l_ = 0, n_ = 0;
   int bg_bits_ = 0;
   std::size_t rows_ = 0;
-  const NttTable* table_ = nullptr;
+  const TorusNttContext* ctx_ = nullptr;
   Gadget gadget_{1, 1};
-  std::vector<u64> digits_;         // [row][N]: digit polynomials, then their NTTs
-  std::vector<const u64*> layers_;  // [row]: mul_sum's table of the rows of digits_
-  std::vector<const u64*> keys_;    // [row]: one component half of each TGSW row
-  std::vector<u64> acc_;            // [component][half][N]: reduced sums, then inverse NTTs
-  std::vector<Torus> operand_;      // [component][N]
+  std::vector<u32> digits_;              // [row][prime][N]: digit residues, then their NTTs
+  std::vector<u32> acc_;                 // [component][half][prime][N]: sums, then inverse NTTs
+  std::vector<Torus> operand_;           // [component][N]
+  std::vector<const u32*> digit_rows_;   // [row]: one prime's digit NTTs
+  std::vector<const u32*> key_rows_;     // [row]: one half of one TGSW component mod one prime
 };
 
 ExtProductScratch& scratch_for(const TgswNtt& g, std::size_t k, std::size_t n) {

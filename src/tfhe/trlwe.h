@@ -40,16 +40,25 @@ TrlweSample trlwe_encrypt(const TfheParams& params, const TrlweKey& key,
 TorusPoly trlwe_phase(const TrlweSample& sample, const TrlweKey& key);
 
 // TGSW ciphertext of a small integer scalar, stored directly in the NTT
-// domain for the external product (as 32-bit halves mod one prime, see
-// TorusNttContext::DomainPoly). Rows (p, i) for p in [0, k], i in [1, l]:
+// domain for the external product: each row component is a
+// TorusNttContext::DomainPoly, 32-bit residues of both torus halves mod both
+// primes, 16 bytes per coefficient. Rows (p, i) for p in [0, k], i in [1, l]:
 // TRLWE(0) + m * 2^(64 - i*bg_bits) on component p.
 struct TgswNtt {
-  // rows[p*l + (i-1)][component]
-  std::vector<std::vector<TorusNttContext::DomainPoly>> rows;
+  // [row][component][half][prime][N], row = p*l + (i-1).
+  std::vector<u32> residues;
   std::size_t k = 1;
   std::size_t l = 3;
   int bg_bits = 7;
   std::size_t degree = 0;
+
+  // The N residues of one half of one row component mod one prime.
+  const u32* poly(std::size_t row, std::size_t component, std::size_t half,
+                  std::size_t prime) const {
+    return residues.data() +
+           (((row * (k + 1) + component) * 2 + half) * TorusNttContext::kPrimes + prime) *
+               degree;
+  }
 };
 
 TgswNtt tgsw_encrypt(const TfheParams& params, const TrlweKey& key, i64 message,
@@ -57,11 +66,13 @@ TgswNtt tgsw_encrypt(const TfheParams& params, const TrlweKey& key, i64 message,
 
 // External product: TGSW(m) ⊡ TRLWE(mu) = TRLWE(m * mu) (plus gadget noise).
 // Each input coefficient is decomposed once; the (k+1)*l digit polynomials
-// are transformed mod one prime, their pointwise products with both halves
-// of the key rows summed in 128 bits with one reduction per coefficient, and
-// each output half transformed back, lifted and recombined. Scratch lives in
-// a per-thread workspace. Throws std::invalid_argument if the shape's
-// products could leave the exact range.
+// are transformed mod both primes (2*(k+1)*l narrow forward NTTs), their
+// pointwise products with each key row half summed in a u64 with one fold
+// per coefficient (simd::mul_sum_narrow), and each output half transformed
+// back mod each prime (4*(k+1) narrow inverse NTTs), lifted by CRT and
+// recombined. Scratch lives in a per-thread workspace. Throws
+// std::invalid_argument unless (k+1) * l * N * Bg/2 * 2^32 < P/2 (see
+// tfhe/torus_poly.h), the limit of an exact lift.
 TrlweSample external_product(const TgswNtt& g, const TrlweSample& c);
 
 // CMux: selects c0 if the TGSW encrypts 0, c1 if it encrypts 1.

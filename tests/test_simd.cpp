@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/primes.h"
@@ -290,6 +291,240 @@ TEST(SimdAccumulate, LazyKernelsMatchEagerUnderForcedIsa) {
     weighted_sum_lazy(xp, w, mod, out);
     EXPECT_EQ(out, sum_ref) << "isa=" << simd::isa_name(isa);
   }
+}
+
+// Narrow kernels: primes below 2^30, where lazy values below 4q have the
+// least headroom under 2^32. For canonical input the narrow transforms must
+// equal the 64-bit eager transforms on the same prime, on every ISA.
+std::vector<u64> narrow_primes(std::size_t n) {
+  std::vector<u64> primes = generate_ntt_primes(30, n, 3);  // the largest first
+  primes.push_back(max_ntt_prime(29, n));
+  primes.push_back(max_ntt_prime(24, n));
+  primes.push_back(max_ntt_prime(17, n));
+  return primes;
+}
+
+// Random residues with runs of 0 and q - 1, the extremes of canonical input.
+std::vector<u32> edge_input(std::size_t n, u64 q, Rng& rng) {
+  std::vector<u32> a(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const u64 pick = rng.uniform(4);
+    a[i] = static_cast<u32>(pick == 0 ? 0 : pick == 1 ? q - 1 : rng.uniform(q));
+  }
+  return a;
+}
+
+std::vector<u64> widen(const std::vector<u32>& a) { return {a.begin(), a.end()}; }
+std::vector<u32> narrow_vector(const std::vector<u64>& a) {
+  std::vector<u32> out(a.size());
+  for (std::size_t i = 0; i < a.size(); ++i) out[i] = static_cast<u32>(a[i]);
+  return out;
+}
+
+class SimdNarrowSweep : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(SimdNarrowSweep, TransformsMatchWideEagerAcrossIsas) {
+  const std::size_t n = GetParam();
+  for (u64 q : narrow_primes(n)) {
+    const NttTable wide(q, n);
+    const NarrowNttTable narrow(static_cast<u32>(q), n);
+    Rng rng(q ^ n);
+    for (int pattern = 0; pattern < 3; ++pattern) {
+      // All q - 1, then mixed edges, then uniform.
+      const std::vector<u32> input = pattern == 0   ? std::vector<u32>(n, q - 1)
+                                     : pattern == 1 ? edge_input(n, q, rng)
+                                                    : narrow_vector(rng.uniform_vector(n, q));
+      std::vector<u64> fwd = widen(input);
+      wide.forward_eager(fwd);
+      std::vector<u64> inv = widen(input);
+      wide.inverse_eager(inv);
+      // The forward transform also takes any input below 4q: the same
+      // residues lifted by q, 2q or 3q, up to 4q - 1.
+      std::vector<u32> lazy = input;
+      for (std::size_t i = 0; i < n; ++i) lazy[i] += static_cast<u32>(q * (i % 4));
+      for (Isa isa : supported_isas()) {
+        std::vector<u32> a = input;
+        narrow.forward(a, isa);
+        EXPECT_EQ(widen(a), fwd) << simd::isa_name(isa) << " q=" << q << " n=" << n;
+        a = lazy;
+        narrow.forward(a, isa);
+        EXPECT_EQ(widen(a), fwd) << simd::isa_name(isa) << " lazy input, q=" << q;
+        a = input;
+        narrow.inverse(a, isa);
+        EXPECT_EQ(widen(a), inv) << simd::isa_name(isa) << " q=" << q << " n=" << n;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Degrees, SimdNarrowSweep,
+                         ::testing::Values(std::size_t{16}, std::size_t{32},
+                                           std::size_t{64}, std::size_t{128},
+                                           std::size_t{256}, std::size_t{512},
+                                           std::size_t{1024}, std::size_t{2048},
+                                           std::size_t{4096}));
+
+TEST(SimdNarrow, TinyAndOversizedTables) {
+  // N = 2..8 run the scalar butterflies inside every variant.
+  for (std::size_t n : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+    const u64 q = max_ntt_prime(30, n);
+    const NttTable wide(q, n);
+    const NarrowNttTable narrow(static_cast<u32>(q), n);
+    Rng rng(n);
+    const std::vector<u32> input = edge_input(n, q, rng);
+    std::vector<u64> fwd = widen(input);
+    wide.forward_eager(fwd);
+    for (Isa isa : supported_isas()) {
+      std::vector<u32> a = input;
+      narrow.forward(a, isa);
+      EXPECT_EQ(widen(a), fwd) << simd::isa_name(isa) << " n=" << n;
+      narrow.inverse(a, isa);
+      EXPECT_EQ(a, input) << simd::isa_name(isa) << " n=" << n;
+    }
+  }
+  EXPECT_THROW(NarrowNttTable(static_cast<u32>(max_ntt_prime(31, 64)), 64),
+               std::invalid_argument);
+  std::vector<u32> wrong(8);
+  EXPECT_THROW(NarrowNttTable(static_cast<u32>(max_ntt_prime(30, 16)), 16).forward(wrong),
+               std::invalid_argument);
+}
+
+TEST(SimdNarrow, MulSumMatchesExactSumAcrossIsasRowsAndTails) {
+  Rng rng(41);
+  for (u64 q : {max_ntt_prime(30, 1024), max_ntt_prime(22, 1024)}) {
+    for (std::size_t rows : {std::size_t{1}, std::size_t{6}, std::size_t{15},
+                             std::size_t{16}, std::size_t{31}, std::size_t{40}}) {
+      for (std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{16},
+                            std::size_t{33}, std::size_t{300}, std::size_t{1024}}) {
+        std::vector<std::vector<u32>> a(rows), b(rows);
+        std::vector<const u32*> ap(rows), bp(rows);
+        for (std::size_t t = 0; t < rows; ++t) {
+          // Row 0 and every odd row at the largest product (q-1)^2.
+          a[t] = t % 2 == 1 || t == 0 ? std::vector<u32>(n, q - 1) : edge_input(n, q, rng);
+          b[t] = t % 2 == 1 || t == 0 ? std::vector<u32>(n, q - 1) : edge_input(n, q, rng);
+          ap[t] = a[t].data();
+          bp[t] = b[t].data();
+        }
+        std::vector<u32> want(n);
+        for (std::size_t k = 0; k < n; ++k) {
+          u128 sum = 0;
+          for (std::size_t t = 0; t < rows; ++t) sum += u128{a[t][k]} * b[t][k];
+          want[k] = static_cast<u32>(sum % q);
+        }
+        for (Isa isa : supported_isas()) {
+          std::vector<u32> out(n, 0xdeadbeef);
+          simd::mul_sum_narrow(ap.data(), bp.data(), rows, n, static_cast<u32>(q), out.data(),
+                               isa);
+          EXPECT_EQ(out, want) << simd::isa_name(isa) << " q=" << q << " rows=" << rows
+                               << " n=" << n;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdNarrow, GadgetResiduesMatchSignedDigitsAcrossIsas) {
+  Rng rng(42);
+  const u64 q1 = max_ntt_prime(30, 1024);
+  const u64 q2 = generate_ntt_primes(30, 1024, 2)[1];
+  const simd::NarrowCrt crt(static_cast<u32>(q1), static_cast<u32>(q2));
+  for (int bg_bits : {1, 7, 10, 15, 29}) {
+    const std::size_t levels = std::min<std::size_t>(63 / bg_bits, 4);
+    const u64 offset = rng.next();
+    for (std::size_t n : {std::size_t{1}, std::size_t{9}, std::size_t{64}, std::size_t{1000}}) {
+      std::vector<u64> src = rng.uniform_vector(n, ~u64{0});
+      src[0] = ~offset + 1;  // every field 0: all digits -Bg/2
+      std::vector<u32> want(2 * levels * n);
+      for (std::size_t k = 0; k < n; ++k) {
+        for (std::size_t i = 0; i < levels; ++i) {
+          const unsigned shift = 64 - static_cast<unsigned>((i + 1) * bg_bits);
+          const i64 d = static_cast<i64>(((src[k] + offset) >> shift) &
+                                         ((u64{1} << bg_bits) - 1)) -
+                        (i64{1} << (bg_bits - 1));
+          want[(2 * i) * n + k] = static_cast<u32>(d < 0 ? d + static_cast<i64>(q1) : d);
+          want[(2 * i + 1) * n + k] = static_cast<u32>(d < 0 ? d + static_cast<i64>(q2) : d);
+        }
+      }
+      for (Isa isa : supported_isas()) {
+        std::vector<u32> out(2 * levels * n);
+        simd::gadget_residues_narrow(src.data(), n, offset, bg_bits, levels, crt, out.data(),
+                                     isa);
+        EXPECT_EQ(out, want) << simd::isa_name(isa) << " bg_bits=" << bg_bits << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(SimdNarrow, CrtLiftRecoversCentredIntegersAcrossIsas) {
+  Rng rng(43);
+  const u64 q1 = max_ntt_prime(30, 2048);
+  const u64 q2 = generate_ntt_primes(30, 2048, 2)[1];
+  const simd::NarrowCrt crt(static_cast<u32>(q1), static_cast<u32>(q2));
+  ASSERT_EQ(crt.q, q1 * q2);
+  const i64 half = static_cast<i64>(crt.q / 2);
+  for (std::size_t n : {std::size_t{1}, std::size_t{5}, std::size_t{8}, std::size_t{300}}) {
+    // Integers across (-Q/2, Q/2], the ends included, per half.
+    std::vector<i64> x_lo(n), x_hi(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      x_lo[k] = static_cast<i64>(rng.uniform(crt.q)) - half;
+      x_hi[k] = static_cast<i64>(rng.uniform(crt.q)) - half;
+    }
+    x_lo[0] = half;
+    x_hi[0] = -half;
+    if (n > 1) {
+      x_lo[1] = -half;
+      x_hi[1] = 0;
+    }
+    std::vector<u32> lo(2 * n), hi(2 * n);
+    auto residue = [](i64 x, u64 q) {
+      const i64 r = x % static_cast<i64>(q);
+      return static_cast<u32>(r < 0 ? r + static_cast<i64>(q) : r);
+    };
+    const std::vector<u64> dst0 = rng.uniform_vector(n, ~u64{0});
+    std::vector<u64> want = dst0;
+    for (std::size_t k = 0; k < n; ++k) {
+      lo[k] = residue(x_lo[k], q1);
+      lo[n + k] = residue(x_lo[k], q2);
+      hi[k] = residue(x_hi[k], q1);
+      hi[n + k] = residue(x_hi[k], q2);
+      want[k] += static_cast<u64>(x_lo[k]) + (static_cast<u64>(x_hi[k]) << 32);
+    }
+    for (Isa isa : supported_isas()) {
+      std::vector<u64> dst = dst0;
+      simd::crt_lift_add_narrow(lo.data(), hi.data(), n, crt, dst.data(), isa);
+      EXPECT_EQ(dst, want) << simd::isa_name(isa) << " n=" << n;
+    }
+  }
+  EXPECT_THROW(simd::NarrowCrt(static_cast<u32>(q2), static_cast<u32>(q1)),
+               std::invalid_argument);
+}
+
+// The narrow kernels count apart from the 64-bit transforms, so CKKS's
+// NTT counts do not see TFHE's.
+TEST(SimdNarrow, DispatchCountersAreTheirOwn) {
+  const std::size_t n = 64;
+  const u64 q = max_ntt_prime(30, n);
+  const NarrowNttTable table(static_cast<u32>(q), n);
+  std::vector<u32> a(n, 1);
+  const u32* ap = a.data();
+  for (Isa isa : supported_isas()) {
+    const std::uint64_t before[] = {simd::dispatch_count(Kern::NttFwdNarrow, isa),
+                                    simd::dispatch_count(Kern::NttInvNarrow, isa),
+                                    simd::dispatch_count(Kern::MulSumNarrow, isa),
+                                    simd::dispatch_count(Kern::NttFwd, isa),
+                                    simd::dispatch_count(Kern::NttInv, isa)};
+    table.forward(a, isa);
+    table.inverse(a, isa);
+    simd::mul_sum_narrow(&ap, &ap, 1, n, static_cast<u32>(q), a.data(), isa);
+    EXPECT_EQ(simd::dispatch_count(Kern::NttFwdNarrow, isa), before[0] + 1);
+    EXPECT_EQ(simd::dispatch_count(Kern::NttInvNarrow, isa), before[1] + 1);
+    EXPECT_EQ(simd::dispatch_count(Kern::MulSumNarrow, isa), before[2] + 1);
+    EXPECT_EQ(simd::dispatch_count(Kern::NttFwd, isa), before[3]);
+    EXPECT_EQ(simd::dispatch_count(Kern::NttInv, isa), before[4]);
+  }
+  EXPECT_STREQ(simd::kern_name(Kern::NttFwdNarrow), "ntt_fwd_narrow");
+  EXPECT_STREQ(simd::kern_name(Kern::NttInvNarrow), "ntt_inv_narrow");
+  EXPECT_STREQ(simd::kern_name(Kern::MulSumNarrow), "mul_sum_narrow");
 }
 
 TEST(FourStepWorkspace, CallerProvidedMatchesThreadLocal) {

@@ -168,6 +168,30 @@ TEST(BlindRotate, TrivialInputRotatesTestVector) {
   EXPECT_EQ(torus_to_message(phase[0], 8), torus_to_message(tv[barb], 8));
 }
 
+// One key per mask coefficient: a short mask would skip key bits and
+// return a wrong rotation, a long one would read past the key.
+TEST(BlindRotate, RejectsMaskOfOtherLength) {
+  Rng rng(13);
+  const TfheParams params = TfheParams::toy();
+  const TrlweKey key = trlwe_keygen(params, rng);
+  const std::vector<TgswNtt> bk(3, tgsw_encrypt(params, key, 1, rng));
+  const TrlweSample tv = trlwe_trivial(params, TorusPoly(params.degree));
+  EXPECT_THROW(blind_rotate(tv, std::vector<u64>(2, 1), 0, bk), std::invalid_argument);
+  EXPECT_THROW(blind_rotate(tv, std::vector<u64>(4, 1), 0, bk), std::invalid_argument);
+  EXPECT_NO_THROW(blind_rotate(tv, std::vector<u64>(3, 1), 0, bk));
+}
+
+TEST(LweKeyswitch, RejectsEmptyOrShortKey) {
+  Rng rng(14);
+  const LweKey from = lwe_keygen(4, rng);
+  const LweKey to = lwe_keygen(8, rng);
+  KeySwitchKey empty;
+  EXPECT_THROW(keyswitch(lwe_trivial(0, 0), empty), std::invalid_argument);
+  KeySwitchKey short_row = make_keyswitch_key(from, to, 2, 8, 1e-12, rng);
+  short_row.ks[2].pop_back();
+  EXPECT_THROW(keyswitch(lwe_trivial(4, 0), short_row), std::invalid_argument);
+}
+
 TEST(Pbs, SignExtractionToyParams) {
   Rng rng(12);
   const TfheParams params = TfheParams::toy();

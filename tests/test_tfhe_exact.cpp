@@ -14,6 +14,7 @@
 #include <new>
 
 #include "common/rng.h"
+#include "common/simd.h"
 #include "tfhe/bootstrap.h"
 #include "tfhe/trlwe.h"
 
@@ -235,7 +236,7 @@ TEST(TfheExact, RejectsBadShapes) {
   const TgswNtt wide_g = tgsw_encrypt(wide, key, 1, rng);
   EXPECT_THROW(external_product(wide_g, acc), std::invalid_argument);
   EXPECT_THROW(cmux(wide_g, acc, acc), std::invalid_argument);
-  // Bg = 2^20 with l = 3 at N = 1024: (k+1) * l * N * Bg/2 * 2^32 > p1/2, so
+  // Bg = 2^20 with l = 3 at N = 1024: (k+1) * l * N * Bg/2 * 2^32 > P/2, so
   // a 32-bit half of the product could not be lifted exactly.
   TfheParams set_i_wide = TfheParams::set_i();
   set_i_wide.bg_bits = 20;
@@ -243,6 +244,70 @@ TEST(TfheExact, RejectsBadShapes) {
   const TgswNtt set_i_g = tgsw_encrypt(set_i_wide, set_i_key, 1, rng);
   EXPECT_THROW(external_product(set_i_g, random_sample(1, set_i_wide.degree, rng)),
                std::invalid_argument);
+
+  // The limit (k+1) * l * N * Bg/2 * 2^32 < P/2, with P = p1 * p2 just
+  // below 2^60 at N = 1024. Bg = 2^15 with l = 3 sits at 0.75 of it and must
+  // be exact, also on an operand whose digits are all -Bg/2: the last
+  // coefficient of each half then sums N * (k+1) * l products of one sign,
+  // about half the bound.
+  TfheParams inside = TfheParams::set_i();
+  inside.bg_bits = 15;
+  const TrlweKey inside_key = trlwe_keygen(inside, rng);
+  TrlweSample extreme = random_sample(inside.k, inside.degree, rng);
+  const Torus all_low_digits = ~Gadget(inside.bg_bits, inside.l).offset() + 1;
+  for (TorusPoly* poly : {&extreme.a[0], &extreme.b}) {
+    for (std::size_t i = 0; i < inside.degree; ++i) (*poly)[i] = all_low_digits;
+  }
+  for (const TrlweSample& c : {random_sample(inside.k, inside.degree, rng), extreme}) {
+    Rng a(31), b(31);
+    const TgswNtt inside_g = tgsw_encrypt(inside, inside_key, -1, a);
+    const TrlweSample fast = external_product(inside_g, c);
+    const TrlweSample ref =
+        schoolbook_external_product(inside, tgsw_rows(inside, inside_key, -1, b), c);
+    EXPECT_TRUE(fast.a == ref.a && fast.b == ref.b) << "Bg=2^15, l=3 at N=1024";
+  }
+  // l = 4 puts the bound at exactly 2^27 * 2^32 > P/2: one step outside.
+  TfheParams outside = inside;
+  outside.l = 4;
+  const TgswNtt outside_g = tgsw_encrypt(outside, inside_key, 1, rng);
+  const TrlweSample c = random_sample(outside.k, outside.degree, rng);
+  EXPECT_THROW(external_product(outside_g, c), std::invalid_argument);
+  EXPECT_THROW(cmux(outside_g, c, c), std::invalid_argument);
+}
+
+// Narrow forward and inverse NTTs one product runs, from the SIMD dispatch
+// counters: 2 * (k+1) * l forward (every digit polynomial mod both primes)
+// and 4 * (k+1) inverse (each output half mod both primes), and no 64-bit
+// transform at all.
+TEST(TfheExact, ExternalProductNttCounts) {
+  auto total = [](simd::Kern kern) {
+    std::uint64_t sum = 0;
+    for (std::size_t i = 0; i < simd::kNumIsas; ++i) {
+      sum += simd::dispatch_count(kern, static_cast<simd::Isa>(i));
+    }
+    return sum;
+  };
+  const simd::Kern kerns[] = {simd::Kern::NttFwdNarrow, simd::Kern::NttInvNarrow,
+                              simd::Kern::NttFwd, simd::Kern::NttInv};
+  for (const TfheParams& params : {TfheParams::set_i(), TfheParams::set_ii()}) {
+    Rng rng(25);
+    const TrlweKey key = trlwe_keygen(params, rng);
+    const TgswNtt g = tgsw_encrypt(params, key, 1, rng);
+    const TrlweSample c0 = random_sample(params.k, params.degree, rng);
+    const TrlweSample c1 = random_sample(params.k, params.degree, rng);
+    const std::uint64_t rows = (params.k + 1) * params.l;
+    const std::uint64_t want[] = {2 * rows, 4 * (params.k + 1), 0, 0};
+    for (int op = 0; op < 2; ++op) {
+      std::uint64_t before[4];
+      for (int i = 0; i < 4; ++i) before[i] = total(kerns[i]);
+      (void)(op == 0 ? external_product(g, c0) : cmux(g, c0, c1));
+      for (int i = 0; i < 4; ++i) {
+        EXPECT_EQ(total(kerns[i]) - before[i], want[i])
+            << simd::kern_name(kerns[i]) << (op == 0 ? " external_product" : " cmux")
+            << " N=" << params.degree;
+      }
+    }
+  }
 }
 
 // The product's scratch lives in a per-thread workspace: once it is sized,
