@@ -10,6 +10,7 @@
 #include "bench_util.h"
 #include "common/primes.h"
 #include "common/rng.h"
+#include "common/simd.h"
 #include "poly/lazy_kernels.h"
 #include "metaop/mult_count.h"
 
@@ -85,9 +86,48 @@ int main() {
               eager == lazy);
   }
 
+  // One row per supported ISA: the lazy kernels forced onto each tier at
+  // the ckks_helr shape (6 rows of a 50-bit prime), against the eager
+  // reference. The IFMA tier runs its 52-bit body there.
+  std::printf("\nPer ISA (6 layers of a 50-bit prime, N=%zu, lazy kernels forced):\n", n);
+  std::printf("%-12s %-14s %-16s %s\n", "isa", "mul_sum us", "weighted_sum us",
+              "lazy==eager");
+  {
+    constexpr std::size_t kRows = 6;
+    const u64 q50 = max_ntt_prime(50, n);
+    const Modulus mod50(q50);
+    std::vector<std::vector<u64>> a(kRows), b(kRows);
+    std::vector<const u64*> ap, bp;
+    for (std::size_t t = 0; t < kRows; ++t) {
+      a[t] = rng.uniform_vector(n, q50);
+      b[t] = rng.uniform_vector(n, q50);
+      ap.push_back(a[t].data());
+      bp.push_back(b[t].data());
+    }
+    const std::vector<u64> w = rng.uniform_vector(kRows, q50);
+    std::vector<u64> mul_ref(n), sum_ref(n), out(n);
+    mul_sum_eager(ap, bp, mod50, mul_ref);
+    weighted_sum_eager(ap, w, mod50, sum_ref);
+    for (std::size_t i = 0; i < simd::kNumIsas; ++i) {
+      const auto isa = static_cast<simd::Isa>(i);
+      if (!simd::isa_supported(isa)) continue;
+      const double t_mul = time_us(
+          [&] { simd::mul_sum(ap.data(), bp.data(), kRows, n, q50, out.data(), isa); }, 50);
+      bool match = out == mul_ref;
+      const double t_sum = time_us(
+          [&] { simd::weighted_sum(ap.data(), w.data(), kRows, n, q50, q50, out.data(), isa); },
+          50);
+      match &= out == sum_ref;
+      all_match &= match;
+      std::printf("%-12s %-14.1f %-16.1f %s\n", simd::isa_name(isa), t_mul, t_sum,
+                  match ? "yes" : "NO");
+    }
+  }
+
   bench::print_footnote(
       "the CKKS keyswitch runs mul_sum_lazy and BConv runs weighted_sum_lazy "
-      "(src/poly/lazy_kernels.h); the TFHE external product runs the 32-bit-word "
+      "(src/poly/lazy_kernels.h), both the whole-call simd::mul_sum / "
+      "simd::weighted_sum; the TFHE external product runs the 32-bit-word "
       "simd::mul_sum_narrow");
   if (!all_match) {
     std::fprintf(stderr, "ablation_lazy_reduction: a lazy kernel differs from its eager "

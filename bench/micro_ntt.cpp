@@ -8,7 +8,8 @@
 //                            level this host supports
 //   --threads N              set the substrate pool width first (any mode)
 //   --isa NAME               force the SIMD dispatch (scalar|avx2|avx512|
-//                            native); exits 2 if unknown or unsupported
+//                            avx512ifma|native); exits 2 if unknown or
+//                            unsupported
 //   --metrics-out FILE       skip the benchmark loops; run a fixed, seeded
 //                            workload per supported ISA and emit
 //                            alchemist.metrics.v1. The substrate.* chunk/
@@ -16,8 +17,9 @@
 //                            --threads value, so CI gates them with
 //                            tools/check_bench_baseline.py; wall-clock rows
 //                            are named *wall_ns and excluded via --ignore,
-//                            and the avx2/avx512 runs are host-dependent so
-//                            the gate treats them as --optional.
+//                            and the avx2/avx512/avx512ifma runs are
+//                            host-dependent so the gate treats them as
+//                            --optional.
 //   --smoke                  1-vs-2-thread + lazy-vs-eager + per-ISA
 //                            bit-identity assertions, the narrow kernels
 //                            included; exit non-zero on mismatch.
@@ -38,12 +40,16 @@
 #include "obs/report.h"
 #include "obs/substrate_metrics.h"
 #include "poly/four_step_ntt.h"
+#include "poly/lazy_kernels.h"
 #include "poly/ntt.h"
 #include "poly/rns.h"
 
 namespace {
 
 using namespace alchemist;
+
+constexpr simd::Isa kAllIsas[] = {simd::Isa::Scalar, simd::Isa::Avx2, simd::Isa::Avx512,
+                                  simd::Isa::Avx512Ifma};
 
 void BM_NttForward(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -105,8 +111,8 @@ BENCHMARK(BM_NttInverseEager)->Arg(4096)->Arg(65536);
 
 // Forced-ISA forward/inverse at the paper's workhorse size. Registered from
 // main() for each variant this host supports, so one run prints the
-// scalar-lazy vs AVX2 vs AVX-512 column of the Performance table (compare
-// against BM_NttForwardEager for the eager baseline).
+// scalar-lazy vs AVX2 vs AVX-512 vs AVX-512 IFMA column of the Performance
+// table (compare against BM_NttForwardEager for the eager baseline).
 void BM_NttForwardIsa(benchmark::State& state, simd::Isa isa) {
   const std::size_t n = 16384;
   const u64 q = max_ntt_prime(50, n);
@@ -133,39 +139,60 @@ void BM_NttInverseIsa(benchmark::State& state, simd::Isa isa) {
   state.SetItemsProcessed(state.iterations() * static_cast<long>(n));
 }
 
-// The TFHE external product's pointwise 128-bit multiply-accumulate at
-// N = 1024: six digit rows (set I, (k+1) * l = 6) into one accumulator.
-void BM_MulAccumulateIsa(benchmark::State& state, simd::Isa isa) {
-  constexpr std::size_t n = 1024;
-  constexpr std::size_t rows = 6;
-  const u64 q = max_ntt_prime(62, n);
-  Rng rng(n);
-  const std::vector<u64> a = rng.uniform_vector(rows * n, q);
-  const std::vector<u64> b = rng.uniform_vector(rows * n, q);
-  std::vector<u64> lo(n), hi(n);
-  for (auto _ : state) {
-    std::fill(lo.begin(), lo.end(), 0);
-    std::fill(hi.begin(), hi.end(), 0);
-    for (std::size_t r = 0; r < rows; ++r) {
-      simd::mul_accumulate(a.data() + r * n, b.data() + r * n, n, lo.data(), hi.data(), isa);
+// The CKKS DecompPolyMult and BConv sums at the ckks_helr shape: six rows
+// (alpha = K = 6) of N = 2048 residues of a 50-bit prime into one channel.
+struct SumRows {
+  static constexpr std::size_t kN = 2048, kRows = 6;
+  u64 q = max_ntt_prime(50, kN);
+  std::vector<std::vector<u64>> a, b;
+  std::vector<const u64*> ap, bp;
+  std::vector<u64> w, out = std::vector<u64>(kN);
+
+  SumRows() {
+    Rng rng(kN);
+    for (std::size_t t = 0; t < kRows; ++t) {
+      a.push_back(rng.uniform_vector(kN, q));
+      b.push_back(rng.uniform_vector(kN, q));
     }
-    benchmark::DoNotOptimize(lo.data());
-    benchmark::DoNotOptimize(hi.data());
+    for (std::size_t t = 0; t < kRows; ++t) {
+      ap.push_back(a[t].data());
+      bp.push_back(b[t].data());
+    }
+    w = rng.uniform_vector(kRows, q);
+  }
+};
+
+void BM_MulSumIsa(benchmark::State& state, simd::Isa isa) {
+  SumRows s;
+  for (auto _ : state) {
+    simd::mul_sum(s.ap.data(), s.bp.data(), s.kRows, s.kN, s.q, s.out.data(), isa);
+    benchmark::DoNotOptimize(s.out.data());
     benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<long>(rows * n));
+  state.SetItemsProcessed(state.iterations() * static_cast<long>(s.kRows * s.kN));
+}
+
+void BM_WeightedSumIsa(benchmark::State& state, simd::Isa isa) {
+  SumRows s;
+  for (auto _ : state) {
+    simd::weighted_sum(s.ap.data(), s.w.data(), s.kRows, s.kN, s.q, s.q, s.out.data(), isa);
+    benchmark::DoNotOptimize(s.out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<long>(s.kRows * s.kN));
 }
 
 void register_isa_benchmarks() {
-  for (simd::Isa isa : {simd::Isa::Scalar, simd::Isa::Avx2, simd::Isa::Avx512}) {
+  for (simd::Isa isa : kAllIsas) {
     if (!simd::isa_supported(isa)) continue;
     const std::string suffix = std::string("/isa:") + simd::isa_name(isa);
     benchmark::RegisterBenchmark(("BM_NttForwardIsa" + suffix).c_str(),
                                  BM_NttForwardIsa, isa);
     benchmark::RegisterBenchmark(("BM_NttInverseIsa" + suffix).c_str(),
                                  BM_NttInverseIsa, isa);
-    benchmark::RegisterBenchmark(("BM_MulAccumulateIsa" + suffix).c_str(),
-                                 BM_MulAccumulateIsa, isa);
+    benchmark::RegisterBenchmark(("BM_MulSumIsa" + suffix).c_str(), BM_MulSumIsa, isa);
+    benchmark::RegisterBenchmark(("BM_WeightedSumIsa" + suffix).c_str(), BM_WeightedSumIsa,
+                                 isa);
   }
 }
 
@@ -316,9 +343,10 @@ int run_metrics_mode(const std::string& path, std::size_t threads) {
   // skewing the per-ISA comparison.
   run_fixed_workload(nullptr);
   // One run per SIMD level: the forced-scalar run keeps its historical name
-  // (its counters are host-independent); avx2/avx512 runs exist only where
-  // CPUID allows them, so the baseline gate lists them under --optional.
-  for (simd::Isa isa : {simd::Isa::Scalar, simd::Isa::Avx2, simd::Isa::Avx512}) {
+  // (its counters are host-independent); avx2/avx512/avx512ifma runs exist
+  // only where CPUID allows them, so the baseline gate lists them under
+  // --optional.
+  for (simd::Isa isa : kAllIsas) {
     if (!simd::isa_supported(isa)) continue;
     simd::set_isa(isa);
     obs::Registry reg;
@@ -357,7 +385,7 @@ int run_smoke_mode() {
     return 1;
   }
   // Every compiled+supported SIMD variant, forced, vs the eager reference.
-  for (simd::Isa isa : {simd::Isa::Scalar, simd::Isa::Avx2, simd::Isa::Avx512}) {
+  for (simd::Isa isa : kAllIsas) {
     if (!simd::isa_supported(isa)) continue;
     std::vector<u64> forced = rng.uniform_vector(4096, q);
     std::vector<u64> ref = forced;
@@ -374,6 +402,26 @@ int run_smoke_mode() {
       std::fprintf(stderr, "SMOKE FAIL: %s inverse NTT != eager reference\n",
                    simd::isa_name(isa));
       return 1;
+    }
+  }
+  // The whole-call sums on every supported ISA against the eager references.
+  {
+    const SumRows s;
+    const Modulus mod(s.q);
+    std::vector<u64> mul_ref(s.kN), sum_ref(s.kN);
+    mul_sum_eager(s.ap, s.bp, mod, mul_ref);
+    weighted_sum_eager(s.ap, s.w, mod, sum_ref);
+    for (simd::Isa isa : kAllIsas) {
+      if (!simd::isa_supported(isa)) continue;
+      std::vector<u64> out(s.kN);
+      simd::mul_sum(s.ap.data(), s.bp.data(), s.kRows, s.kN, s.q, out.data(), isa);
+      const bool mul_ok = out == mul_ref;
+      simd::weighted_sum(s.ap.data(), s.w.data(), s.kRows, s.kN, s.q, s.q, out.data(), isa);
+      if (!mul_ok || out != sum_ref) {
+        std::fprintf(stderr, "SMOKE FAIL: %s %s != eager reference\n", simd::isa_name(isa),
+                     !mul_ok ? "mul_sum" : "weighted_sum");
+        return 1;
+      }
     }
   }
   // Narrow (30-bit prime, 32-bit word) transforms and MAC on every supported
@@ -401,7 +449,7 @@ int run_smoke_mode() {
       for (std::size_t t = 0; t < kRows; ++t) sum += u128{rows[t][k]} * rows[t][k];
       mac_ref[k] = static_cast<u32>(sum % p);
     }
-    for (simd::Isa isa : {simd::Isa::Scalar, simd::Isa::Avx2, simd::Isa::Avx512}) {
+    for (simd::Isa isa : kAllIsas) {
       if (!simd::isa_supported(isa)) continue;
       std::vector<u32> a(input.begin(), input.end());
       narrow.forward(a, isa);
@@ -428,7 +476,8 @@ int run_smoke_mode() {
     return 1;
   }
   std::fprintf(stderr,
-               "SMOKE OK: lazy==eager, per-ISA==eager (<=%s), narrow==wide eager, "
+               "SMOKE OK: lazy==eager, per-ISA==eager (<=%s, sums included), "
+               "narrow==wide eager, "
                "2-thread==sequential (bit-identical)\n",
                simd::isa_name(simd::best_supported_isa()));
   return 0;

@@ -31,7 +31,8 @@
 //                          kernels fan out on (default ALCHEMIST_THREADS or
 //                          hardware concurrency; 1 = sequential)
 //   --isa <i>              force the SIMD dispatch of the NTT/accumulator
-//                          kernels: scalar | avx2 | avx512 | native
+//                          kernels: scalar | avx2 | avx512 | avx512ifma |
+//                          native
 //                          (default ALCHEMIST_ISA or best CPUID-supported;
 //                          unsupported values exit 2)
 // Fault modeling (Alchemist only; see src/fault/fault_model.h):
@@ -79,7 +80,8 @@ int usage() {
                "       [--batch B] [--event] [--profile] [--mem-profile]\n"
                "       [--trace-out T.json] [--metrics-out M.json]\n"
                "       [--fault-seed S] [--fault-rate R] [--fault-policy none|detect-retry|dmr]\n"
-               "       [--mask-units i,j,...] [--threads N] [--isa scalar|avx2|avx512|native]\n"
+               "       [--mask-units i,j,...] [--threads N]\n"
+               "       [--isa scalar|avx2|avx512|avx512ifma|native]\n"
                "workloads: pmult hadd keyswitch cmult rotation rescale bootstrap\n"
                "           bootstrap-hoisted helr mnist mnist-enc pbs-i pbs-ii bfv-cmult\n");
   return 2;

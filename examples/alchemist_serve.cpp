@@ -61,7 +61,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: alchemist_serve [--workers N] [--jobs N] [--fault-rate R]\n"
                "       [--deadline-ms D] [--queue N] [--seed S] [--threads N]\n"
-               "       [--isa scalar|avx2|avx512|native]\n"
+               "       [--isa scalar|avx2|avx512|avx512ifma|native]\n"
                "       [--introspect-port P] [--port P] [--loop-seconds S]\n"
                "       [--tenants N] [--trace-out PATH] [--timeline-out PATH]\n"
                "       [--trace-detail lifecycle|phases|ops]\n"

@@ -6,14 +6,9 @@
 //
 // vpmullq (DQ) gives the low 64 bits natively; the high 64 bits are still
 // synthesized from vpmuludq partials (there is no 64-bit mulhi outside
-// IFMA's 52-bit forms), exactly as in the AVX2 TU. Range folds use the
-// unsigned min trick: min_epu64(x, x - bound) selects the folded value iff
-// x >= bound.
-//
-// Short-stride stages (t = 4, 2, 1) batch 16 consecutive elements through
-// vpermt2q two-source permutes with a matching twiddle permutation, so every
-// stage of an N >= 16 transform runs 8-wide. The narrow (32-bit word)
-// kernels at the end of the file run 16-wide.
+// IFMA's 52-bit forms), exactly as in the AVX2 TU. The transforms' stage
+// loops live in simd_avx512_ntt.h, shared with the IFMA tier. The narrow
+// (32-bit word) kernels at the end of the file run 16-wide.
 #include "common/simd.h"
 
 #if ALCHEMIST_SIMD_AVX512
@@ -22,20 +17,14 @@
 
 #include <algorithm>
 
+#include "common/simd_avx512_ntt.h"
+
 namespace alchemist::simd::detail {
 
 namespace {
 
 using u64 = std::uint64_t;
 using u128 = unsigned __int128;
-
-inline __m512i loadu(const u64* p) { return _mm512_loadu_si512(p); }
-inline void storeu(u64* p, __m512i v) { _mm512_storeu_si512(p, v); }
-
-inline __m512i idx8(long long a, long long b, long long c, long long d,
-                    long long e, long long f, long long g, long long h) {
-  return _mm512_set_epi64(h, g, f, e, d, c, b, a);
-}
 
 // High 64 bits of a*b per lane; same exact-carry chain as the AVX2 TU.
 inline __m512i mulhi64(__m512i a, __m512i b, __m512i a_hi, __m512i b_hi) {
@@ -50,236 +39,34 @@ inline __m512i mulhi64(__m512i a, __m512i b, __m512i a_hi, __m512i b_hi) {
       hihi, _mm512_add_epi64(_mm512_srli_epi64(mid, 32), _mm512_srli_epi64(mid2, 32)));
 }
 
-// x - bound if x >= bound, else x; requires x < 2*bound.
-inline __m512i fold(__m512i x, __m512i bound) {
-  return _mm512_min_epu64(x, _mm512_sub_epi64(x, bound));
-}
+// The 64-bit Shoup multiply of the scalar body, per lane: op*x -
+// mulhi(quot, x)*q mod 2^64, result in [0, 2q).
+struct Arith64 {
+  struct Twiddle {
+    __m512i op, quot, quot_hi;
+  };
+  __m512i q, two_q;
 
-struct Twiddle {
-  __m512i op, quot, quot_hi;
-};
+  explicit Arith64(u64 modulus) : q(set1(modulus)), two_q(set1(2 * modulus)) {}
 
-inline Twiddle twiddle_vec(__m512i op, __m512i quot) {
-  return {op, quot, _mm512_srli_epi64(quot, 32)};
-}
-
-inline Twiddle twiddle_broadcast(u64 op, u64 quot) {
-  return twiddle_vec(_mm512_set1_epi64(static_cast<long long>(op)),
-                     _mm512_set1_epi64(static_cast<long long>(quot)));
-}
-
-// Shoup lazy multiply per lane: op*x - mulhi(quot, x)*q, result in [0, 2q).
-inline __m512i shoup_mul_lazy(__m512i x, const Twiddle& w, __m512i q) {
-  const __m512i x_hi = _mm512_srli_epi64(x, 32);
-  const __m512i hi = mulhi64(w.quot, x, w.quot_hi, x_hi);
-  return _mm512_sub_epi64(_mm512_mullo_epi64(w.op, x), _mm512_mullo_epi64(hi, q));
-}
-
-inline void ct_butterfly(__m512i& u, __m512i& x, const Twiddle& w,
-                         __m512i q, __m512i two_q) {
-  u = fold(u, two_q);
-  const __m512i v = shoup_mul_lazy(x, w, q);
-  const __m512i lo = _mm512_add_epi64(u, v);
-  const __m512i hi = _mm512_sub_epi64(_mm512_add_epi64(u, two_q), v);
-  u = lo;
-  x = hi;
-}
-
-inline void gs_butterfly(__m512i& u, __m512i& v, const Twiddle& w,
-                         __m512i q, __m512i two_q) {
-  const __m512i sum = fold(_mm512_add_epi64(u, v), two_q);
-  const __m512i diff = _mm512_sub_epi64(_mm512_add_epi64(u, two_q), v);
-  u = sum;
-  v = shoup_mul_lazy(diff, w, q);
-}
-
-// Two-source permute index vectors for the short-stride stages. For 16
-// consecutive elements loaded as (A, B), index k < 8 selects A lane k and
-// index 8 + k selects B lane k. The `store_*` pair re-interleaves (U, V)
-// back to memory order.
-struct StageIdx {
-  __m512i split_u, split_v, store_a, store_b;
-};
-
-inline StageIdx idx_t4() {
-  // Blocks of 8: [u0..u3 v0..v3 | u4..u7 v4..v7]; the split indices double
-  // as the store indices.
-  const __m512i u = idx8(0, 1, 2, 3, 8, 9, 10, 11);
-  const __m512i v = idx8(4, 5, 6, 7, 12, 13, 14, 15);
-  return {u, v, u, v};
-}
-inline StageIdx idx_t2() {
-  return {idx8(0, 1, 4, 5, 8, 9, 12, 13), idx8(2, 3, 6, 7, 10, 11, 14, 15),
-          idx8(0, 1, 8, 9, 2, 3, 10, 11), idx8(4, 5, 12, 13, 6, 7, 14, 15)};
-}
-inline StageIdx idx_t1() {
-  return {idx8(0, 2, 4, 6, 8, 10, 12, 14), idx8(1, 3, 5, 7, 9, 11, 13, 15),
-          idx8(0, 8, 1, 9, 2, 10, 3, 11), idx8(4, 12, 5, 13, 6, 14, 7, 15)};
-}
-
-// Twiddle expansion per stride: 8/len consecutive stage twiddles, each
-// repeated `len` times in the split lane order.
-inline __m512i expand_tw_t4(const u64* w) {
-  const __m128i two = _mm_loadu_si128(reinterpret_cast<const __m128i*>(w));
-  return _mm512_permutexvar_epi64(idx8(0, 0, 0, 0, 1, 1, 1, 1),
-                                  _mm512_castsi128_si512(two));
-}
-inline __m512i expand_tw_t2(const u64* w) {
-  const __m256i four = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w));
-  return _mm512_permutexvar_epi64(idx8(0, 0, 1, 1, 2, 2, 3, 3),
-                                  _mm512_castsi256_si512(four));
-}
-inline __m512i expand_tw_t1(const u64* w) { return loadu(w); }
-
-template <typename Butterfly>
-inline void short_stage(u64* a, const u64* w_op, const u64* w_quot,
-                        std::size_t pairs, std::size_t len, const StageIdx& ix,
-                        __m512i q, __m512i two_q, Butterfly&& bf) {
-  // `pairs` butterflies of stride `len` (len in {4, 2, 1}), 8 per sweep.
-  const std::size_t per = 8 / len;  // stage twiddles consumed per sweep
-  for (std::size_t i = 0; i < pairs; i += per) {
-    u64* p = a + 2 * i * len;
-    const __m512i A = loadu(p);
-    const __m512i B = loadu(p + 8);
-    __m512i u = _mm512_permutex2var_epi64(A, ix.split_u, B);
-    __m512i v = _mm512_permutex2var_epi64(A, ix.split_v, B);
-    __m512i top, tq;
-    if (len == 4) {
-      top = expand_tw_t4(w_op + i);
-      tq = expand_tw_t4(w_quot + i);
-    } else if (len == 2) {
-      top = expand_tw_t2(w_op + i);
-      tq = expand_tw_t2(w_quot + i);
-    } else {
-      top = expand_tw_t1(w_op + i);
-      tq = expand_tw_t1(w_quot + i);
-    }
-    const Twiddle w = twiddle_vec(top, tq);
-    bf(u, v, w, q, two_q);
-    storeu(p, _mm512_permutex2var_epi64(u, ix.store_a, v));
-    storeu(p + 8, _mm512_permutex2var_epi64(u, ix.store_b, v));
+  Twiddle twiddle(__m512i op, __m512i quot) const {
+    return {op, quot, _mm512_srli_epi64(quot, 32)};
   }
-}
+
+  __m512i mul_lazy(__m512i x, const Twiddle& w) const {
+    const __m512i hi = mulhi64(w.quot, x, w.quot_hi, _mm512_srli_epi64(x, 32));
+    return _mm512_sub_epi64(_mm512_mullo_epi64(w.op, x), _mm512_mullo_epi64(hi, q));
+  }
+};
 
 }  // namespace
 
 void ntt_forward_lazy_avx512(const NttTables& t, u64* a) {
-  const u64 q64 = t.q;
-  const u64 two_q64 = 2 * q64;
-  const __m512i q = _mm512_set1_epi64(static_cast<long long>(q64));
-  const __m512i two_q = _mm512_set1_epi64(static_cast<long long>(two_q64));
-  const auto bf = [](__m512i& u, __m512i& v, const Twiddle& w, __m512i qq,
-                     __m512i tq) { ct_butterfly(u, v, w, qq, tq); };
-
-  std::size_t len = t.n;
-  for (std::size_t m = 1; m < t.n; m <<= 1) {
-    len >>= 1;
-    if (len >= 8) {
-      for (std::size_t i = 0; i < m; ++i) {
-        const std::size_t j1 = 2 * i * len;
-        const Twiddle w = twiddle_broadcast(t.w_op[m + i], t.w_quot[m + i]);
-        for (std::size_t j = j1; j < j1 + len; j += 8) {
-          __m512i u = loadu(a + j);
-          __m512i x = loadu(a + j + len);
-          ct_butterfly(u, x, w, q, two_q);
-          storeu(a + j, u);
-          storeu(a + j + len, x);
-        }
-      }
-    } else if (t.n >= 16) {
-      const StageIdx ix = len == 4 ? idx_t4() : len == 2 ? idx_t2() : idx_t1();
-      short_stage(a, t.w_op + m, t.w_quot + m, m, len, ix, q, two_q, bf);
-    } else {
-      // n == 8 tail stages: scalar butterflies (bit-identical either way).
-      for (std::size_t i = 0; i < m; ++i) {
-        const std::size_t j1 = 2 * i * len;
-        const u64 op = t.w_op[m + i];
-        const u64 quot = t.w_quot[m + i];
-        for (std::size_t j = j1; j < j1 + len; ++j) {
-          u64 u = a[j];
-          u -= two_q64 & (u >= two_q64 ? ~u64{0} : 0);
-          const u64 x = a[j + len];
-          const u64 hi = static_cast<u64>((u128{quot} * x) >> 64);
-          const u64 v = op * x - hi * q64;
-          a[j] = u + v;
-          a[j + len] = u + two_q64 - v;
-        }
-      }
-    }
-  }
-
-  std::size_t j = 0;
-  for (; j + 8 <= t.n; j += 8) {
-    storeu(a + j, fold(fold(loadu(a + j), two_q), q));
-  }
-  for (; j < t.n; ++j) {
-    u64 x = a[j];
-    x -= two_q64 & (x >= two_q64 ? ~u64{0} : 0);
-    x -= q64 & (x >= q64 ? ~u64{0} : 0);
-    a[j] = x;
-  }
+  forward_lazy(t, a, Arith64(t.q));
 }
 
 void ntt_inverse_lazy_avx512(const NttTables& t, u64* a, u64 ninv_op, u64 ninv_quot) {
-  const u64 q64 = t.q;
-  const u64 two_q64 = 2 * q64;
-  const __m512i q = _mm512_set1_epi64(static_cast<long long>(q64));
-  const __m512i two_q = _mm512_set1_epi64(static_cast<long long>(two_q64));
-  const auto bf = [](__m512i& u, __m512i& v, const Twiddle& w, __m512i qq,
-                     __m512i tq) { gs_butterfly(u, v, w, qq, tq); };
-
-  std::size_t len = 1;
-  for (std::size_t m = t.n; m > 1; m >>= 1) {
-    const std::size_t h = m >> 1;
-    if (len >= 8) {
-      std::size_t j1 = 0;
-      for (std::size_t i = 0; i < h; ++i) {
-        const Twiddle w = twiddle_broadcast(t.w_op[h + i], t.w_quot[h + i]);
-        for (std::size_t j = j1; j < j1 + len; j += 8) {
-          __m512i u = loadu(a + j);
-          __m512i v = loadu(a + j + len);
-          gs_butterfly(u, v, w, q, two_q);
-          storeu(a + j, u);
-          storeu(a + j + len, v);
-        }
-        j1 += 2 * len;
-      }
-    } else if (t.n >= 16) {
-      const StageIdx ix = len == 4 ? idx_t4() : len == 2 ? idx_t2() : idx_t1();
-      short_stage(a, t.w_op + h, t.w_quot + h, h, len, ix, q, two_q, bf);
-    } else {
-      std::size_t j1 = 0;
-      for (std::size_t i = 0; i < h; ++i) {
-        const u64 op = t.w_op[h + i];
-        const u64 quot = t.w_quot[h + i];
-        for (std::size_t j = j1; j < j1 + len; ++j) {
-          const u64 u = a[j];
-          const u64 v = a[j + len];
-          u64 sum = u + v;
-          sum -= two_q64 & (sum >= two_q64 ? ~u64{0} : 0);
-          a[j] = sum;
-          const u64 x = u + two_q64 - v;
-          const u64 hi = static_cast<u64>((u128{quot} * x) >> 64);
-          a[j + len] = op * x - hi * q64;
-        }
-        j1 += 2 * len;
-      }
-    }
-    len <<= 1;
-  }
-
-  const Twiddle ninv = twiddle_broadcast(ninv_op, ninv_quot);
-  std::size_t j = 0;
-  for (; j + 8 <= t.n; j += 8) {
-    storeu(a + j, fold(shoup_mul_lazy(loadu(a + j), ninv, q), q));
-  }
-  for (; j < t.n; ++j) {
-    const u64 x = a[j];
-    const u64 hi = static_cast<u64>((u128{ninv_quot} * x) >> 64);
-    u64 r = ninv_op * x - hi * q64;
-    if (r >= q64) r -= q64;
-    a[j] = r;
-  }
+  inverse_lazy(t, a, ninv_op, ninv_quot, Arith64(t.q));
 }
 
 void weighted_accumulate_avx512(const u64* x, u64 w, std::size_t n,

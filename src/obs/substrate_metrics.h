@@ -13,8 +13,8 @@
 //
 // kernel_ns (and anything else wall-clock) is machine-dependent: exclude it
 // from baseline gates (check_bench_baseline.py --ignore 'wall_ns|kernel_ns').
-// isa_dispatch rows for avx2/avx512 only exist on hosts whose CPUID allows
-// them — baselines treat those runs as optional (--optional).
+// isa_dispatch rows for avx2/avx512/avx512ifma only exist on hosts whose
+// CPUID allows them — baselines treat those runs as optional (--optional).
 #pragma once
 
 #include "common/simd.h"

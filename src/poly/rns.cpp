@@ -4,6 +4,8 @@
 #include <stdexcept>
 
 #include "common/biguint.h"
+#include "common/keyed_cache.h"
+#include "common/simd.h"
 #include "common/thread_pool.h"
 #include "poly/lazy_kernels.h"
 #include "poly/ntt.h"
@@ -31,6 +33,34 @@ void for_channel_segments(std::size_t begin, std::size_t end, std::size_t n, F&&
 // Elementwise grain: chunks below this many coefficients are not worth a
 // handoff to the pool.
 constexpr std::size_t kElementwiseGrain = 1 << 13;
+
+using BasisPair = std::pair<std::vector<u64>, std::vector<u64>>;
+
+// A keyswitch converts between the same few bases every call, so the
+// BigUInt q̂ tables behind each conversion are built once per
+// (source, target) pair.
+const BConv& cached_bconv(const std::vector<u64>& source, const std::vector<u64>& target) {
+  static KeyedCache<BasisPair, BConv> cache;
+  return cache.get(BasisPair{source, target}, source, target);
+}
+
+// Moddown from Q·P to Q: the BConv P -> Q and P^{-1} mod each q_i.
+struct ModdownTables {
+  BConv conv;
+  std::vector<MulModShoup> p_inv;
+
+  ModdownTables(const std::vector<u64>& p_moduli, const std::vector<u64>& q_moduli)
+      : conv(p_moduli, q_moduli) {
+    const BigUInt big_p = BigUInt::product(p_moduli);
+    for (u64 q : q_moduli) p_inv.emplace_back(inv_mod(big_p.mod_u64(q), q), q);
+  }
+};
+
+const ModdownTables& cached_moddown(const std::vector<u64>& p_moduli,
+                                    const std::vector<u64>& q_moduli) {
+  static KeyedCache<BasisPair, ModdownTables> cache;
+  return cache.get(BasisPair{p_moduli, q_moduli}, p_moduli, q_moduli);
+}
 
 }  // namespace
 
@@ -116,10 +146,11 @@ RnsPoly& RnsPoly::operator*=(const RnsPoly& other) {
   parallel_for(channels_.size() * n_, kElementwiseGrain,
                [&](std::size_t b, std::size_t e) {
     for_channel_segments(b, e, n_, [&](std::size_t c, std::size_t i0, std::size_t i1) {
-      const Modulus& mod = moduli_[c];
-      for (std::size_t i = i0; i < i1; ++i) {
-        channels_[c][i] = mod.mul(channels_[c][i], other.channels_[c][i]);
-      }
+      // A one-row mul_sum, written back in place.
+      u64* x = channels_[c].data() + i0;
+      const u64* row_a = x;
+      const u64* row_b = other.channels_[c].data() + i0;
+      simd::mul_sum(&row_a, &row_b, 1, i1 - i0, moduli_values_[c], x);
     });
   });
   return *this;
@@ -289,6 +320,7 @@ RnsPoly BConv::apply(const RnsPoly& x) const {
   if (x.moduli() != source_) throw std::invalid_argument("BConv: basis mismatch");
   const std::size_t n = x.degree();
   const std::size_t src_count = source_.size();
+  const u64 src_bound = *std::max_element(source_.begin(), source_.end());
 
   // v_i = [x_i * q̂_i^{-1}]_{q_i}, shared across all target channels; each
   // source channel is independent, and q̂_i^{-1} is a Shoup constant.
@@ -318,7 +350,8 @@ RnsPoly BConv::apply(const RnsPoly& x) const {
     {
       KernelTimer timer(Kernel::BConv);
       for (std::size_t j = b; j < e; ++j) {
-        weighted_sum_lazy(v_ptrs, qhat_mod_pj_[j], out.channel_modulus(j), out.channel(j));
+        weighted_sum_lazy(v_ptrs, qhat_mod_pj_[j], out.channel_modulus(j), out.channel(j),
+                          src_bound);
       }
     }
     KernelTimer timer(Kernel::NttFwd);
@@ -340,7 +373,7 @@ RnsPoly modup(const RnsPoly& x, const std::vector<u64>& basis, std::size_t first
   // converted channels come back in NTT form and x's go in unchanged.
   RnsPoly x_coeff = x;
   x_coeff.to_coeff();
-  RnsPoly out = BConv(x.moduli(), std::move(others)).apply(x_coeff);
+  RnsPoly out = cached_bconv(x.moduli(), others).apply(x_coeff);
   out.insert_channels(first, x);
   return out;
 }
@@ -359,15 +392,15 @@ RnsPoly moddown(const RnsPoly& x, std::size_t num_special) {
   // each q_i. The NTT is linear mod q_i, so the correction is exact there too.
   RnsPoly p_part = x.extract_channels(num_q, num_special);
   p_part.to_coeff();
-  RnsPoly out = BConv(p_moduli, q_moduli).apply(p_part);
+  const ModdownTables& tables = cached_moddown(p_moduli, q_moduli);
+  RnsPoly out = tables.conv.apply(p_part);
 
   // out_i = (x_i - Bconv(x_P)_i) * P^{-1} mod q_i, in place over the
   // converted channels.
-  const BigUInt big_p = BigUInt::product(p_moduli);
   parallel_for(num_q, 1, [&](std::size_t b, std::size_t e) {
     for (std::size_t i = b; i < e; ++i) {
       const Modulus& qi = out.channel_modulus(i);
-      const MulModShoup p_inv(qi.inv(big_p.mod_u64(qi.value())), qi.value());
+      const MulModShoup& p_inv = tables.p_inv[i];
       std::span<u64> oi = out.channel(i);
       std::span<const u64> xi = x.channel(i);
       for (std::size_t k = 0; k < out.degree(); ++k) {

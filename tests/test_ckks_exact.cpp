@@ -75,8 +75,10 @@ std::uint64_t keyswitch_digest(const CkksParams& params, std::size_t level, u64 
   return Digest().add(ks0).add(ks1).value();
 }
 
+constexpr std::uint64_t kKeyswitchL4 = 0xb6b62979529c0ebdull;
+
 TEST(CkksExact, KeyswitchPinned) {
-  EXPECT_EQ(keyswitch_digest(CkksParams::toy(256, 4, 2), 4, 1), 0xb6b62979529c0ebdull)
+  EXPECT_EQ(keyswitch_digest(CkksParams::toy(256, 4, 2), 4, 1), kKeyswitchL4)
       << "L=4 dnum=2";
   EXPECT_EQ(keyswitch_digest(CkksParams::toy(256, 6, 3), 5, 2), 0xd7679aaf339dfa6cull)
       << "L=6 dnum=3 at level 5";
@@ -84,7 +86,11 @@ TEST(CkksExact, KeyswitchPinned) {
       << "L=5 dnum=5 at level 3";
 }
 
-TEST(CkksExact, MultiplyRescalePinned) {
+struct MultiplyDigests {
+  std::uint64_t multiply, rescale;
+};
+
+MultiplyDigests multiply_digests() {
   const CkksParams params = CkksParams::toy(256, 4, 2);
   const auto ctx = std::make_shared<CkksContext>(params);
   Rng rng(4);
@@ -93,8 +99,15 @@ TEST(CkksExact, MultiplyRescalePinned) {
   const Ciphertext b = random_ct(*ctx, 4, rng);
   const Evaluator eval(ctx);
   const Ciphertext prod = eval.multiply(a, b, rk);
-  EXPECT_EQ(Digest().add(prod).value(), 0x2114a6ff28fe168full) << "multiply";
-  EXPECT_EQ(Digest().add(eval.rescale(prod)).value(), 0x59545fa53c5cdd65ull) << "rescale";
+  return {Digest().add(prod).value(), Digest().add(eval.rescale(prod)).value()};
+}
+
+constexpr MultiplyDigests kMultiply = {0x2114a6ff28fe168full, 0x59545fa53c5cdd65ull};
+
+TEST(CkksExact, MultiplyRescalePinned) {
+  const MultiplyDigests d = multiply_digests();
+  EXPECT_EQ(d.multiply, kMultiply.multiply) << "multiply";
+  EXPECT_EQ(d.rescale, kMultiply.rescale) << "rescale";
 }
 
 struct RotationDigests {
@@ -122,11 +135,14 @@ RotationDigests rotation_digests(std::size_t level, u64 seed) {
   return {single.value(), hoisted.value(), Digest().add(eval.conjugate(ct, gk)).value()};
 }
 
+constexpr RotationDigests kRotationsTop = {0x59fdf698c534065bull, 0xf40b304b1a59488dull,
+                                           0x8e0a9b2dd28185c2ull};
+
 TEST(CkksExact, RotationsPinned) {
   const RotationDigests top = rotation_digests(5, 5);
-  EXPECT_EQ(top.rotate, 0x59fdf698c534065bull) << "rotate";
-  EXPECT_EQ(top.hoisted, 0xf40b304b1a59488dull) << "rotate_hoisted";
-  EXPECT_EQ(top.conjugate, 0x8e0a9b2dd28185c2ull) << "conjugate";
+  EXPECT_EQ(top.rotate, kRotationsTop.rotate) << "rotate";
+  EXPECT_EQ(top.hoisted, kRotationsTop.hoisted) << "rotate_hoisted";
+  EXPECT_EQ(top.conjugate, kRotationsTop.conjugate) << "conjugate";
   const RotationDigests low = rotation_digests(2, 6);
   EXPECT_EQ(low.rotate, 0x0e5c8540d6716b8aull) << "rotate, level 2";
   EXPECT_EQ(low.hoisted, 0xb120031e2b759becull) << "rotate_hoisted, level 2";
@@ -176,19 +192,22 @@ HelrDigests helr_digests(std::size_t level, u64 seed) {
           Digest().add(eval.multiply(a, b, h.rk)).value()};
 }
 
+constexpr HelrDigests kHelrPartial = {0xaf8590a7000424ffull, 0x41d3dcfe9a86b19dull,
+                                      0x71f6a123a4afc584ull};
+
 TEST(CkksExact, HelrShapePinned) {
   const HelrDigests partial = helr_digests(13, 15);
-  EXPECT_EQ(partial.rotate, 0xaf8590a7000424ffull) << "rotate, level 13";
-  EXPECT_EQ(partial.conjugate, 0x41d3dcfe9a86b19dull) << "conjugate, level 13";
-  EXPECT_EQ(partial.multiply, 0x71f6a123a4afc584ull) << "multiply, level 13";
+  EXPECT_EQ(partial.rotate, kHelrPartial.rotate) << "rotate, level 13";
+  EXPECT_EQ(partial.conjugate, kHelrPartial.conjugate) << "conjugate, level 13";
+  EXPECT_EQ(partial.multiply, kHelrPartial.multiply) << "multiply, level 13";
   const HelrDigests top = helr_digests(18, 16);
   EXPECT_EQ(top.rotate, 0x947eb64b3dacd12full) << "rotate, level 18";
   EXPECT_EQ(top.conjugate, 0x1a9a7fc12462b26dull) << "conjugate, level 18";
   EXPECT_EQ(top.multiply, 0x51710e800aef6e7bull) << "multiply, level 18";
 }
 
-TEST(CkksExact, HelrShapeHoistedPinned) {
-  // Ten steps, the identity first, over the partial last digit.
+// Ten hoisted steps, the identity first, over the partial last digit.
+std::uint64_t helr_hoisted_digest() {
   const HelrShape& h = helr_shape();
   std::vector<int> steps = {0};
   steps.insert(steps.end(), h.steps.begin(), h.steps.begin() + 9);
@@ -196,7 +215,44 @@ TEST(CkksExact, HelrShapeHoistedPinned) {
   const Ciphertext ct = random_ct(*h.ctx, 13, rng);
   Digest d;
   for (const Ciphertext& r : Evaluator(h.ctx).rotate_hoisted(ct, steps, h.gk)) d.add(r);
-  EXPECT_EQ(d.value(), 0x07b2cd1bbafce3eeull);
+  return d.value();
+}
+
+constexpr std::uint64_t kHelrHoisted = 0x07b2cd1bbafce3eeull;
+
+TEST(CkksExact, HelrShapeHoistedPinned) { EXPECT_EQ(helr_hoisted_digest(), kHelrHoisted); }
+
+// Restores the process-wide ISA selection on scope exit.
+class IsaGuard {
+ public:
+  IsaGuard() : saved_(simd::active_isa()) {}
+  ~IsaGuard() { simd::set_isa(saved_); }
+
+ private:
+  simd::Isa saved_;
+};
+
+// Every tier gives the same canonical residues, whatever its lazy
+// intermediates, so the pinned keyswitch, rotate, hoisted-rotate and
+// multiply digests hold under each ISA this host supports, at the toy shape
+// and at the ckks_helr shape (N = 2048, primes below 2^50).
+TEST(CkksExact, DigestsUnderEveryIsa) {
+  IsaGuard guard;
+  for (std::size_t i = 0; i < simd::kNumIsas; ++i) {
+    const auto isa = static_cast<simd::Isa>(i);
+    if (!simd::isa_supported(isa)) continue;
+    simd::set_isa(isa);
+    SCOPED_TRACE(simd::isa_name(isa));
+    EXPECT_EQ(keyswitch_digest(CkksParams::toy(256, 4, 2), 4, 1), kKeyswitchL4) << "keyswitch";
+    const RotationDigests rot = rotation_digests(5, 5);
+    EXPECT_EQ(rot.rotate, kRotationsTop.rotate) << "rotate";
+    EXPECT_EQ(rot.hoisted, kRotationsTop.hoisted) << "rotate_hoisted";
+    EXPECT_EQ(multiply_digests().multiply, kMultiply.multiply) << "multiply";
+    const HelrDigests helr = helr_digests(13, 15);
+    EXPECT_EQ(helr.rotate, kHelrPartial.rotate) << "rotate, ckks_helr shape";
+    EXPECT_EQ(helr.multiply, kHelrPartial.multiply) << "multiply, ckks_helr shape";
+    EXPECT_EQ(helr_hoisted_digest(), kHelrHoisted) << "rotate_hoisted, ckks_helr shape";
+  }
 }
 
 struct NttCount {

@@ -225,28 +225,34 @@ TEST(RnsPoly, AutomorphismRejectsEvenElement) {
 TEST(BConvTest, MatchesExactFormula) {
   // The fast base conversion must compute Eq. (1) *exactly as written*:
   //   out_j = (sum_i [x_i q̂_i^{-1}]_{q_i} q̂_i) mod p_j  (no rounding).
+  // Source primes wider than the target ones (60 -> 45 bits) feed the
+  // target's weighted sum residues above 2^50.
   const std::size_t n = 8;
-  const auto source = generate_ntt_primes(30, n, 3);
-  const auto target = generate_ntt_primes(31, n, 2);
-  const RnsPoly x = random_rns(n, source, 12);
-  BConv conv(source, target);
-  RnsPoly out = conv.apply(x);
-  ASSERT_TRUE(out.is_ntt());
-  out.to_coeff();
+  for (const auto& [source_bits, target_bits] :
+       {std::pair{30, 31}, std::pair{60, 45}, std::pair{45, 50}}) {
+    const auto source = generate_ntt_primes(source_bits, n, 3);
+    const auto target = generate_ntt_primes(target_bits, n, 2);
+    const RnsPoly x = random_rns(n, source, 12);
+    BConv conv(source, target);
+    RnsPoly out = conv.apply(x);
+    ASSERT_TRUE(out.is_ntt());
+    out.to_coeff();
 
-  const BigUInt big_q = BigUInt::product(source);
-  for (std::size_t k = 0; k < n; ++k) {
-    BigUInt acc(0);
-    for (std::size_t i = 0; i < source.size(); ++i) {
-      const BigUInt qhat = big_q.div_u64(source[i], true);
-      const u64 qhat_inv = inv_mod(qhat.mod_u64(source[i]), source[i]);
-      const u64 v = mul_mod(x.channel(i)[k], qhat_inv, source[i]);
-      BigUInt term = qhat;
-      term.mul_u64(v);
-      acc += term;
-    }
-    for (std::size_t j = 0; j < target.size(); ++j) {
-      EXPECT_EQ(out.channel(j)[k], acc.mod_u64(target[j])) << "k=" << k;
+    const BigUInt big_q = BigUInt::product(source);
+    for (std::size_t k = 0; k < n; ++k) {
+      BigUInt acc(0);
+      for (std::size_t i = 0; i < source.size(); ++i) {
+        const BigUInt qhat = big_q.div_u64(source[i], true);
+        const u64 qhat_inv = inv_mod(qhat.mod_u64(source[i]), source[i]);
+        const u64 v = mul_mod(x.channel(i)[k], qhat_inv, source[i]);
+        BigUInt term = qhat;
+        term.mul_u64(v);
+        acc += term;
+      }
+      for (std::size_t j = 0; j < target.size(); ++j) {
+        EXPECT_EQ(out.channel(j)[k], acc.mod_u64(target[j]))
+            << source_bits << " -> " << target_bits << " bits, k=" << k;
+      }
     }
   }
 }

@@ -22,7 +22,7 @@ namespace {
 using simd::Isa;
 using simd::Kern;
 
-std::vector<Isa> all_isas() { return {Isa::Scalar, Isa::Avx2, Isa::Avx512}; }
+std::vector<Isa> all_isas() { return {Isa::Scalar, Isa::Avx2, Isa::Avx512, Isa::Avx512Ifma}; }
 
 std::vector<Isa> supported_isas() {
   std::vector<Isa> out;
@@ -62,12 +62,14 @@ TEST(SimdDispatch, ParseIsaNamesAndErrors) {
   EXPECT_EQ(simd::parse_isa("scalar"), Isa::Scalar);
   EXPECT_EQ(simd::parse_isa("avx2"), Isa::Avx2);
   EXPECT_EQ(simd::parse_isa("avx512"), Isa::Avx512);
+  EXPECT_EQ(simd::parse_isa("avx512ifma"), Isa::Avx512Ifma);
   EXPECT_EQ(simd::parse_isa("native"), simd::best_supported_isa());
   EXPECT_THROW(simd::parse_isa("sse9"), std::invalid_argument);
   EXPECT_THROW(simd::parse_isa(""), std::invalid_argument);
   EXPECT_STREQ(simd::isa_name(Isa::Scalar), "scalar");
   EXPECT_STREQ(simd::isa_name(Isa::Avx2), "avx2");
   EXPECT_STREQ(simd::isa_name(Isa::Avx512), "avx512");
+  EXPECT_STREQ(simd::isa_name(Isa::Avx512Ifma), "avx512ifma");
 }
 
 TEST(SimdDispatch, SetIsaRejectsUnsupported) {
@@ -93,6 +95,11 @@ TEST(SimdDispatch, ForcedKernelRejectsUnsupported) {
     std::vector<u64> copy = a;
     EXPECT_THROW(table.forward(copy, isa), std::invalid_argument);
     EXPECT_THROW(simd::mul_accumulate(a.data(), a.data(), a.size(), lo.data(), hi.data(), isa),
+                 std::invalid_argument);
+    const u64* row = a.data();
+    EXPECT_THROW(simd::mul_sum(&row, &row, 1, a.size(), q, lo.data(), isa),
+                 std::invalid_argument);
+    EXPECT_THROW(simd::weighted_sum(&row, row, 1, a.size(), q, q, lo.data(), isa),
                  std::invalid_argument);
   }
 }
@@ -290,6 +297,119 @@ TEST(SimdAccumulate, LazyKernelsMatchEagerUnderForcedIsa) {
     EXPECT_EQ(out, mul_ref) << "isa=" << simd::isa_name(isa);
     weighted_sum_lazy(xp, w, mod, out);
     EXPECT_EQ(out, sum_ref) << "isa=" << simd::isa_name(isa);
+  }
+}
+
+// The IFMA tier's width rule: the largest NTT primes below 2^50 run the
+// 52-bit bodies, where all-(q-1) input drives the lazy values up to
+// 4q - 1 < 2^52; the smallest at or above 2^50 and the largest below 2^51
+// must take the AVX-512 body, whose 64-bit lanes still hold them.
+std::vector<u64> ifma_boundary_primes(std::size_t n) {
+  std::vector<u64> primes = generate_ntt_primes(50, n, 2);
+  u64 p = (u64{1} << 50) + 1;
+  while (!is_prime(p)) p += 2 * n;
+  primes.push_back(p);
+  primes.push_back(max_ntt_prime(51, n));
+  return primes;
+}
+
+TEST(SimdLazyNtt, MaxAmplitudeAcrossIfmaWidthRule) {
+  for (std::size_t n : {std::size_t{16}, std::size_t{32}, std::size_t{1024},
+                        std::size_t{4096}}) {
+    for (u64 q : ifma_boundary_primes(n)) {
+      NttTable table(q, n);
+      Rng rng(q ^ n);
+      for (const std::vector<u64>& input :
+           {std::vector<u64>(n, q - 1), rng.uniform_vector(n, q)}) {
+        std::vector<u64> fwd = input, inv = input;
+        table.forward_eager(fwd);
+        table.inverse_eager(inv);
+        for (Isa isa : supported_isas()) {
+          std::vector<u64> a = input;
+          table.forward(a, isa);
+          EXPECT_EQ(a, fwd) << simd::isa_name(isa) << " q=" << q << " n=" << n;
+          a = input;
+          table.inverse(a, isa);
+          EXPECT_EQ(a, inv) << simd::isa_name(isa) << " q=" << q << " n=" << n;
+        }
+      }
+    }
+  }
+}
+
+// mul_sum and weighted_sum against sums reduced term by term, across the
+// IFMA fold every 15 rows, the 128-bit fold of 62-bit products every 8,
+// masked vector tails, all-(q-1) operands and both sides of the 2^50 rule.
+TEST(SimdSums, MatchExactSumsAcrossIsasRowsAndTails) {
+  Rng rng(44);
+  const std::vector<u64> primes = {max_ntt_prime(50, 1024), max_ntt_prime(51, 1024),
+                                   max_ntt_prime(36, 1024), max_ntt_prime(62, 1024)};
+  for (u64 q : primes) {
+    for (std::size_t rows : {std::size_t{1}, std::size_t{6}, std::size_t{14}, std::size_t{15},
+                             std::size_t{16}, std::size_t{31}, std::size_t{40}}) {
+      for (std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{16}, std::size_t{33},
+                            std::size_t{300}}) {
+        std::vector<std::vector<u64>> a(rows), b(rows);
+        std::vector<const u64*> ap(rows), bp(rows);
+        std::vector<u64> w(rows);
+        for (std::size_t t = 0; t < rows; ++t) {
+          // Row 0 and every odd row at the largest product (q-1)^2.
+          const bool top = t % 2 == 1 || t == 0;
+          a[t] = top ? std::vector<u64>(n, q - 1) : rng.uniform_vector(n, q);
+          b[t] = top ? std::vector<u64>(n, q - 1) : rng.uniform_vector(n, q);
+          w[t] = top ? q - 1 : rng.uniform(q);
+          ap[t] = a[t].data();
+          bp[t] = b[t].data();
+        }
+        std::vector<u64> want_mul(n, 0), want_sum(n, 0);
+        for (std::size_t k = 0; k < n; ++k) {
+          for (std::size_t t = 0; t < rows; ++t) {
+            want_mul[k] = static_cast<u64>((want_mul[k] + u128{a[t][k]} * b[t][k]) % q);
+            want_sum[k] = static_cast<u64>((want_sum[k] + u128{w[t]} * a[t][k]) % q);
+          }
+        }
+        for (Isa isa : supported_isas()) {
+          std::vector<u64> out(n, 0xdeadbeef);
+          simd::mul_sum(ap.data(), bp.data(), rows, n, q, out.data(), isa);
+          EXPECT_EQ(out, want_mul) << simd::isa_name(isa) << " q=" << q << " rows=" << rows
+                                   << " n=" << n;
+          out.assign(n, 0xdeadbeef);
+          simd::weighted_sum(ap.data(), w.data(), rows, n, q, q, out.data(), isa);
+          EXPECT_EQ(out, want_sum) << simd::isa_name(isa) << " q=" << q << " rows=" << rows
+                                   << " n=" << n;
+        }
+      }
+    }
+  }
+}
+
+// BConv's weighted sums read residues of the source primes, which may be
+// wider than the target: inputs at or above 2^50 keep a target below 2^50
+// off the 52-bit body.
+TEST(SimdSums, WeightedSumHonoursTheInputBound) {
+  Rng rng(45);
+  const std::size_t n = 64, rows = 20;
+  const u64 q = max_ntt_prime(50, n);
+  for (u64 x_bound : {max_ntt_prime(40, n), max_ntt_prime(50, 2 * n), max_ntt_prime(51, n),
+                      max_ntt_prime(62, n)}) {
+    std::vector<std::vector<u64>> x(rows);
+    std::vector<const u64*> xp(rows);
+    for (std::size_t t = 0; t < rows; ++t) {
+      x[t] = t % 2 == 0 ? std::vector<u64>(n, x_bound - 1) : rng.uniform_vector(n, x_bound);
+      xp[t] = x[t].data();
+    }
+    const std::vector<u64> w = rng.uniform_vector(rows, q);
+    std::vector<u64> want(n, 0);
+    for (std::size_t k = 0; k < n; ++k) {
+      for (std::size_t t = 0; t < rows; ++t) {
+        want[k] = static_cast<u64>((want[k] + u128{w[t]} * x[t][k]) % q);
+      }
+    }
+    for (Isa isa : supported_isas()) {
+      std::vector<u64> out(n);
+      simd::weighted_sum(xp.data(), w.data(), rows, n, q, x_bound, out.data(), isa);
+      EXPECT_EQ(out, want) << simd::isa_name(isa) << " x_bound=" << x_bound;
+    }
   }
 }
 
