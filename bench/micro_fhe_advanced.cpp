@@ -94,6 +94,44 @@ void BM_LinearTransformBsgs(benchmark::State& state) {
 }
 BENCHMARK(BM_LinearTransformBsgs)->Unit(benchmark::kMillisecond);
 
+// The dense CoeffToSlot transform at the ckks_boot shape of bench/e2e:
+// N = 256, L = 20, dnum = 4, 45-bit primes, at the top level.
+void BM_LinearTransformBsgsBootShape(benchmark::State& state) {
+  static auto setup = [] {
+    struct Env {
+      ContextPtr ctx;
+      std::unique_ptr<CkksEncoder> encoder;
+      std::unique_ptr<Evaluator> evaluator;
+      GaloisKeys gk;
+      std::unique_ptr<LinearTransform> lt;
+      Ciphertext ct;
+    };
+    auto e = std::make_unique<Env>();
+    CkksParams params = CkksParams::toy(256, 20, 4);
+    params.prime_bits = 45;
+    params.log_scale = 45;
+    params.secret_hamming_weight = 32;
+    e->ctx = std::make_shared<CkksContext>(params);
+    e->encoder = std::make_unique<CkksEncoder>(e->ctx);
+    e->evaluator = std::make_unique<Evaluator>(e->ctx);
+    KeyGenerator keygen(e->ctx, 17);
+    e->lt = std::make_unique<LinearTransform>(e->ctx, coeff_to_slot_matrix(*e->ctx));
+    e->gk = keygen.make_galois_keys(e->lt->required_rotations(true));
+    Rng rng(2);
+    std::vector<double> z(params.slots());
+    for (double& v : z) v = rng.uniform_real() - 0.5;
+    e->ct = Encryptor(e->ctx, keygen.make_public_key())
+                .encrypt(e->encoder->encode(std::span<const double>(z), params.num_levels,
+                                            params.scale()));
+    return e;
+  }();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(setup->lt->apply(*setup->evaluator, *setup->encoder, setup->ct,
+                                              setup->gk, setup->ctx->params().scale()));
+  }
+}
+BENCHMARK(BM_LinearTransformBsgsBootShape)->Unit(benchmark::kMillisecond);
+
 void BM_CkksBootstrap(benchmark::State& state) {
   // Separate, smaller context: bootstrapping-grade parameters.
   static auto setup = [] {

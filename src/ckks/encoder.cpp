@@ -104,15 +104,6 @@ i64 round_scaled(double scaled) {
   return std::llround(scaled);
 }
 
-// x mod q for a signed x, through the channel's Barrett reduction. Callers
-// keep |x| below 2^62, so the negation cannot overflow.
-u64 reduce_signed(const Modulus& mod, i64 x) {
-  // Most coefficients of a Delta-scaled message are already below q.
-  const u64 a = static_cast<u64>(x < 0 ? -x : x);
-  const u64 r = a < mod.value() ? a : mod.reduce(a);
-  return x < 0 ? mod.neg(r) : r;
-}
-
 }  // namespace
 
 CkksEncoder::CkksEncoder(ContextPtr ctx) : ctx_(std::move(ctx)) {
@@ -131,8 +122,20 @@ CkksEncoder::CkksEncoder(ContextPtr ctx) : ctx_(std::move(ctx)) {
   }
 }
 
-Plaintext CkksEncoder::encode(std::span<const std::complex<double>> values,
-                              std::size_t level, double scale) const {
+// Through the channel's Barrett reduction. |x| < 2^62, so the negation
+// cannot overflow.
+void lift_signed(std::span<const i64> coeffs, const Modulus& mod, std::span<u64> out) {
+  for (std::size_t k = 0; k < coeffs.size(); ++k) {
+    const i64 x = coeffs[k];
+    // Most coefficients of a Delta-scaled message are already below q.
+    const u64 a = static_cast<u64>(x < 0 ? -x : x);
+    const u64 r = a < mod.value() ? a : mod.reduce(a);
+    out[k] = x < 0 ? mod.neg(r) : r;
+  }
+}
+
+std::vector<i64> CkksEncoder::encode_coefficients(
+    std::span<const std::complex<double>> values, double scale) const {
   const std::size_t n = ctx_->degree();
   const std::size_t num_slots = n / 2;
   if (values.size() > num_slots) {
@@ -153,12 +156,15 @@ Plaintext CkksEncoder::encode(std::span<const std::complex<double>> values,
     rounded[k] = round_scaled(v[k].real() * scale);
     rounded[k + num_slots] = round_scaled(v[k].imag() * scale);
   }
+  return rounded;
+}
 
-  RnsPoly poly(n, ctx_->basis_at(level));
+Plaintext CkksEncoder::encode(std::span<const std::complex<double>> values,
+                              std::size_t level, double scale) const {
+  const std::vector<i64> rounded = encode_coefficients(values, scale);
+  RnsPoly poly(ctx_->degree(), ctx_->basis_at(level));
   for (std::size_t c = 0; c < poly.num_channels(); ++c) {
-    const Modulus& mod = poly.channel_modulus(c);
-    u64* out = poly.channel(c).data();
-    for (std::size_t k = 0; k < n; ++k) out[k] = reduce_signed(mod, rounded[k]);
+    lift_signed(rounded, poly.channel_modulus(c), poly.channel(c));
   }
   poly.to_ntt();
   return Plaintext{std::move(poly), level, scale};

@@ -47,6 +47,13 @@ class CkksEncoder {
   Plaintext encode(std::span<const double> values, std::size_t level,
                    double scale) const;
 
+  // The level-free half of encode: the special IFFT and rounding, giving
+  // the N signed coefficients of the scaled message, each below 2^62 in
+  // magnitude. encode is this, then lift_signed into every channel of the
+  // level, then one NTT per channel. Same checks as encode.
+  std::vector<i64> encode_coefficients(std::span<const std::complex<double>> values,
+                                       double scale) const;
+
   // Broadcast a + b*i to every slot as the two-coefficient polynomial
   // a + b*X^(N/2) (since 5^j ≡ 1 mod 4, the embedding sends X^(N/2) to +i in
   // every slot). Needs no FFT: O(L) residues plus the L NTTs. The scaled
@@ -76,6 +83,10 @@ class CkksEncoder {
   std::vector<std::complex<double>> omega_powers_;  // omega^t, t in [0, 2N)
   std::vector<std::size_t> rot_group_;              // 5^j mod 2N, j in [0, N/2)
 };
+
+// out[k] = coeffs[k] mod q: rounded coefficients lifted into one RNS
+// channel. Each |coeffs[k]| must be below 2^62.
+void lift_signed(std::span<const i64> coeffs, const Modulus& mod, std::span<u64> out);
 
 // CRT-compose each coefficient of a coefficient-form RnsPoly and center it
 // into (-Q/2, Q/2], returned as doubles. Values must be small enough for a

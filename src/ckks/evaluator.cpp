@@ -111,7 +111,8 @@ std::pair<RnsPoly, RnsPoly> Evaluator::mult_moddown(const std::vector<RnsPoly>& 
   const auto ext_basis = ctx_->extended_basis_at(level);
   RnsPoly acc0(ctx_->degree(), ext_basis, RnsPoly::Form::Ntt);
   RnsPoly acc1(ctx_->degree(), ext_basis, RnsPoly::Form::Ntt);
-  parallel_for(ext_basis.size(), 1, [&](std::size_t cb, std::size_t ce) {
+  parallel_for(ext_basis.size(), channel_grain(ctx_->degree()),
+               [&](std::size_t cb, std::size_t ce) {
     std::vector<const u64*> x(digits.size()), kb(digits.size()), ka(digits.size());
     for (std::size_t c = cb; c < ce; ++c) {
       const std::size_t kc = c < level ? c : top + (c - level);

@@ -1,7 +1,12 @@
 #include "ckks/linear_transform.h"
 
 #include <cmath>
+#include <span>
 #include <stdexcept>
+
+#include "common/thread_pool.h"
+#include "poly/lazy_kernels.h"
+#include "poly/ntt.h"
 
 namespace alchemist::ckks {
 
@@ -14,6 +19,46 @@ bool diagonal_is_zero(const std::vector<Complex>& diag) {
     if (std::abs(v) > 1e-300) return false;
   }
   return true;
+}
+
+// sum_t pt_t ⊙ in_t for plaintexts given as rounded coefficients (one
+// CkksEncoder::encode_coefficients each), as one DecompPolyMult fan-out over
+// the channels of the inputs' level. Per channel, a lane lifts and NTTs
+// every plaintext, then runs one lazy mul_sum per ciphertext component. The
+// inputs share a level and scale; the result's scale is theirs times
+// pt_scale.
+Ciphertext mul_sum_plain(std::span<const Ciphertext* const> inputs,
+                         std::span<const std::vector<i64>> coeffs, double pt_scale) {
+  const Ciphertext& first = *inputs.front();
+  const std::size_t n = first.c0.degree();
+  const std::size_t terms = inputs.size();
+  Ciphertext out{RnsPoly(n, first.c0.moduli(), RnsPoly::Form::Ntt),
+                 RnsPoly(n, first.c0.moduli(), RnsPoly::Form::Ntt), first.level,
+                 first.scale * pt_scale};
+  parallel_for(out.c0.num_channels(), channel_grain(n), [&](std::size_t b, std::size_t e) {
+    std::vector<u64> plain(terms * n);
+    std::vector<const u64*> pt(terms), x0(terms), x1(terms);
+    for (std::size_t c = b; c < e; ++c) {
+      const Modulus& mod = out.c0.channel_modulus(c);
+      {
+        KernelTimer timer(Kernel::NttFwd);
+        const NttTable& table = get_ntt_table(mod.value(), n);
+        for (std::size_t t = 0; t < terms; ++t) {
+          const std::span<u64> row(plain.data() + t * n, n);
+          lift_signed(coeffs[t], mod, row);
+          table.forward(row);
+          pt[t] = row.data();
+        }
+      }
+      for (std::size_t t = 0; t < terms; ++t) {
+        x0[t] = inputs[t]->c0.channel(c).data();
+        x1[t] = inputs[t]->c1.channel(c).data();
+      }
+      mul_sum_lazy(pt, x0, mod, out.c0.channel(c));
+      mul_sum_lazy(pt, x1, mod, out.c1.channel(c));
+    }
+  });
+  return out;
 }
 
 }  // namespace
@@ -74,25 +119,21 @@ Ciphertext LinearTransform::apply(const Evaluator& evaluator,
     throw std::invalid_argument("LinearTransform: zero matrix");
   }
   auto encode_diag = [&](const std::vector<Complex>& diag) {
-    return encoder.encode(std::span<const Complex>(diag), x.level, pt_scale);
+    return encoder.encode_coefficients(std::span<const Complex>(diag), pt_scale);
   };
 
   if (!bsgs) {
-    // One rotation per diagonal.
-    bool first = true;
-    Ciphertext acc;
+    // One group: every diagonal against its own rotation of x.
+    std::vector<Ciphertext> rotated;
+    std::vector<std::vector<i64>> coeffs;
+    rotated.reserve(diagonals_.size());
     for (const auto& [d, diag] : diagonals_) {
-      const Ciphertext rotated =
-          d == 0 ? x : evaluator.rotate(x, static_cast<int>(d), gk);
-      Ciphertext term = evaluator.mul_plain(rotated, encode_diag(diag));
-      if (first) {
-        acc = std::move(term);
-        first = false;
-      } else {
-        acc = evaluator.add(acc, term);
-      }
+      rotated.push_back(d == 0 ? x : evaluator.rotate(x, static_cast<int>(d), gk));
+      coeffs.push_back(encode_diag(diag));
     }
-    return acc;
+    std::vector<const Ciphertext*> inputs;
+    for (const Ciphertext& r : rotated) inputs.push_back(&r);
+    return mul_sum_plain(inputs, coeffs, pt_scale);
   }
 
   // BSGS: d = g*i + j. M z = sum_i rot( sum_j diag'_{gi+j} ⊙ rot(z, j), g*i )
@@ -107,18 +148,14 @@ Ciphertext LinearTransform::apply(const Evaluator& evaluator,
   }
   const std::vector<Ciphertext> hoisted =
       evaluator.rotate_hoisted(x, baby_steps, gk);
-  std::map<std::size_t, const Ciphertext*> baby_rotations;
-  baby_rotations.emplace(0, &x);
-  for (std::size_t i = 0; i < baby_steps.size(); ++i) {
-    baby_rotations.emplace(static_cast<std::size_t>(baby_steps[i]), &hoisted[i]);
-  }
-  auto baby = [&](std::size_t j) -> const Ciphertext& { return *baby_rotations.at(j); };
+  std::vector<const Ciphertext*> baby(g, &x);
+  for (std::size_t i = 0; i < baby_steps.size(); ++i) baby[baby_steps[i]] = &hoisted[i];
 
   bool first_total = true;
   Ciphertext total;
   for (std::size_t i = 0; i * g < slots_; ++i) {
-    bool first_inner = true;
-    Ciphertext inner;
+    std::vector<const Ciphertext*> inputs;
+    std::vector<std::vector<i64>> coeffs;
     for (std::size_t j = 0; j < g; ++j) {
       const auto it = diagonals_.find(i * g + j);
       if (it == diagonals_.end()) continue;
@@ -128,15 +165,11 @@ Ciphertext LinearTransform::apply(const Evaluator& evaluator,
       for (std::size_t k = 0; k < slots_; ++k) {
         shifted[k] = it->second[(k + slots_ - (i * g) % slots_) % slots_];
       }
-      Ciphertext term = evaluator.mul_plain(baby(j), encode_diag(shifted));
-      if (first_inner) {
-        inner = std::move(term);
-        first_inner = false;
-      } else {
-        inner = evaluator.add(inner, term);
-      }
+      inputs.push_back(baby[j]);
+      coeffs.push_back(encode_diag(shifted));
     }
-    if (first_inner) continue;  // no diagonals in this giant group
+    if (inputs.empty()) continue;  // no diagonals in this giant group
+    Ciphertext inner = mul_sum_plain(inputs, coeffs, pt_scale);
     if (i != 0) {
       inner = evaluator.rotate(inner, static_cast<int>(i * g), gk);
     }

@@ -6,6 +6,22 @@
 // baby-step/giant-step split d = g*i + j the rotation count drops from
 // #diagonals to ~2*sqrt(#diagonals) — the structure of the CoeffToSlot /
 // SlotToCoeff stages of bootstrapping and of the dense layers in LoLa.
+//
+// Each giant group sum_j diag'_{gi+j} ⊙ rot(z, j) runs as one instance of
+// the paper's DecompPolyMult Meta-OP (M_j A_j)_n R_j: the diagonals are the
+// plaintext operands M_j and the baby rotations the A_j. The group is one
+// fan-out over the RNS channels of the level. For its channels, a lane
+// lifts the group's rounded, pre-shifted diagonal coefficients into the
+// channel, NTTs them and accumulates each ciphertext component with one
+// lazy mul_sum whose rows are the baby rotations. No Plaintext and no
+// per-term ciphertext is built. The plain schedule is a single group over
+// individually rotated inputs.
+//
+// The diagonals are not cached. Every apply re-encodes them (a slots-point
+// special IFFT and a rounding each), as ARK regenerates plaintext data on
+// chip instead of storing it: at the bootstrap shape (N = 256, L = 20) a
+// cache of the rounded coefficients saved no time and added 0.5–0.9 MB to
+// a 16 MB peak RSS.
 #pragma once
 
 #include <complex>

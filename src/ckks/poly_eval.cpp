@@ -131,7 +131,7 @@ Ciphertext PolyEvaluator::weighted_sum(std::span<const double> coeffs,
   Ciphertext out{RnsPoly(ctx_->degree(), basis, RnsPoly::Form::Ntt),
                  RnsPoly(ctx_->degree(), basis, RnsPoly::Form::Ntt), level, delta * delta};
   if (!terms.empty()) {
-    parallel_for(2 * level, 1, [&](std::size_t b, std::size_t e) {
+    parallel_for(2 * level, channel_grain(ctx_->degree()), [&](std::size_t b, std::size_t e) {
       std::vector<const u64*> x(terms.size());
       std::vector<u64> w(terms.size());
       for (std::size_t j = b; j < e; ++j) {

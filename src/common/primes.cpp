@@ -11,6 +11,22 @@ namespace {
 // Witness set proven sufficient for all n < 2^64.
 constexpr u64 kWitnesses[] = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37};
 
+// The one prime search: primes ≡ 1 (mod step) below 2^bits, descending,
+// skipping any in `exclude`, until `count` are found. Returns fewer when the
+// candidates above `step` run out.
+std::vector<u64> descending_primes_1mod(int bits, u64 step, std::size_t count,
+                                        const std::vector<u64>& exclude) {
+  std::vector<u64> primes;
+  primes.reserve(count);
+  for (u64 c = ((u64{1} << bits) - 1) / step * step + 1; primes.size() < count && c > step;
+       c -= step) {
+    if (is_prime(c) && std::find(exclude.begin(), exclude.end(), c) == exclude.end()) {
+      primes.push_back(c);
+    }
+  }
+  return primes;
+}
+
 }  // namespace
 
 bool is_prime(u64 n) {
@@ -44,11 +60,11 @@ bool is_prime(u64 n) {
 
 u64 max_prime_1mod(int bits, u64 step) {
   if (bits < 3 || bits > 62) throw std::invalid_argument("max_prime_1mod: bits out of range");
-  // Start from the largest candidate ≡ 1 (mod step) below 2^bits.
-  for (u64 c = ((u64{1} << bits) - 1) / step * step + 1; c > step; c -= step) {
-    if (is_prime(c)) return c;
+  const std::vector<u64> primes = descending_primes_1mod(bits, step, 1, {});
+  if (primes.empty()) {
+    throw std::runtime_error("max_prime_1mod: no prime found for bits=" + std::to_string(bits));
   }
-  throw std::runtime_error("max_prime_1mod: no prime found for bits=" + std::to_string(bits));
+  return primes.front();
 }
 
 u64 max_ntt_prime(int bits, std::size_t n) {
@@ -64,17 +80,8 @@ std::vector<u64> generate_ntt_primes(int bits, std::size_t n, std::size_t count,
                                      const std::vector<u64>& exclude) {
   if (!is_power_of_two(n)) throw std::invalid_argument("generate_ntt_primes: N must be a power of two");
   if (bits < 3 || bits > 62) throw std::invalid_argument("generate_ntt_primes: bits out of range");
-  const u64 two_n = 2 * static_cast<u64>(n);
-  std::vector<u64> primes;
-  primes.reserve(count);
-  u64 candidate = ((u64{1} << bits) - 1) / two_n * two_n + 1;
-  while (primes.size() < count && candidate > two_n) {
-    if (is_prime(candidate) &&
-        std::find(exclude.begin(), exclude.end(), candidate) == exclude.end()) {
-      primes.push_back(candidate);
-    }
-    candidate -= two_n;
-  }
+  const std::vector<u64> primes =
+      descending_primes_1mod(bits, 2 * static_cast<u64>(n), count, exclude);
   if (primes.size() < count) {
     throw std::runtime_error("generate_ntt_primes: not enough primes at bits=" +
                              std::to_string(bits));

@@ -21,10 +21,21 @@
 // for a fixed pool width), deadlock is impossible, and the thread count is
 // bounded at pool size + concurrent external callers.
 //
+// Grain rule: a fan-out pays a task allocation and a wake-up, which costs
+// more than one N = 256 channel NTT. So fan-outs over coefficients or RNS
+// channels give each chunk at least kMinChunkCoeffs coefficients of work:
+// flattened coefficient loops pass kMinChunkCoeffs itself, and loops over
+// channels of degree N pass channel_grain(N). A call whose whole range is
+// within one grain runs inline and counts as an inline run. So the channel
+// loops of the N = 256 bootstrapping rings run inline, while N = 2048 loops
+// over more than four channels still fan out. Chunk boundaries never change
+// a result, so the rule only moves time.
+//
 // Thread-count control, in precedence order: ThreadPool::set_threads() (CLI
 // flags), the ALCHEMIST_THREADS environment variable, hardware concurrency.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -117,6 +128,15 @@ class ThreadPool {
 
   std::vector<std::thread> workers_;
 };
+
+// The least work, in coefficients, worth a chunk of a fan-out.
+inline constexpr std::size_t kMinChunkCoeffs = std::size_t{1} << 13;
+
+// Grain of a fan-out over RNS channels of degree n: enough channels per
+// chunk to reach kMinChunkCoeffs coefficients.
+constexpr std::size_t channel_grain(std::size_t n) {
+  return std::max<std::size_t>(1, kMinChunkCoeffs / n);
+}
 
 // Chunked fan-out over [0, n) on the process-wide pool.
 inline void parallel_for(std::size_t n, std::size_t grain,

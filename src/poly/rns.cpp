@@ -30,10 +30,6 @@ void for_channel_segments(std::size_t begin, std::size_t end, std::size_t n, F&&
   }
 }
 
-// Elementwise grain: chunks below this many coefficients are not worth a
-// handoff to the pool.
-constexpr std::size_t kElementwiseGrain = 1 << 13;
-
 using BasisPair = std::pair<std::vector<u64>, std::vector<u64>>;
 
 // A keyswitch converts between the same few bases every call, so the
@@ -80,7 +76,7 @@ void RnsPoly::to_ntt() {
   if (form_ == Form::Ntt) return;
   // One NTT per RNS channel — the paper's embarrassingly-parallel axis. Each
   // lane times its own chunk, as BConv's fused NTTs do.
-  parallel_for(channels_.size(), 1, [&](std::size_t b, std::size_t e) {
+  parallel_for(channels_.size(), channel_grain(n_), [&](std::size_t b, std::size_t e) {
     KernelTimer timer(Kernel::NttFwd);
     for (std::size_t i = b; i < e; ++i) {
       get_ntt_table(moduli_values_[i], n_).forward(channels_[i]);
@@ -91,7 +87,7 @@ void RnsPoly::to_ntt() {
 
 void RnsPoly::to_coeff() {
   if (form_ == Form::Coeff) return;
-  parallel_for(channels_.size(), 1, [&](std::size_t b, std::size_t e) {
+  parallel_for(channels_.size(), channel_grain(n_), [&](std::size_t b, std::size_t e) {
     KernelTimer timer(Kernel::NttInv);
     for (std::size_t i = b; i < e; ++i) {
       get_ntt_table(moduli_values_[i], n_).inverse(channels_[i]);
@@ -110,7 +106,7 @@ void RnsPoly::check_compatible(const RnsPoly& other, const char* op) const {
 RnsPoly& RnsPoly::operator+=(const RnsPoly& other) {
   check_compatible(other, "+=");
   KernelTimer timer(Kernel::Elementwise);
-  parallel_for(channels_.size() * n_, kElementwiseGrain,
+  parallel_for(channels_.size() * n_, kMinChunkCoeffs,
                [&](std::size_t b, std::size_t e) {
     for_channel_segments(b, e, n_, [&](std::size_t c, std::size_t i0, std::size_t i1) {
       const u64 q = moduli_values_[c];
@@ -125,7 +121,7 @@ RnsPoly& RnsPoly::operator+=(const RnsPoly& other) {
 RnsPoly& RnsPoly::operator-=(const RnsPoly& other) {
   check_compatible(other, "-=");
   KernelTimer timer(Kernel::Elementwise);
-  parallel_for(channels_.size() * n_, kElementwiseGrain,
+  parallel_for(channels_.size() * n_, kMinChunkCoeffs,
                [&](std::size_t b, std::size_t e) {
     for_channel_segments(b, e, n_, [&](std::size_t c, std::size_t i0, std::size_t i1) {
       const u64 q = moduli_values_[c];
@@ -143,7 +139,7 @@ RnsPoly& RnsPoly::operator*=(const RnsPoly& other) {
     throw std::invalid_argument("RnsPoly::*=: operands must be in NTT form");
   }
   KernelTimer timer(Kernel::Elementwise);
-  parallel_for(channels_.size() * n_, kElementwiseGrain,
+  parallel_for(channels_.size() * n_, kMinChunkCoeffs,
                [&](std::size_t b, std::size_t e) {
     for_channel_segments(b, e, n_, [&](std::size_t c, std::size_t i0, std::size_t i1) {
       // A one-row mul_sum, written back in place.
@@ -158,7 +154,7 @@ RnsPoly& RnsPoly::operator*=(const RnsPoly& other) {
 
 RnsPoly& RnsPoly::negate() {
   KernelTimer timer(Kernel::Elementwise);
-  parallel_for(channels_.size() * n_, kElementwiseGrain,
+  parallel_for(channels_.size() * n_, kMinChunkCoeffs,
                [&](std::size_t b, std::size_t e) {
     for_channel_segments(b, e, n_, [&](std::size_t c, std::size_t i0, std::size_t i1) {
       const u64 q = moduli_values_[c];
@@ -175,7 +171,7 @@ RnsPoly& RnsPoly::mul_scalar(std::span<const u64> scalar_per_channel) {
     throw std::invalid_argument("RnsPoly::mul_scalar: scalar count mismatch");
   }
   KernelTimer timer(Kernel::Elementwise);
-  parallel_for(channels_.size() * n_, kElementwiseGrain,
+  parallel_for(channels_.size() * n_, kMinChunkCoeffs,
                [&](std::size_t b, std::size_t e) {
     for_channel_segments(b, e, n_, [&](std::size_t c, std::size_t i0, std::size_t i1) {
       const MulModShoup s(moduli_[c].reduce(scalar_per_channel[c]), moduli_values_[c]);
@@ -187,7 +183,7 @@ RnsPoly& RnsPoly::mul_scalar(std::span<const u64> scalar_per_channel) {
 
 RnsPoly& RnsPoly::mul_scalar(u64 scalar) {
   KernelTimer timer(Kernel::Elementwise);
-  parallel_for(channels_.size() * n_, kElementwiseGrain,
+  parallel_for(channels_.size() * n_, kMinChunkCoeffs,
                [&](std::size_t b, std::size_t e) {
     for_channel_segments(b, e, n_, [&](std::size_t c, std::size_t i0, std::size_t i1) {
       const MulModShoup s(moduli_[c].reduce(scalar), moduli_values_[c]);
@@ -205,7 +201,7 @@ RnsPoly& RnsPoly::add_scalar(std::span<const u64> scalar_per_channel) {
     throw std::invalid_argument("RnsPoly::add_scalar: operand must be in NTT form");
   }
   KernelTimer timer(Kernel::Elementwise);
-  parallel_for(channels_.size() * n_, kElementwiseGrain,
+  parallel_for(channels_.size() * n_, kMinChunkCoeffs,
                [&](std::size_t b, std::size_t e) {
     for_channel_segments(b, e, n_, [&](std::size_t c, std::size_t i0, std::size_t i1) {
       const u64 q = moduli_values_[c];
@@ -262,7 +258,7 @@ RnsPoly RnsPoly::automorphism(u64 galois_elt) const {
     // moves to the slot of ψ^((2k+1)·g).
     const std::vector<std::uint32_t>& index = get_ntt_automorphism(n_, galois_elt).index;
     KernelTimer timer(Kernel::Elementwise);
-    parallel_for(channels_.size() * n_, kElementwiseGrain,
+    parallel_for(channels_.size() * n_, kMinChunkCoeffs,
                  [&](std::size_t b, std::size_t e) {
       for_channel_segments(b, e, n_, [&](std::size_t c, std::size_t i0, std::size_t i1) {
         const u64* in = channels_[c].data();
@@ -275,7 +271,7 @@ RnsPoly RnsPoly::automorphism(u64 galois_elt) const {
   const u64 two_n = 2 * static_cast<u64>(n_);
   // Scatter indices hit every output slot of a channel, so the parallel axis
   // is whole channels only.
-  parallel_for(channels_.size(), 1, [&](std::size_t b, std::size_t e) {
+  parallel_for(channels_.size(), channel_grain(n_), [&](std::size_t b, std::size_t e) {
     for (std::size_t c = b; c < e; ++c) {
       const u64 q = moduli_values_[c];
       for (std::size_t i = 0; i < n_; ++i) {
@@ -327,7 +323,7 @@ RnsPoly BConv::apply(const RnsPoly& x) const {
   std::vector<std::vector<u64>> v(src_count, std::vector<u64>(n));
   std::vector<const u64*> v_ptrs(src_count);
   for (std::size_t i = 0; i < src_count; ++i) v_ptrs[i] = v[i].data();
-  parallel_for(src_count, 1, [&](std::size_t b, std::size_t e) {
+  parallel_for(src_count, channel_grain(n), [&](std::size_t b, std::size_t e) {
     KernelTimer timer(Kernel::BConv);
     for (std::size_t i = b; i < e; ++i) {
       const MulModShoup& w = qhat_inv_mod_qi_[i];
@@ -337,16 +333,16 @@ RnsPoly BConv::apply(const RnsPoly& x) const {
   });
 
   // The paper's lazy reduction (Table 3): accumulate the L weighted channels
-  // in 128-bit and reduce once per output coefficient, instead of reducing
-  // every product. Falls back to eager reduction when the 128-bit headroom
-  // is insufficient (only possible for very long chains of 62-bit primes).
-  // Target channels fan out in parallel. Each chunk sums its channels and
-  // forward-NTTs them on the same lane while they are still in cache (a
+  // in a wide accumulator and reduce once per output coefficient, instead
+  // of reducing every product. Where a long chain of 62-bit primes would
+  // overflow 128 bits, the kernel folds the partial sum early and stays
+  // lazy. Target channels fan out in parallel. Each chunk sums its channels
+  // and forward-NTTs them on the same lane while they are still in cache (a
   // chunk is a few channels); the two phases keep their own kernel timers,
   // one each per chunk rather than per channel. The weighted sum's own
   // coefficient split only runs when apply is not already fanned out.
   RnsPoly out(n, target_, RnsPoly::Form::Ntt);
-  parallel_for(target_.size(), 1, [&](std::size_t b, std::size_t e) {
+  parallel_for(target_.size(), channel_grain(n), [&](std::size_t b, std::size_t e) {
     {
       KernelTimer timer(Kernel::BConv);
       for (std::size_t j = b; j < e; ++j) {
@@ -397,7 +393,7 @@ RnsPoly moddown(const RnsPoly& x, std::size_t num_special) {
 
   // out_i = (x_i - Bconv(x_P)_i) * P^{-1} mod q_i, in place over the
   // converted channels.
-  parallel_for(num_q, 1, [&](std::size_t b, std::size_t e) {
+  parallel_for(num_q, channel_grain(x.degree()), [&](std::size_t b, std::size_t e) {
     for (std::size_t i = b; i < e; ++i) {
       const Modulus& qi = out.channel_modulus(i);
       const MulModShoup& p_inv = tables.p_inv[i];

@@ -64,6 +64,16 @@ TEST(Primes, GenerateNttPrimesDistinctAndValid) {
   for (std::size_t i = 1; i < primes.size(); ++i) EXPECT_GT(primes[i - 1], primes[i]);
 }
 
+TEST(Primes, GenerateNttPrimesStartsAtMaxNttPrime) {
+  // One descending walk serves both searches.
+  for (int bits : {20, 30, 36, 45, 50, 61}) {
+    for (std::size_t n : {64u, 256u, 2048u}) {
+      EXPECT_EQ(generate_ntt_primes(bits, n, 1)[0], max_ntt_prime(bits, n))
+          << "bits=" << bits << " n=" << n;
+    }
+  }
+}
+
 TEST(Primes, GenerateNttPrimesRespectsExclusion) {
   const std::size_t n = 1024;
   const auto base = generate_ntt_primes(30, n, 3);

@@ -10,15 +10,19 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <complex>
 #include <memory>
 #include <span>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "ckks/bootstrap.h"
 #include "ckks/encoder.h"
 #include "ckks/encryptor.h"
 #include "ckks/evaluator.h"
 #include "ckks/keygen.h"
+#include "ckks/linear_transform.h"
 #include "ckks/params.h"
 #include "common/modarith.h"
 #include "common/primes.h"
@@ -47,6 +51,14 @@ class ScopedThreads {
  private:
   std::size_t prev_;
 };
+
+// Runs fn and returns how many of its calls fanned out to the pool.
+template <typename F>
+std::uint64_t count_fan_outs(F&& fn) {
+  const std::uint64_t before = ThreadPool::instance().stats().parallel_fors;
+  fn();
+  return ThreadPool::instance().stats().parallel_fors - before;
+}
 
 RnsPoly random_poly(std::size_t n, const std::vector<u64>& moduli, u64 seed) {
   RnsPoly p(n, moduli);
@@ -204,60 +216,78 @@ TEST(NttTableCache, ConcurrentConstructionIsRaceFreeAndStable) {
 }
 
 // ---------------------------------------------------------------------------
-// Pooled RNS paths: bit-identical across thread counts and limb sweeps.
+// Pooled RNS paths: bit-identical across thread counts and limb sweeps. The
+// grain rule runs the channel loops of small rings inline, so each shape is
+// large enough for the 4-thread run to fan out, and the tests check through
+// ThreadPool::stats() that it did.
 
 TEST(PooledRns, ElementwiseAndNttBitIdenticalAcrossThreadCounts) {
-  for (std::size_t limbs : {1u, 3u, 8u}) {
-    const std::size_t n = 512;
+  // One limb fans out only its elementwise ops; N = 4096 fans out every
+  // channel loop from 3 limbs up.
+  const std::pair<std::size_t, std::size_t> shapes[] = {{16384, 1}, {4096, 3}, {4096, 8}};
+  for (const auto& [n, limbs] : shapes) {
     const auto moduli = generate_ntt_primes(40, n, limbs);
     const RnsPoly a0 = random_poly(n, moduli, 7 * limbs);
     const RnsPoly b0 = random_poly(n, moduli, 9 * limbs);
 
+    std::uint64_t fan_outs = 0;
     auto run_all = [&](std::size_t threads) {
       ScopedThreads guard(threads);
-      RnsPoly a = a0, b = b0;
-      a += b;
-      a -= b0;
-      a.negate();
-      a.mul_scalar(u64{12345});
-      a.to_ntt();
-      RnsPoly bn = b0;
-      bn.to_ntt();
-      a *= bn;
-      a.to_coeff();
-      RnsPoly rot = a.automorphism(5);
-      rot += a;
+      RnsPoly rot;
+      fan_outs = count_fan_outs([&] {
+        RnsPoly a = a0, b = b0;
+        a += b;
+        a -= b0;
+        a.negate();
+        a.mul_scalar(u64{12345});
+        a.to_ntt();
+        RnsPoly bn = b0;
+        bn.to_ntt();
+        a *= bn;
+        a.to_coeff();
+        rot = a.automorphism(5);
+        rot += a;
+      });
       return rot;
     };
 
     const RnsPoly seq = run_all(1);
+    EXPECT_EQ(fan_outs, 0u) << "n=" << n << " limbs=" << limbs;
     const RnsPoly par = run_all(4);
-    EXPECT_TRUE(seq == par) << "limbs=" << limbs;
+    EXPECT_GT(fan_outs, 0u) << "n=" << n << " limbs=" << limbs;
+    EXPECT_TRUE(seq == par) << "n=" << n << " limbs=" << limbs;
   }
 }
 
 TEST(PooledRns, BconvModupModdownBitIdenticalAcrossThreadCounts) {
+  // At N = 8192 one channel is a whole chunk, so every channel loop with two
+  // or more channels fans out.
   for (std::size_t limbs : {2u, 4u, 11u}) {
-    const std::size_t n = 256;
+    const std::size_t n = 8192;
     const auto source = generate_ntt_primes(40, n, limbs);
     const auto special = generate_ntt_primes(41, n, 2);
     const RnsPoly x = random_poly(n, source, 31 * limbs);
 
+    std::uint64_t fan_outs = 0;
     auto run_all = [&](std::size_t threads) {
       ScopedThreads guard(threads);
-      std::vector<u64> basis = source;
-      basis.insert(basis.end(), special.begin(), special.end());
-      RnsPoly x_ntt = x;
-      x_ntt.to_ntt();
-      RnsPoly down = moddown(modup(x_ntt, basis, 0), special.size());
-      const BConv conv(source, special);
-      RnsPoly out = conv.apply(x);
-      out.insert_channels(out.num_channels(), down);
+      RnsPoly out;
+      fan_outs = count_fan_outs([&] {
+        std::vector<u64> basis = source;
+        basis.insert(basis.end(), special.begin(), special.end());
+        RnsPoly x_ntt = x;
+        x_ntt.to_ntt();
+        RnsPoly down = moddown(modup(x_ntt, basis, 0), special.size());
+        const BConv conv(source, special);
+        out = conv.apply(x);
+        out.insert_channels(out.num_channels(), down);
+      });
       return out;
     };
 
     const RnsPoly seq = run_all(1);
     const RnsPoly par = run_all(4);
+    EXPECT_GT(fan_outs, 0u) << "limbs=" << limbs;
     EXPECT_TRUE(seq == par) << "limbs=" << limbs;
   }
 }
@@ -321,10 +351,12 @@ TEST(PooledWeightedSum, HeadroomBoundaryFallsBackAndStaysExact) {
 }
 
 // ---------------------------------------------------------------------------
-// CKKS keyswitch digit fan-out: pooled path bit-identical to sequential.
+// CKKS keyswitch digit fan-out: pooled path bit-identical to sequential. At
+// N = 4096 the DecompPolyMult, BConv and NTT channel loops fan out as well
+// as the digits.
 
 TEST(PooledKeyswitch, DigitFanOutBitIdenticalAcrossThreadCounts) {
-  const ckks::CkksParams params = ckks::CkksParams::toy(512, 4, 2);
+  const ckks::CkksParams params = ckks::CkksParams::toy(4096, 4, 2);
   const auto ctx = std::make_shared<ckks::CkksContext>(params);
   ckks::KeyGenerator keygen(ctx, 21);
   const ckks::RelinKeys rk = keygen.make_relin_keys();
@@ -333,18 +365,23 @@ TEST(PooledKeyswitch, DigitFanOutBitIdenticalAcrossThreadCounts) {
   RnsPoly d = random_poly(params.n, ctx->basis_at(params.num_levels), 55);
   d.to_ntt();
 
+  std::uint64_t fan_outs = 0;
   auto run = [&](std::size_t threads) {
     ScopedThreads guard(threads);
-    return evaluator.keyswitch(d, params.num_levels, rk.key);
+    std::pair<RnsPoly, RnsPoly> out;
+    fan_outs = count_fan_outs([&] { out = evaluator.keyswitch(d, params.num_levels, rk.key); });
+    return out;
   };
   const auto seq = run(1);
   const auto par = run(4);
+  // The digit fan-out, plus at least one channel loop.
+  EXPECT_GT(fan_outs, 1u);
   EXPECT_TRUE(seq.first == par.first);
   EXPECT_TRUE(seq.second == par.second);
 }
 
 TEST(PooledKeyswitch, HoistedRotationsBitIdenticalAcrossThreadCounts) {
-  const ckks::CkksParams params = ckks::CkksParams::toy(512, 3, 3);
+  const ckks::CkksParams params = ckks::CkksParams::toy(4096, 3, 3);
   const auto ctx = std::make_shared<ckks::CkksContext>(params);
   ckks::KeyGenerator keygen(ctx, 5);
   ckks::CkksEncoder encoder(ctx);
@@ -358,16 +395,112 @@ TEST(PooledKeyswitch, HoistedRotationsBitIdenticalAcrossThreadCounts) {
   const ckks::Ciphertext ct = encryptor.encrypt(
       encoder.encode(std::span<const double>(msg), params.num_levels, params.scale()));
 
+  std::uint64_t fan_outs = 0;
   auto run = [&](std::size_t threads) {
     ScopedThreads guard(threads);
-    return evaluator.rotate_hoisted(ct, steps, gk);
+    std::vector<ckks::Ciphertext> out;
+    fan_outs = count_fan_outs([&] { out = evaluator.rotate_hoisted(ct, steps, gk); });
+    return out;
   };
   const auto seq = run(1);
   const auto par = run(4);
+  EXPECT_GT(fan_outs, 0u);
   ASSERT_EQ(seq.size(), par.size());
   for (std::size_t i = 0; i < seq.size(); ++i) {
     EXPECT_TRUE(seq[i].c0 == par[i].c0) << i;
     EXPECT_TRUE(seq[i].c1 == par[i].c1) << i;
+  }
+}
+
+// The fused linear transform: one DecompPolyMult fan-out over channels per
+// giant group. At N = 4096 its lanes run on the pool, for the plain and the
+// BSGS schedule.
+TEST(PooledLinearTransform, BitIdenticalAcrossThreadCounts) {
+  const ckks::CkksParams params = ckks::CkksParams::toy(4096, 4, 2);
+  const auto ctx = std::make_shared<ckks::CkksContext>(params);
+  ckks::KeyGenerator keygen(ctx, 8);
+  ckks::CkksEncoder encoder(ctx);
+  ckks::Encryptor encryptor(ctx, keygen.make_public_key());
+  ckks::Evaluator evaluator(ctx);
+
+  const std::size_t slots = params.slots();
+  ckks::LinearTransform::Matrix m(slots, std::vector<std::complex<double>>(slots));
+  for (std::size_t k = 0; k < slots; ++k) {
+    m[k][k] = 1.0;
+    m[k][(k + 1) % slots] = {0.5, -0.125};
+    m[k][(k + 3) % slots] = -0.25;
+    m[k][(k + 6) % slots] = 0.0625;
+  }
+  const ckks::LinearTransform lt(ctx, m);
+  std::vector<int> steps = lt.required_rotations(true);
+  for (int s : lt.required_rotations(false)) steps.push_back(s);
+  const ckks::GaloisKeys gk = keygen.make_galois_keys(steps);
+
+  std::vector<double> msg(slots);
+  for (std::size_t i = 0; i < slots; ++i) msg[i] = 0.25 - 0.0001 * static_cast<double>(i);
+  const ckks::Ciphertext ct = encryptor.encrypt(
+      encoder.encode(std::span<const double>(msg), params.num_levels, params.scale()));
+
+  for (bool bsgs : {true, false}) {
+    std::uint64_t fan_outs = 0;
+    auto run = [&](std::size_t threads) {
+      ScopedThreads guard(threads);
+      ckks::Ciphertext out;
+      fan_outs = count_fan_outs(
+          [&] { out = lt.apply(evaluator, encoder, ct, gk, params.scale(), bsgs); });
+      return out;
+    };
+    const ckks::Ciphertext seq = run(1);
+    const ckks::Ciphertext par = run(4);
+    EXPECT_GT(fan_outs, 0u) << "bsgs=" << bsgs;
+    EXPECT_TRUE(seq.c0 == par.c0) << "bsgs=" << bsgs;
+    EXPECT_TRUE(seq.c1 == par.c1) << "bsgs=" << bsgs;
+  }
+}
+
+// The ckks_boot shape of bench/e2e (N = 256, L = 20, dnum = 4, 45-bit
+// primes, h = 32): its channel loops run inline under the grain rule, and
+// only the keyswitch digits fan out. A whole bootstrap is bit-identical at
+// widths 1, 2 and 4.
+TEST(PooledBootstrap, BitIdenticalAcrossThreadCounts) {
+  ckks::CkksParams params = ckks::CkksParams::toy(256, 20, 4);
+  params.prime_bits = 45;
+  params.log_scale = 45;
+  params.secret_hamming_weight = 32;
+  const auto ctx = std::make_shared<ckks::CkksContext>(params);
+  ckks::KeyGenerator keygen(ctx, 41);
+  const ckks::CkksEncoder encoder(ctx);
+  ckks::Encryptor encryptor(ctx, keygen.make_public_key(), 42);
+  const ckks::Evaluator evaluator(ctx);
+  const ckks::RelinKeys rk = keygen.make_relin_keys();
+  const ckks::GaloisKeys gk = keygen.make_galois_keys(
+      ckks::Bootstrapper::required_rotations(*ctx), /*include_conjugate=*/true);
+  ckks::BootstrapConfig config;
+  config.i_bound = 9.0;
+  config.sine_degree = 140;
+  const ckks::Bootstrapper boot(ctx, encoder, evaluator, rk, gk, config);
+
+  std::vector<double> msg(params.slots());
+  for (std::size_t i = 0; i < msg.size(); ++i) msg[i] = 0.5 - 0.003 * static_cast<double>(i);
+  const ckks::Ciphertext exhausted = evaluator.mod_drop(
+      encryptor.encrypt(encoder.encode(std::span<const double>(msg), params.num_levels,
+                                       params.scale())),
+      1);
+
+  std::uint64_t fan_outs = 0;
+  auto run = [&](std::size_t threads) {
+    ScopedThreads guard(threads);
+    ckks::Ciphertext out;
+    fan_outs = count_fan_outs([&] { out = boot.bootstrap(exhausted); });
+    return out;
+  };
+  const ckks::Ciphertext seq = run(1);
+  EXPECT_EQ(fan_outs, 0u);
+  for (std::size_t threads : {2u, 4u}) {
+    const ckks::Ciphertext par = run(threads);
+    EXPECT_GT(fan_outs, 0u) << threads << " threads";
+    EXPECT_TRUE(seq.c0 == par.c0) << threads << " threads";
+    EXPECT_TRUE(seq.c1 == par.c1) << threads << " threads";
   }
 }
 
