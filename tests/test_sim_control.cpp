@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstring>
 #include <memory>
+#include <thread>
+#include <vector>
 
 #include "arch/config.h"
 #include "common/serdes.h"
@@ -17,6 +20,7 @@
 #include "sim/event_sim.h"
 #include "sim/sim_control.h"
 #include "workloads/ckks_workloads.h"
+#include "workloads/tfhe_workloads.h"
 
 namespace alchemist {
 namespace {
@@ -353,6 +357,126 @@ TEST(Checkpoint, CursorBytesArePinned) {
     EXPECT_EQ(fnv1a(cp.state), p.digest)
         << (p.event ? "event" : "level") << (p.faults ? " +faults" : "")
         << " after " << p.steps << " steps";
+  }
+}
+
+// --- paper-schedule registries -----------------------------------------------
+// The chip_paper schedules of bench/e2e: the level policy on the five paper
+// graphs and the ready-list policy on the cross-scheme mix. The digests cover
+// every counter and gauge key and value, so a change to how the engine core
+// books its per-op counters or lowers its ops cannot move a single registry
+// entry unnoticed.
+
+enum PaperSched { kBootFresh, kBoot, kHelr, kLola, kPbsI, kNumPaperLevel };
+
+struct PaperGraphs {
+  metaop::OpGraph level[kNumPaperLevel];
+  metaop::OpGraph xs;
+};
+
+// Built as bench/e2e builds them; once per process, then only read.
+const PaperGraphs& paper_graphs() {
+  static const PaperGraphs graphs = [] {
+    auto resident = [](std::size_t level) {
+      workloads::CkksWl w = workloads::CkksWl::paper(level);
+      w.hbm_stream_fraction = 0.05;
+      return w;
+    };
+    workloads::TfheWl pbs = workloads::TfheWl::set_i();
+    const double bk_mb = pbs.bk_bytes() / 1e6;
+    pbs.hbm_stream_fraction = bk_mb <= 33.0 ? 0.0 : 1.0 - 33.0 / bk_mb;
+    PaperGraphs g;
+    g.level[kBootFresh] =
+        workloads::build_bootstrapping(workloads::CkksWl::paper(44), false);
+    g.level[kBoot] = workloads::build_bootstrapping(resident(44), true);
+    g.level[kHelr] = workloads::build_helr_iteration(resident(30));
+    g.level[kLola] = workloads::build_lola_mnist(true);
+    g.level[kPbsI] = workloads::build_pbs(pbs);
+    const metaop::OpGraph& p = g.level[kPbsI];
+    g.xs = sim::merge_graphs({g.level[kBoot], p, p, p, p}, "xs");
+    return g;
+  }();
+  return graphs;
+}
+
+// FNV-1a over every counter and gauge, in the registry's canonical key order.
+std::uint64_t registry_digest(const obs::Registry& reg) {
+  std::vector<std::uint8_t> bytes;
+  auto put = [&](const std::string& key, std::uint64_t value) {
+    bytes.insert(bytes.end(), key.begin(), key.end());
+    bytes.push_back(0);
+    for (int i = 0; i < 8; ++i) bytes.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
+  };
+  for (const auto& [key, value] : reg.counters()) put(key, value);
+  bytes.push_back(0xff);
+  for (const auto& [key, value] : reg.gauges()) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, &value, sizeof(word));
+    put(key, word);
+  }
+  return fnv1a(bytes);
+}
+
+// Level policy on the five schedules, then the ready-list policy on xs.
+constexpr std::uint64_t kPaperDigests[kNumPaperLevel + 1] = {
+    0xb7bef570b16f1d11ull, 0x9e123b2b36aca344ull, 0x1c461a350ff43815ull,
+    0x51f99c0b89841879ull, 0xf8048dad1cee93b4ull, 0x7a9c5d5238dd4e97ull,
+};
+
+std::vector<std::uint64_t> paper_digests() {
+  const PaperGraphs& g = paper_graphs();
+  const arch::ArchConfig cfg = arch::ArchConfig::alchemist();
+  std::vector<std::uint64_t> out;
+  for (const metaop::OpGraph& level : g.level) {
+    out.push_back(registry_digest(sim::simulate_alchemist(level, cfg).registry));
+  }
+  out.push_back(registry_digest(sim::simulate_alchemist_events(g.xs, cfg).registry));
+  return out;
+}
+
+TEST(SimControl, PaperScheduleRegistriesPinned) {
+  const std::vector<std::uint64_t> digests = paper_digests();
+  for (std::size_t s = 0; s < digests.size(); ++s) {
+    EXPECT_EQ(digests[s], kPaperDigests[s]) << "schedule " << s << std::hex
+                                            << " digest 0x" << digests[s];
+  }
+
+  // A level run on boot_fresh that checkpoints every 64 steps, stops on a
+  // step budget and resumes lands on the uninterrupted registry.
+  const metaop::OpGraph& g = paper_graphs().level[kBootFresh];
+  const arch::ArchConfig cfg = arch::ArchConfig::alchemist();
+  sim::Checkpoint cp;
+  sim::SimControl ctl;
+  ctl.checkpoint_interval = 64;
+  ctl.max_steps = 1000;
+  ctl.checkpoint = &cp;
+  EXPECT_THROW(sim::simulate_alchemist(g, cfg, nullptr, nullptr, &ctl),
+               sim::CancelledError);
+  ASSERT_TRUE(cp.valid());
+  EXPECT_EQ(cp.step, 1000u);
+  sim::SimControl resume;
+  resume.checkpoint = &cp;
+  EXPECT_EQ(registry_digest(sim::simulate_alchemist(g, cfg, nullptr, nullptr, &resume)
+                                .registry),
+            kPaperDigests[kBootFresh]);
+}
+
+// Concurrent runs share nothing: each thread simulates every pinned schedule
+// at once with the others and must reproduce the pinned digests.
+TEST(SimControl, ConcurrentRunsMatchPinnedRegistries) {
+  constexpr std::size_t kThreads = 4;
+  paper_graphs();  // build the shared, read-only graphs before the fan-out
+  std::vector<std::vector<std::uint64_t>> digests(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&digests, t] { digests[t] = paper_digests(); });
+  }
+  for (std::thread& th : threads) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(digests[t].size(), kNumPaperLevel + 1u);
+    for (std::size_t s = 0; s < digests[t].size(); ++s) {
+      EXPECT_EQ(digests[t][s], kPaperDigests[s]) << "thread " << t << " schedule " << s;
+    }
   }
 }
 
