@@ -6,6 +6,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -97,18 +98,52 @@ void add_fault_counters(obs::Registry& reg, const fault::FaultModel& model,
   reg.add(fm::kMaskedUnits, model.masked_count());
 }
 
-// One op priced on the simulated (possibly degraded) machine. Values are
-// exact; each policy rounds the transpose the way its model needs.
-struct OpCost {
+// The per-op sim.* counters, summed in the engine and booked into the
+// registry in bulk by flush_counters().
+struct OpCounters {
+  std::uint64_t ops = 0;
+  PerClass<std::uint64_t> class_ops{};
+  std::uint64_t mults = 0;
+  std::uint64_t meta_ops = 0;
+  std::uint64_t hbm_bytes = 0;
+  std::uint64_t busy_lanes = 0;
+};
+
+// An op's shape: everything its lowering and pricing read, except the HBM
+// bytes the fault draw takes per op.
+struct ShapeKey {
+  OpKind kind;
+  std::size_t n, channels, param_a, param_b;
+  bool operator==(const ShapeKey&) const = default;
+};
+
+struct ShapeKeyHash {
+  std::size_t operator()(const ShapeKey& k) const {
+    std::size_t h = static_cast<std::size_t>(k.kind);
+    for (std::size_t v : {k.n, k.channels, k.param_a, k.param_b}) {
+      h = (h ^ v) * 0x100000001b3ull;
+    }
+    return h;
+  }
+};
+
+// The price of an op shape on the simulated (possibly degraded) machine.
+// Values are exact; each policy rounds the transpose the way its model needs.
+struct ShapeCost {
   OpClass cls = OpClass::Elementwise;
   std::uint64_t raw_core_cycles = 0;  // lowered Meta-OP work, before padding
   std::uint64_t core_cycles = 0;      // after degraded-stripe padding
-  std::uint64_t retry_cycles = 0;     // fault mitigation re-executions
   std::uint64_t busy_lanes = 0;
   std::uint64_t meta_ops = 0;
   std::uint64_t batches = 0;
   std::uint64_t mults = 0;
   double transpose = 0;  // serialized half of the 4-step NTT transpose
+};
+
+// One op priced: its shape's price plus the op's own transient faults.
+struct OpCost : ShapeCost {
+  explicit OpCost(const ShapeCost& shape) : ShapeCost(shape) {}
+  std::uint64_t retry_cycles = 0;  // fault mitigation re-executions
   fault::OpFaults faults;
 };
 
@@ -200,35 +235,29 @@ class Engine {
     return true;
   }
 
-  // Lower and price one op: busy lanes, degraded-stripe padding, transient
-  // faults (one draw per call from the run's single fault RNG stream) and
-  // their mitigation cost, and the transpose share. With `charge` the fault
-  // totals and per-op sim.* counters are booked; without, only the fault RNG
-  // advances (replaying ops a checkpoint already accounted).
-  OpCost cost(const HighOp& op, bool charge = true) {
+  // Price of an op's shape, lowered on its first sight in this run: busy
+  // lanes, degraded-stripe padding and the transpose share.
+  const ShapeCost& shape_cost(const HighOp& op) {
+    const ShapeKey key{op.kind, op.n, op.channels, op.param_a, op.param_b};
+    if (const auto it = shapes_.find(key); it != shapes_.end()) return it->second;
     const MetaOpStream stream = metaop::lower(op);
-    OpCost c;
-    c.cls = class_of(op.kind);
-    c.raw_core_cycles = c.core_cycles = stream.core_cycles();
+    ShapeCost s;
+    s.cls = class_of(op.kind);
+    s.raw_core_cycles = s.core_cycles = stream.core_cycles();
     for (const MetaOpBatch& batch : stream.batches) {
-      c.busy_lanes += batch.count * cfg_.lanes * (batch.n + 2);
+      s.busy_lanes += batch.count * cfg_.lanes * (batch.n + 2);
     }
-    c.meta_ops = stream.meta_op_count();
-    c.batches = stream.batches.size();
+    s.meta_ops = stream.meta_op_count();
+    s.batches = stream.batches.size();
+    s.mults = stream.mult_count();
     if (fault_) {
       // Degraded stripe: slot-partitioned work inflates by the padding of
       // ceil(N / healthy_units) striping (the masked units' share must be
       // re-homed, and the tail stripe is padded).
       const double pad = fault_->slot_padding_factor(op.n);
       if (pad > 1.0) {
-        c.core_cycles = static_cast<std::uint64_t>(
-            std::ceil(static_cast<double>(c.core_cycles) * pad));
-      }
-      c.faults = fault_->sample_op(c.core_cycles, c.busy_lanes, op.hbm_bytes);
-      if (charge) {
-        const std::uint64_t batch_cost =
-            c.core_cycles / std::max<std::size_t>(stream.batches.size(), 1);
-        c.retry_cycles = price_op_faults(*fault_, c.faults, batch_cost, fault_totals_);
+        s.core_cycles = static_cast<std::uint64_t>(
+            std::ceil(static_cast<double>(s.core_cycles) * pad));
       }
     }
     // 4-step NTT: one global transpose between the phases. Chunks of later
@@ -237,18 +266,52 @@ class Engine {
     if (op.kind == OpKind::Ntt || op.kind == OpKind::Intt) {
       const std::uint64_t words =
           static_cast<std::uint64_t>(op.n) * std::max<std::size_t>(op.channels, 1);
-      c.transpose = static_cast<double>(words) / transpose_words_per_cycle_ / 2.0;
+      s.transpose = static_cast<double>(words) / transpose_words_per_cycle_ / 2.0;
+    }
+    return shapes_.emplace(key, s).first->second;
+  }
+
+  // Price one op: its shape's price, then its transient faults (one draw per
+  // call from the run's single fault RNG stream) and their mitigation cost.
+  // With `charge` the fault totals and per-op sim.* counters are booked;
+  // without, only the fault RNG advances (replaying ops a checkpoint already
+  // accounted).
+  OpCost cost(const HighOp& op, bool charge = true) {
+    OpCost c(shape_cost(op));
+    if (fault_) {
+      c.faults = fault_->sample_op(c.core_cycles, c.busy_lanes, op.hbm_bytes);
+      if (charge) {
+        const std::uint64_t batch_cost = c.core_cycles / std::max<std::uint64_t>(c.batches, 1);
+        c.retry_cycles = price_op_faults(*fault_, c.faults, batch_cost, fault_totals_);
+      }
     }
     if (!charge) return c;
-    c.mults = stream.mult_count();
-    obs::Registry& reg = result_.registry;
-    reg.add(metrics::kMults, c.mults, {{"lazy", "true"}});
-    reg.add(metrics::kOps, 1);
-    reg.add(metrics::kOps, 1, {{"class", class_tag(c.cls)}});
-    reg.add(metrics::kMetaOps, c.meta_ops);
-    reg.add(metrics::kHbmBytes, op.hbm_bytes);
-    reg.add(metrics::kBusyLaneCycles, c.busy_lanes);
+    ++counters_.ops;
+    ++counters_.class_ops[static_cast<std::size_t>(c.cls)];
+    counters_.mults += c.mults;
+    counters_.meta_ops += c.meta_ops;
+    counters_.hbm_bytes += op.hbm_bytes;
+    counters_.busy_lanes += c.busy_lanes;
     return c;
+  }
+
+  // Books the per-op counters summed since the last flush into the registry.
+  // A key appears exactly when per-op booking would have created it: the
+  // untagged ones once any op is charged, sim.ops{class=} per class with ops.
+  void flush_counters() {
+    if (counters_.ops == 0) return;
+    obs::Registry& reg = result_.registry;
+    reg.add(metrics::kMults, counters_.mults, {{"lazy", "true"}});
+    reg.add(metrics::kOps, counters_.ops);
+    for (std::size_t c = 0; c < kNumOpClasses; ++c) {
+      if (counters_.class_ops[c] == 0) continue;
+      reg.add(metrics::kOps, counters_.class_ops[c],
+              {{"class", class_tag(static_cast<OpClass>(c))}});
+    }
+    reg.add(metrics::kMetaOps, counters_.meta_ops);
+    reg.add(metrics::kHbmBytes, counters_.hbm_bytes);
+    reg.add(metrics::kBusyLaneCycles, counters_.busy_lanes);
+    counters_ = {};
   }
 
   // --- execution control ----------------------------------------------------
@@ -283,6 +346,7 @@ class Engine {
     cp.op_count = graph_.ops.size();
     cp.fingerprint = fingerprint_;
     cp.step = step;
+    flush_counters();  // the level cursor carries the registry
     BinaryWriter w;
     write_cursor(w, step);
     cp.state = w.buffer();
@@ -373,6 +437,7 @@ class Engine {
   SimResult finish(std::uint64_t total_cycles, std::uint64_t stall_cycles,
                    std::uint64_t transpose_cycles, double time, double busy,
                    const ClassTotals& classes) {
+    flush_counters();
     close("completed");
     obs::Registry& reg = result_.registry;
     reg.add(metrics::kCycles, total_cycles);
@@ -423,6 +488,8 @@ class Engine {
   std::vector<ClassTrackRows> rows_;
 
  private:
+  OpCounters counters_;
+  std::unordered_map<ShapeKey, ShapeCost, ShapeKeyHash> shapes_;
   std::uint64_t executed_steps_ = 0;
   std::uint64_t trace_checkpoints_ = 0;
   double span_start_ = 0;
@@ -892,9 +959,16 @@ class ReadyListPolicy final : public Engine {
   }
 
   void step() {
-    // Work-conserving equal share of the cores among live compute demands.
+    // Work-conserving equal share of the cores among live compute demands,
+    // and the classes with live work this interval.
     std::size_t compute_live = 0;
-    for (std::size_t idx : running_) compute_live += state_[idx].work > 0 ? 1 : 0;
+    PerClass<bool> live{};
+    for (std::size_t idx : running_) {
+      if (state_[idx].work > 0) {
+        ++compute_live;
+        live[static_cast<std::size_t>(state_[idx].cls)] = true;
+      }
+    }
     const double core_share =
         compute_live ? static_cast<double>(cores_) / compute_live : 0;
 
@@ -909,11 +983,7 @@ class ReadyListPolicy final : public Engine {
     if (!(dt > 0) || !std::isfinite(dt)) dt = 1.0;  // zero-work ops finish now
 
     if (compute_live == 0) stall_integral_ += dt;
-    // Per-class active wall time: classes with live work this interval.
-    PerClass<bool> live{};
-    for (std::size_t idx : running_) {
-      if (state_[idx].work > 0) live[static_cast<std::size_t>(state_[idx].cls)] = true;
-    }
+    // Per-class active wall time.
     for (std::size_t c = 0; c < kNumOpClasses; ++c) {
       if (live[c]) class_active_[c] += dt;
     }
@@ -922,7 +992,7 @@ class ReadyListPolicy final : public Engine {
     now_ += dt;
     double iv_delivered = 0, iv_reduction = 0, iv_scratch = 0;
     PerClass<double> iv_class{};
-    std::vector<std::size_t> still_running;
+    next_running_.clear();
     for (std::size_t idx : running_) {
       OpState& s = state_[idx];
       if (s.work > 0) {
@@ -942,16 +1012,16 @@ class ReadyListPolicy final : public Engine {
         if (s.work == 0) s.compute_done_time = now_;
       }
       if (s.work == 0 && now_ + 1e-9 >= s.hbm_ready) {
-        retire(idx, still_running);
+        retire(idx, next_running_);
       } else {
-        still_running.push_back(idx);
+        next_running_.push_back(idx);
       }
     }
     if (profiler_) {
       profiler_->accrue(dt, iv_delivered, iv_reduction, iv_scratch, iv_class,
                         compute_live > 0);
     }
-    running_ = std::move(still_running);
+    running_.swap(next_running_);
   }
 
   void retire(std::size_t idx, std::vector<std::size_t>& ready) {
@@ -984,6 +1054,7 @@ class ReadyListPolicy final : public Engine {
 
   std::vector<OpState> state_;
   std::vector<std::size_t> running_;
+  std::vector<std::size_t> next_running_;  // step()'s next ready set, swapped in
   std::uint64_t total_transpose_ = 0;
   PerClass<double> class_busy_total_{};
   double now_ = 0;

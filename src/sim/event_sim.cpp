@@ -19,9 +19,12 @@ metaop::OpGraph merge_graphs(const std::vector<OpGraph>& graphs,
   std::vector<std::size_t> next(graphs.size(), 0);
   // Remap: new index of op j of graph g.
   std::vector<std::vector<std::size_t>> remap(graphs.size());
+  std::size_t total_ops = 0;
   for (std::size_t g = 0; g < graphs.size(); ++g) {
     remap[g].resize(graphs[g].ops.size());
+    total_ops += graphs[g].ops.size();
   }
+  merged.ops.reserve(total_ops);
   for (;;) {
     // Pick the stream with the smallest consumed fraction.
     std::size_t best = graphs.size();
