@@ -52,9 +52,9 @@ TEST(EventSim, NeverSlowerThanLevelModelOnRealWorkloads) {
                            workloads::build_rotation(w)}) {
     const SimResult level = simulate_alchemist(g, cfg);
     const SimResult event = simulate_alchemist_events(g, cfg);
-    // The two independent models must agree within 10% (they treat level
-    // barriers and transpose sharing differently, so neither strictly
-    // dominates).
+    // One engine core prices the ops for both scheduling policies; they
+    // differ only in scheduling (level barriers and transpose sharing vs a
+    // ready list), so neither strictly dominates and they agree within 10%.
     const double ratio = static_cast<double>(event.cycles) / level.cycles;
     EXPECT_GT(ratio, 0.90) << g.name;
     EXPECT_LT(ratio, 1.10) << g.name;
