@@ -57,7 +57,7 @@ void rate_sweep(const char* title, const metaop::OpGraph& graph, bench::ObsArgs&
   bench::print_header(title);
   const auto base = sim::simulate_alchemist(graph, arch::ArchConfig::alchemist());
   std::printf("fault-free baseline: %llu cycles (%zu ops)\n\n",
-              static_cast<unsigned long long>(base.cycles), graph.ops.size());
+              static_cast<unsigned long long>(base.cycles), graph.ops().size());
   std::printf("%-12s %-14s %-12s %-10s %-9s %-9s %-9s\n", "policy", "rate",
               "cycles", "slowdown", "yield", "injected", "retries");
   for (fault::Policy policy :

@@ -270,7 +270,7 @@ int main(int argc, char** argv) {
                        : sim::simulate_alchemist(graph, cfg, &timeline, fault,
                                                  nullptr, profiler, mem);
     const auto energy = arch::energy_model(cfg, result);
-    std::printf("workload:      %s (%zu ops)\n", graph.name.c_str(), graph.ops.size());
+    std::printf("workload:      %s (%zu ops)\n", graph.name.c_str(), graph.ops().size());
     std::printf("accelerator:   Alchemist, %zu units, %.0f GB/s HBM%s\n", units, hbm,
                 use_event ? " (event-driven model)" : "");
     if (fault && fault->enabled()) {
@@ -341,7 +341,7 @@ int main(int argc, char** argv) {
   } else {
     const arch::AcceleratorSpec spec = arch::spec_by_name(accelerator);
     result = sim::simulate_modular(graph, spec);
-    std::printf("workload:      %s (%zu ops)\n", graph.name.c_str(), graph.ops.size());
+    std::printf("workload:      %s (%zu ops)\n", graph.name.c_str(), graph.ops().size());
     std::printf("accelerator:   %s (modular FU model)\n", spec.name.c_str());
     std::printf("cycles:        %llu\n", static_cast<unsigned long long>(result.cycles));
     std::printf("time:          %.3f us  (%.1f ops/s)\n", result.time_us,

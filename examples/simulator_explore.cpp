@@ -21,7 +21,7 @@ int main() {
   const auto pbs = workloads::build_pbs(workloads::TfheWl::set_i());
 
   std::printf("Workload: %s (%zu ops), %s (%zu ops)\n\n", boot.name.c_str(),
-              boot.ops.size(), pbs.name.c_str(), pbs.ops.size());
+              boot.ops().size(), pbs.name.c_str(), pbs.ops().size());
 
   std::printf("--- Sweep: computing units (bootstrapping) ---\n");
   std::printf("%-8s %-10s %-10s %-12s %-12s\n", "units", "ms", "util",

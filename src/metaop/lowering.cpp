@@ -189,7 +189,7 @@ MetaOpStream lower(const HighOp& op) {
 
 MetaOpStream lower(const OpGraph& graph) {
   MetaOpStream out;
-  for (const HighOp& op : graph.ops) out.append(lower(op));
+  for (const HighOp& op : graph.ops()) out.append(lower(op));
   return out;
 }
 

@@ -62,13 +62,13 @@ MultCounts count(const HighOp& op) {
 
 MultCounts count(const OpGraph& graph) {
   MultCounts total;
-  for (const HighOp& op : graph.ops) total += count(op);
+  for (const HighOp& op : graph.ops()) total += count(op);
   return total;
 }
 
 std::array<std::uint64_t, 4> class_mults(const OpGraph& graph, bool meta) {
   std::array<std::uint64_t, 4> by_class = {0, 0, 0, 0};
-  for (const HighOp& op : graph.ops) {
+  for (const HighOp& op : graph.ops()) {
     const MultCounts c = count(op);
     const std::uint64_t value = meta ? c.meta : c.origin;
     OpClass cls = OpClass::Elementwise;

@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -224,7 +225,7 @@ class Engine {
     if (cp.engine != tag_) {
       throw CheckpointError(who + "checkpoint from engine '" + cp.engine + "'");
     }
-    if (cp.workload != graph_.name || cp.op_count != graph_.ops.size()) {
+    if (cp.workload != graph_.name || cp.op_count != graph_.ops().size()) {
       throw CheckpointError(who + "checkpoint belongs to a different graph");
     }
     if (cp.fingerprint != fingerprint_) {
@@ -343,7 +344,7 @@ class Engine {
     Checkpoint cp;
     cp.engine = tag_;
     cp.workload = graph_.name;
-    cp.op_count = graph_.ops.size();
+    cp.op_count = graph_.ops().size();
     cp.fingerprint = fingerprint_;
     cp.step = step;
     flush_counters();  // the level cursor carries the registry
@@ -376,7 +377,7 @@ class Engine {
   // and its HBM bytes.
   void op_span(const obs::TraceContext& parent, std::size_t idx, OpClass cls,
                double ts, double dur, const NumAttrs& extra) {
-    const HighOp& op = graph_.ops[idx];
+    const HighOp& op = graph_.ops()[idx];
     NumAttrs num_attrs = {{"op", static_cast<double>(idx)}};
     num_attrs.insert(num_attrs.end(), extra.begin(), extra.end());
     num_attrs.emplace_back("hbm_bytes", static_cast<double>(op.hbm_bytes));
@@ -416,13 +417,13 @@ class Engine {
   void op_slice(std::size_t idx, OpClass cls, double ts, double dur, double end,
                 NumAttrs args) {
     const std::uint32_t tid = rows_[static_cast<std::size_t>(cls)].reserve(ts, end);
-    slice(op_label(graph_.ops[idx], idx), class_tag(cls), tid, ts, dur, std::move(args));
+    slice(op_label(graph_.ops()[idx], idx), class_tag(cls), tid, ts, dur, std::move(args));
   }
 
   void fault_slice(std::size_t idx, const fault::OpFaults& faults,
                    double retry_cycles, double ts, double dur) {
     if (faults.total() == 0) return;
-    slice("fault " + op_label(graph_.ops[idx], idx), "fault", kFaultTid, ts, dur,
+    slice("fault " + op_label(graph_.ops()[idx], idx), "fault", kFaultTid, ts, dur,
           {{"faults_compute", static_cast<double>(faults.compute)},
            {"faults_sram", static_cast<double>(faults.sram)},
            {"faults_hbm", static_cast<double>(faults.hbm)},
@@ -508,7 +509,7 @@ class LevelPolicy final : public Engine {
       : Engine(std::forward<Args>(args)..., kLevelEngine, "Alchemist") {}
 
   SimResult run() {
-    const auto levels = asap_levels(graph_);
+    const metaop::Levels levels = metaop::asap_levels(graph_);
     const bool resuming = begin();
     // begin() before the cursor: a restored checkpoint overlays the memory
     // profiler's accumulators on top of the geometry begin() captures.
@@ -523,7 +524,7 @@ class LevelPolicy final : public Engine {
         // Accounted before the checkpoint; replay only the fault RNG draws so
         // the remaining ops sample the same transients as an uninterrupted run.
         if (fault_) {
-          for (std::size_t idx : levels[level_idx]) cost(graph_.ops[idx], false);
+          for (std::size_t idx : levels[level_idx]) cost(graph_.ops()[idx], false);
         }
         continue;
       }
@@ -578,21 +579,6 @@ class LevelPolicy final : public Engine {
   // detail keeps the full per-level resolution.
   static constexpr std::size_t kChainWidth = 8;
   static constexpr std::uint64_t kChainMaxLevels = 32;
-
-  static std::vector<std::vector<std::size_t>> asap_levels(const OpGraph& graph) {
-    std::vector<std::size_t> level(graph.ops.size(), 0);
-    std::size_t max_level = 0;
-    for (std::size_t i = 0; i < graph.ops.size(); ++i) {
-      for (std::size_t dep : graph.ops[i].deps) {
-        if (dep >= i) throw std::invalid_argument("simulate: deps must point backwards");
-        level[i] = std::max(level[i], level[dep] + 1);
-      }
-      max_level = std::max(max_level, level[i]);
-    }
-    std::vector<std::vector<std::size_t>> levels(max_level + 1);
-    for (std::size_t i = 0; i < graph.ops.size(); ++i) levels[level[i]].push_back(i);
-    return levels;
-  }
 
   double clock() const override { return static_cast<double>(total_cycles_); }
   void flush_spans() override { flush_chain(); }
@@ -660,7 +646,7 @@ class LevelPolicy final : public Engine {
     chain_len_ = 0;
   }
 
-  void step(std::size_t level_idx, const std::vector<std::size_t>& level) {
+  void step(std::size_t level_idx, std::span<const std::size_t> level) {
     // Narrow levels at Phases detail fold into the running chain span, so
     // they never mint a per-level context.
     const bool phases = spans_on_ && detail_ >= obs::TraceDetail::Phases;
@@ -678,7 +664,7 @@ class LevelPolicy final : public Engine {
     // tile the level span along this cursor.
     double cursor = start;
     for (std::size_t idx : level) {
-      const HighOp& op = graph_.ops[idx];
+      const HighOp& op = graph_.ops()[idx];
       const OpCost c = cost(op);
       const auto cls = static_cast<std::size_t>(c.cls);
       const std::uint64_t work = c.core_cycles + c.retry_cycles;
@@ -700,7 +686,7 @@ class LevelPolicy final : public Engine {
 
       const double dur = static_cast<double>(work) / static_cast<double>(cores_) +
                          static_cast<double>(transpose);
-      if (mem_profiler_) mem_profiler_->record_op(op, cursor + dur);
+      if (mem_profiler_) mem_profiler_->record_op(op, graph_.transfers(idx), cursor + dur);
       if (trace_) {
         op_slice(idx, c.cls, cursor, dur, cursor + dur,
                  {{"level", static_cast<double>(level_idx)},
@@ -784,7 +770,7 @@ class ReadyListPolicy final : public Engine {
       : Engine(std::forward<Args>(args)..., kEventEngine, "Alchemist(event)") {}
 
   SimResult run() {
-    if (graph_.ops.empty()) {
+    if (graph_.ops().empty()) {
       if (mem_profiler_) {
         mem_profiler_->begin(config_);
         mem_profiler_->finish(0, result_.mem_profile);
@@ -805,7 +791,7 @@ class ReadyListPolicy final : public Engine {
       step();
       step_done(completed_);
     }
-    if (completed_ != graph_.ops.size()) {
+    if (completed_ != graph_.ops().size()) {
       throw std::logic_error("event sim: dependency cycle or unreachable ops");
     }
     if (mem_profiler_) {
@@ -813,9 +799,9 @@ class ReadyListPolicy final : public Engine {
       // a checkpoint resume) left behind: an op's working set is released
       // when both its compute and its key streaming are done, which is
       // exactly its retirement condition.
-      for (std::size_t i = 0; i < graph_.ops.size(); ++i) {
-        mem_profiler_->record_op(
-            graph_.ops[i], std::max(state_[i].compute_done_time, state_[i].hbm_ready));
+      for (std::size_t i = 0; i < graph_.ops().size(); ++i) {
+        mem_profiler_->record_op(graph_.ops()[i], graph_.transfers(i),
+                                 std::max(state_[i].compute_done_time, state_[i].hbm_ready));
       }
     }
     ClassTotals classes;
@@ -840,7 +826,6 @@ class ReadyListPolicy final : public Engine {
     double frac_reduction = 0;
     OpClass cls = OpClass::Elementwise;
     std::size_t unmet_deps = 0;
-    std::vector<std::size_t> dependents;
     bool running = false;
     bool done = false;
     // Telemetry only (never read by the accounting).
@@ -854,9 +839,10 @@ class ReadyListPolicy final : public Engine {
 
   void setup() {
     const double cores = static_cast<double>(cores_);
-    state_.resize(graph_.ops.size());
-    for (std::size_t i = 0; i < graph_.ops.size(); ++i) {
-      const HighOp& op = graph_.ops[i];
+    state_.resize(graph_.ops().size());
+    dependents_start_.assign(graph_.ops().size() + 1, 0);
+    for (std::size_t i = 0; i < graph_.ops().size(); ++i) {
+      const HighOp& op = graph_.ops()[i];
       const OpCost c = cost(op);
       OpState& s = state_[i];
       s.cls = c.cls;
@@ -877,12 +863,24 @@ class ReadyListPolicy final : public Engine {
         s.frac_scratch = s.work > 0 ? transpose_work / s.work : 0.0;
         total_transpose_ += static_cast<std::uint64_t>(c.transpose);
       }
-      s.unmet_deps = op.deps.size();
-      for (std::size_t dep : op.deps) {
+      const std::span<const std::size_t> deps = graph_.deps(i);
+      s.unmet_deps = deps.size();
+      for (std::size_t dep : deps) {
         if (dep >= i) throw std::invalid_argument("event sim: deps must point backwards");
-        state_[dep].dependents.push_back(i);
+        ++dependents_start_[dep + 1];
       }
       class_busy_total_[static_cast<std::size_t>(s.cls)] += s.busy_lanes;
+    }
+    // The dependents of op d are dependents_[dependents_start_[d],
+    // dependents_start_[d + 1]), in ascending op order: the order they wake
+    // up in when d retires.
+    for (std::size_t d = 1; d < dependents_start_.size(); ++d) {
+      dependents_start_[d] += dependents_start_[d - 1];
+    }
+    dependents_.resize(dependents_start_.back());
+    std::vector<std::size_t> fill(dependents_start_.begin(), dependents_start_.end() - 1);
+    for (std::size_t i = 0; i < graph_.ops().size(); ++i) {
+      for (std::size_t dep : graph_.deps(i)) dependents_[fill[dep]++] = i;
     }
 
     // Key prefetching: the scheduler knows the op stream in advance, so HBM
@@ -890,8 +888,8 @@ class ReadyListPolicy final : public Engine {
     // once its cumulative key traffic has landed.
     const double hbm_bpc = cfg_.hbm_bytes_per_cycle();
     double bytes_prefix = 0;
-    for (std::size_t i = 0; i < graph_.ops.size(); ++i) {
-      const HighOp& op = graph_.ops[i];
+    for (std::size_t i = 0; i < graph_.ops().size(); ++i) {
+      const HighOp& op = graph_.ops()[i];
       const double start_cycle = bytes_prefix / hbm_bpc;
       bytes_prefix += static_cast<double>(op.hbm_bytes);
       state_[i].hbm_ready = bytes_prefix / hbm_bpc;
@@ -1030,7 +1028,7 @@ class ReadyListPolicy final : public Engine {
     ++completed_;
     const double dur = now_ - s.start_time;
     if (trace_) {
-      const HighOp& op = graph_.ops[idx];
+      const HighOp& op = graph_.ops()[idx];
       op_slice(idx, s.cls, s.start_time, dur, now_,
                {{"ready_cycle", s.start_time},
                 {"end_cycle", now_},
@@ -1043,16 +1041,19 @@ class ReadyListPolicy final : public Engine {
     if (spans_on_ && detail_ == obs::TraceDetail::Ops) {
       op_span(sim_ctx_, idx, s.cls, s.start_time, dur, {});
     }
-    for (std::size_t dep : s.dependents) {
-      if (--state_[dep].unmet_deps == 0) {
-        state_[dep].running = true;
-        state_[dep].start_time = now_;
-        ready.push_back(dep);
+    for (std::size_t k = dependents_start_[idx]; k < dependents_start_[idx + 1]; ++k) {
+      OpState& d = state_[dependents_[k]];
+      if (--d.unmet_deps == 0) {
+        d.running = true;
+        d.start_time = now_;
+        ready.push_back(dependents_[k]);
       }
     }
   }
 
   std::vector<OpState> state_;
+  std::vector<std::size_t> dependents_start_;  // CSR of the reverse graph
+  std::vector<std::size_t> dependents_;
   std::vector<std::size_t> running_;
   std::vector<std::size_t> next_running_;  // step()'s next ready set, swapped in
   std::uint64_t total_transpose_ = 0;

@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 #include <stdexcept>
-#include <vector>
 
 #include "metaop/metaop.h"
 #include "metaop/mult_count.h"
@@ -31,21 +30,6 @@ int engine_of(OpKind kind) {
   }
 }
 
-std::vector<std::vector<std::size_t>> asap_levels(const OpGraph& graph) {
-  std::vector<std::size_t> level(graph.ops.size(), 0);
-  std::size_t max_level = 0;
-  for (std::size_t i = 0; i < graph.ops.size(); ++i) {
-    for (std::size_t dep : graph.ops[i].deps) {
-      if (dep >= i) throw std::invalid_argument("simulate: deps must point backwards");
-      level[i] = std::max(level[i], level[dep] + 1);
-    }
-    max_level = std::max(max_level, level[i]);
-  }
-  std::vector<std::vector<std::size_t>> levels(max_level + 1);
-  for (std::size_t i = 0; i < graph.ops.size(); ++i) levels[level[i]].push_back(i);
-  return levels;
-}
-
 }  // namespace
 
 SimResult simulate_modular(const OpGraph& graph, const arch::AcceleratorSpec& spec) {
@@ -69,26 +53,25 @@ SimResult simulate_modular(const OpGraph& graph, const arch::AcceleratorSpec& sp
   std::array<double, kNumOpClasses> class_mult_totals{};
   double total_mults = 0;
 
-  for (const auto& level : asap_levels(graph)) {
-    for (std::size_t idx : level) {
-      const HighOp& op = graph.ops[idx];
-      // Baselines run the eagerly-reduced (origin) multiplication counts.
-      const std::uint64_t mults = metaop::count(op).origin;
-      const int engine = engine_of(op.kind);
-      if (mults > 0 && engine_peaks[engine] <= 0) {
-        throw std::invalid_argument("simulate_modular: " + spec.name +
-                                    " has no engine for a required operator class");
-      }
-      engine_mults[engine] += static_cast<double>(mults);
-      class_mult_totals[static_cast<std::size_t>(class_of(op.kind))] +=
-          static_cast<double>(mults);
-      total_hbm_bytes += static_cast<double>(op.hbm_bytes);
-      reg.add(metrics::kMults, mults, {{"lazy", "false"}});
-      reg.add(metrics::kOps, 1);
-      reg.add(metrics::kOps, 1, {{"class", class_tag(class_of(op.kind))}});
-      reg.add(metrics::kHbmBytes, op.hbm_bytes);
-      total_mults += static_cast<double>(mults);
+  // In ASAP level order, the order the floating-point sums were pinned in.
+  for (std::size_t idx : metaop::asap_levels(graph).order) {
+    const HighOp& op = graph.ops()[idx];
+    // Baselines run the eagerly-reduced (origin) multiplication counts.
+    const std::uint64_t mults = metaop::count(op).origin;
+    const int engine = engine_of(op.kind);
+    if (mults > 0 && engine_peaks[engine] <= 0) {
+      throw std::invalid_argument("simulate_modular: " + spec.name +
+                                  " has no engine for a required operator class");
     }
+    engine_mults[engine] += static_cast<double>(mults);
+    class_mult_totals[static_cast<std::size_t>(class_of(op.kind))] +=
+        static_cast<double>(mults);
+    total_hbm_bytes += static_cast<double>(op.hbm_bytes);
+    reg.add(metrics::kMults, mults, {{"lazy", "false"}});
+    reg.add(metrics::kOps, 1);
+    reg.add(metrics::kOps, 1, {{"class", class_tag(class_of(op.kind))}});
+    reg.add(metrics::kHbmBytes, op.hbm_bytes);
+    total_mults += static_cast<double>(mults);
   }
 
   // Steady-state pipelined execution: each dedicated engine streams its own

@@ -30,7 +30,8 @@ void MemProfiler::begin(const arch::ArchConfig& cfg, obs::Timeline* timeline) {
   intervals_.clear();
 }
 
-void MemProfiler::record_op(const metaop::HighOp& op, double release_cycle) {
+void MemProfiler::record_op(const metaop::HighOp& op, metaop::TransferList transfers,
+                            double release_cycle) {
   if (!active_ || op.hbm_bytes == 0) return;
 
   const auto cls = static_cast<std::size_t>(metaop::class_of(op.kind));
@@ -38,7 +39,7 @@ void MemProfiler::record_op(const metaop::HighOp& op, double release_cycle) {
   // conservation invariant survives a buggy lowering, and any shortfall is
   // unattributed ciphertext-limb traffic.
   std::uint64_t attributed = 0;
-  for (const metaop::TransferDesc& t : op.transfers) {
+  for (const metaop::TransferDesc& t : transfers) {
     std::uint64_t b = std::min(t.bytes, op.hbm_bytes - attributed);
     if (b == 0) continue;
     bytes_[static_cast<std::size_t>(t.operand_class)][cls] += b;

@@ -53,9 +53,11 @@ class MemProfiler {
   // mem/bw and mem/scratchpad counter tracks at finish().
   void begin(const arch::ArchConfig& cfg, obs::Timeline* timeline = nullptr);
 
-  // One scheduled op, in HBM prefetch (schedule) order. `release_cycle` is
-  // when the op retires and its working set leaves the scratchpad.
-  void record_op(const metaop::HighOp& op, double release_cycle);
+  // One scheduled op and its transfer descriptors, in HBM prefetch
+  // (schedule) order. `release_cycle` is when the op retires and its working
+  // set leaves the scratchpad.
+  void record_op(const metaop::HighOp& op, metaop::TransferList transfers,
+                 double release_cycle);
 
   // Fill `out` (attribution, ledger, epoch timelines over total_cycles) and
   // emit the Perfetto counter tracks when a timeline is attached.

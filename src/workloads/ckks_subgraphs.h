@@ -4,7 +4,8 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <string>
+#include <utility>
 
 #include "metaop/op_graph.h"
 #include "workloads/ckks_workloads.h"
@@ -18,26 +19,49 @@ namespace alchemist::workloads {
 inline constexpr std::uint64_t kRelinKeyId = 1;
 inline constexpr std::uint64_t kRotationKeyBase = 100;
 
-// Thin convenience wrapper for wiring DAG nodes.
+// Wires DAG nodes into `g`, appending each op's lists straight into the
+// graph's arrays. A dry-run builder stores nothing: it hands out the indices a
+// real build would and only counts, so build_graph() can size the graph.
 struct GraphBuilder {
   metaop::OpGraph g;
+  bool dry_run = false;
+  std::size_t num_ops = 0;
+  std::size_t num_deps = 0;
+  std::size_t num_transfers = 0;
 
   std::size_t add(metaop::OpKind kind, std::size_t n, std::size_t channels,
-                  std::vector<std::size_t> deps, std::size_t pa = 0,
-                  std::size_t pb = 0, std::uint64_t hbm_bytes = 0,
-                  std::vector<metaop::TransferDesc> transfers = {}) {
-    metaop::HighOp op;
-    op.kind = kind;
-    op.n = n;
-    op.channels = channels;
-    op.param_a = pa;
-    op.param_b = pb;
-    op.deps = std::move(deps);
-    op.hbm_bytes = hbm_bytes;
-    op.transfers = std::move(transfers);
-    return g.add(std::move(op));
+                  metaop::IndexList deps, std::size_t pa = 0, std::size_t pb = 0,
+                  std::uint64_t hbm_bytes = 0, metaop::TransferList transfers = {}) {
+    if (dry_run) {
+      num_deps += deps.size();
+      num_transfers += transfers.size();
+      return num_ops++;
+    }
+    return g.add({.kind = kind,
+                  .n = n,
+                  .channels = channels,
+                  .param_a = pa,
+                  .param_b = pb,
+                  .hbm_bytes = hbm_bytes},
+                 deps, transfers);
   }
 };
+
+// Builds the graph `body` wires into a GraphBuilder. The body runs twice: a
+// dry run counts its ops and list entries, then the real build appends into
+// arrays reserved to exactly that size. Regrowing the arrays of a 35 k-op
+// bootstrap instead costs more than building it.
+template <typename Body>
+metaop::OpGraph build_graph(std::string name, const Body& body) {
+  GraphBuilder sizing;
+  sizing.dry_run = true;
+  body(sizing);
+  GraphBuilder b;
+  b.g.name = std::move(name);
+  b.g.reserve(sizing.num_ops, sizing.num_deps, sizing.num_transfers);
+  body(b);
+  return std::move(b.g);
+}
 
 // Evaluation-key traffic of one keyswitch at the given digit count.
 std::uint64_t evk_stream_bytes(const CkksWl& w, std::size_t digits);
@@ -51,23 +75,23 @@ std::uint64_t evk_stream_bytes(const CkksWl& w, std::size_t digits);
 // "unspecified rotation") so legacy call sites keep building valid graphs,
 // while the workload builders pass per-step ids for an honest reuse ledger.
 std::size_t append_keyswitch_coeff(
-    GraphBuilder& b, const CkksWl& w, std::vector<std::size_t> input,
+    GraphBuilder& b, const CkksWl& w, metaop::IndexList input,
     std::uint64_t key_id = kRelinKeyId,
     metaop::OperandClass key_class = metaop::OperandClass::Evk);
 std::size_t append_keyswitch(
-    GraphBuilder& b, const CkksWl& w, std::vector<std::size_t> input,
+    GraphBuilder& b, const CkksWl& w, metaop::IndexList input,
     std::uint64_t key_id = kRelinKeyId,
     metaop::OperandClass key_class = metaop::OperandClass::Evk);
 std::size_t append_rescale(GraphBuilder& b, const CkksWl& w,
-                           std::vector<std::size_t> input);
+                           metaop::IndexList input);
 std::size_t append_cmult_rescale(GraphBuilder& b, const CkksWl& w,
-                                 std::vector<std::size_t> input);
+                                 metaop::IndexList input);
 std::size_t append_rotation(GraphBuilder& b, const CkksWl& w,
-                            std::vector<std::size_t> input,
+                            metaop::IndexList input,
                             std::uint64_t rot_key_id = kRotationKeyBase);
 std::size_t append_hoisted_rotations(GraphBuilder& b, const CkksWl& w,
                                      std::size_t count,
-                                     std::vector<std::size_t> input,
+                                     metaop::IndexList input,
                                      std::uint64_t rot_key_base = kRotationKeyBase);
 
 }  // namespace alchemist::workloads

@@ -10,7 +10,7 @@ namespace alchemist::workloads {
 
 namespace {
 
-using metaop::HighOp;
+using metaop::IndexList;
 using metaop::OpGraph;
 using metaop::OpKind;
 
@@ -29,7 +29,7 @@ std::uint64_t evk_stream_bytes(const CkksWl& w, std::size_t digits) {
 // Hybrid keyswitch core of one polynomial already in NTT form; the returned
 // node leaves the switched pair in *coefficient* form over Q (callers fuse a
 // rescale or append the final NTT).
-std::size_t append_keyswitch_coeff(Builder& b, const CkksWl& w, Deps input,
+std::size_t append_keyswitch_coeff(Builder& b, const CkksWl& w, IndexList input,
                                    std::uint64_t key_id,
                                    metaop::OperandClass key_class) {
   const std::size_t l = w.level;
@@ -38,7 +38,7 @@ std::size_t append_keyswitch_coeff(Builder& b, const CkksWl& w, Deps input,
   const std::size_t digits = w.active_digits();
 
   // Decompose: back to coefficient form.
-  const std::size_t intt = b.add(OpKind::Intt, w.n, l, std::move(input));
+  const std::size_t intt = b.add(OpKind::Intt, w.n, l, input);
 
   // Per digit: fast base conversion (Modup) to the missing channels of Q·P,
   // then NTT of those channels.
@@ -55,7 +55,7 @@ std::size_t append_keyswitch_coeff(Builder& b, const CkksWl& w, Deps input,
   // split key traffic from limb traffic and track per-key reuse.
   const std::uint64_t evk_bytes = evk_stream_bytes(w, digits);
   const std::size_t dpm = b.add(OpKind::DecompPolyMult, w.n, 2 * (l + K),
-                                std::move(digit_ntts), digits, 0, evk_bytes,
+                                digit_ntts, digits, 0, evk_bytes,
                                 {{key_class, key_id, evk_bytes}});
 
   // Moddown both components: INTT, Bconv P->Q, subtract + scale, NTT.
@@ -65,18 +65,18 @@ std::size_t append_keyswitch_coeff(Builder& b, const CkksWl& w, Deps input,
   return b.add(OpKind::PointwiseMult, w.n, 2 * l, {conv0, conv1});
 }
 
-std::size_t append_keyswitch(Builder& b, const CkksWl& w, Deps input,
+std::size_t append_keyswitch(Builder& b, const CkksWl& w, IndexList input,
                              std::uint64_t key_id,
                              metaop::OperandClass key_class) {
   const std::size_t fix =
-      append_keyswitch_coeff(b, w, std::move(input), key_id, key_class);
+      append_keyswitch_coeff(b, w, input, key_id, key_class);
   return b.add(OpKind::Ntt, w.n, 2 * w.level, {fix});
 }
 
 // Rescale of a ciphertext (2 polys): exact RNS divide by the last prime.
-std::size_t append_rescale(Builder& b, const CkksWl& w, Deps input) {
+std::size_t append_rescale(Builder& b, const CkksWl& w, IndexList input) {
   const std::size_t l = w.level;
-  const std::size_t intt = b.add(OpKind::Intt, w.n, 2 * l, std::move(input));
+  const std::size_t intt = b.add(OpKind::Intt, w.n, 2 * l, input);
   const std::size_t conv = b.add(OpKind::Bconv, w.n, 2, {intt}, 1, l - 1);
   const std::size_t fix = b.add(OpKind::PointwiseMult, w.n, 2 * (l - 1), {conv});
   return b.add(OpKind::Ntt, w.n, 2 * (l - 1), {fix});
@@ -86,10 +86,10 @@ std::size_t append_rescale(Builder& b, const CkksWl& w, Deps input) {
 // in coefficient form, divide by the last prime, one final NTT. Fusing avoids
 // the redundant NTT/INTT pair at the keyswitch/rescale boundary (the double-
 // domain-residency trick of the SOTA accelerators).
-std::size_t append_cmult_rescale(Builder& b, const CkksWl& w, Deps input) {
+std::size_t append_cmult_rescale(Builder& b, const CkksWl& w, IndexList input) {
   const std::size_t l = w.level;
   const std::size_t tensor =
-      b.add(OpKind::PointwiseMult, w.n, 4 * l, std::move(input));
+      b.add(OpKind::PointwiseMult, w.n, 4 * l, input);
   const std::size_t ks = append_keyswitch_coeff(b, w, {tensor});
   const std::size_t d01 = b.add(OpKind::Intt, w.n, 2 * l, {tensor});
   const std::size_t sum = b.add(OpKind::PointwiseAdd, w.n, 2 * l, {ks, d01});
@@ -98,10 +98,10 @@ std::size_t append_cmult_rescale(Builder& b, const CkksWl& w, Deps input) {
   return b.add(OpKind::Ntt, w.n, 2 * (l - 1), {fix});
 }
 
-std::size_t append_rotation(Builder& b, const CkksWl& w, Deps input,
+std::size_t append_rotation(Builder& b, const CkksWl& w, IndexList input,
                             std::uint64_t rot_key_id) {
   const std::size_t l = w.level;
-  const std::size_t rot = b.add(OpKind::Automorphism, w.n, 2 * l, std::move(input));
+  const std::size_t rot = b.add(OpKind::Automorphism, w.n, 2 * l, input);
   const std::size_t ks = append_keyswitch(b, w, {rot}, rot_key_id,
                                           metaop::OperandClass::RotationKey);
   return b.add(OpKind::PointwiseAdd, w.n, l, {rot, ks});
@@ -109,13 +109,13 @@ std::size_t append_rotation(Builder& b, const CkksWl& w, Deps input,
 
 // `count` rotations sharing a single decomposition + Modup (hoisting).
 std::size_t append_hoisted_rotations(Builder& b, const CkksWl& w, std::size_t count,
-                                     Deps input, std::uint64_t rot_key_base) {
+                                     IndexList input, std::uint64_t rot_key_base) {
   const std::size_t l = w.level;
   const std::size_t a = w.alpha();
   const std::size_t K = w.num_special();
   const std::size_t digits = w.active_digits();
 
-  const std::size_t intt = b.add(OpKind::Intt, w.n, l, std::move(input));
+  const std::size_t intt = b.add(OpKind::Intt, w.n, l, input);
   Deps digit_ntts;
   for (std::size_t j = 0; j < digits; ++j) {
     const std::size_t gj = std::min(a, l - j * a);
@@ -138,7 +138,7 @@ std::size_t append_hoisted_rotations(Builder& b, const CkksWl& w, std::size_t co
               {{metaop::OperandClass::RotationKey, rot_key_base + r, evk_bytes}}));
   }
   const std::size_t sum =
-      b.add(OpKind::PointwiseAdd, w.n, 2 * (l + K), std::move(rot_outputs));
+      b.add(OpKind::PointwiseAdd, w.n, 2 * (l + K), rot_outputs);
   const std::size_t intt2 = b.add(OpKind::Intt, w.n, 2 * (l + K), {sum});
   const std::size_t conv = b.add(OpKind::Bconv, w.n, 2, {intt2}, K, l);
   const std::size_t fix = b.add(OpKind::PointwiseMult, w.n, 2 * l, {conv});
@@ -148,10 +148,9 @@ std::size_t append_hoisted_rotations(Builder& b, const CkksWl& w, std::size_t co
 // One BSGS linear-transform level of CoeffToSlot/SlotToCoeff over `slots`
 // slots: ~2*sqrt(slots) rotations and sqrt(slots) plaintext multiplies.
 std::size_t append_linear_transform(Builder& b, const CkksWl& w, std::size_t slots,
-                                    bool hoisting, Deps input) {
+                                    bool hoisting, IndexList input) {
   const auto root = static_cast<std::size_t>(std::ceil(std::sqrt(
       static_cast<double>(slots))));
-  std::size_t last;
   // BSGS rotation keys are per-step and shared by every linear-transform
   // stage of a schedule (baby steps at kRotationKeyBase + r, giant steps at
   // kRotationKeyBase + 64 + i), so the later CoeffToSlot/SlotToCoeff stages
@@ -159,197 +158,183 @@ std::size_t append_linear_transform(Builder& b, const CkksWl& w, std::size_t slo
   if (hoisting) {
     const std::size_t baby =
         append_hoisted_rotations(b, w, root, input, kRotationKeyBase);
-    const std::size_t mults = b.add(OpKind::PointwiseMult, w.n, 2 * w.level * root
-                                    / std::max<std::size_t>(root, 1), {baby});
+    std::size_t last = b.add(OpKind::PointwiseMult, w.n, 2 * w.level, {baby});
     // Giant steps stay un-hoisted (different decompositions).
-    Deps g = {mults};
     for (std::size_t i = 0; i < root; ++i) {
-      g = {append_rotation(b, w, g, kRotationKeyBase + 64 + i)};
+      last = append_rotation(b, w, {last}, kRotationKeyBase + 64 + i);
     }
-    last = g[0];
-  } else {
-    Deps cur = std::move(input);
-    for (std::size_t i = 0; i < 2 * root; ++i) {
-      cur = {append_rotation(b, w, cur, kRotationKeyBase + i)};
-    }
-    last = b.add(OpKind::PointwiseMult, w.n, 2 * w.level, cur);
+    return last;
   }
-  return last;
+  Deps cur(input.begin(), input.end());
+  for (std::size_t i = 0; i < 2 * root; ++i) {
+    cur = {append_rotation(b, w, cur, kRotationKeyBase + i)};
+  }
+  return b.add(OpKind::PointwiseMult, w.n, 2 * w.level, cur);
 }
 
 OpGraph build_hadd(const CkksWl& w) {
-  Builder b;
-  b.g.name = "Hadd";
-  b.add(OpKind::PointwiseAdd, w.n, 2 * w.level, {});
-  return std::move(b.g);
+  return build_graph("Hadd", [&](Builder& b) {
+    b.add(OpKind::PointwiseAdd, w.n, 2 * w.level, {});
+  });
 }
 
 OpGraph build_pmult(const CkksWl& w) {
-  Builder b;
-  b.g.name = "Pmult";
-  b.add(OpKind::PointwiseMult, w.n, 2 * w.level, {});
-  return std::move(b.g);
+  return build_graph("Pmult", [&](Builder& b) {
+    b.add(OpKind::PointwiseMult, w.n, 2 * w.level, {});
+  });
 }
 
 OpGraph build_rescale(const CkksWl& w) {
-  Builder b;
-  b.g.name = "Rescale";
-  append_rescale(b, w, {});
-  return std::move(b.g);
+  return build_graph("Rescale", [&](Builder& b) {
+    append_rescale(b, w, {});
+  });
 }
 
 OpGraph build_keyswitch(const CkksWl& w) {
-  Builder b;
-  b.g.name = "Keyswitch";
-  append_keyswitch(b, w, {});
-  return std::move(b.g);
+  return build_graph("Keyswitch", [&](Builder& b) {
+    append_keyswitch(b, w, {});
+  });
 }
 
 OpGraph build_cmult(const CkksWl& w) {
-  Builder b;
-  b.g.name = "Cmult";
-  append_cmult_rescale(b, w, {});
-  return std::move(b.g);
+  return build_graph("Cmult", [&](Builder& b) {
+    append_cmult_rescale(b, w, {});
+  });
 }
 
 OpGraph build_rotation(const CkksWl& w) {
-  Builder b;
-  b.g.name = "Rotation";
-  append_rotation(b, w, {});
-  return std::move(b.g);
+  return build_graph("Rotation", [&](Builder& b) {
+    append_rotation(b, w, {});
+  });
 }
 
 OpGraph build_hoisted_rotations(const CkksWl& w, std::size_t count) {
-  Builder b;
-  b.g.name = "HoistedRotations";
-  append_hoisted_rotations(b, w, count, {});
-  return std::move(b.g);
+  return build_graph("HoistedRotations", [&](Builder& b) {
+    append_hoisted_rotations(b, w, count, {});
+  });
 }
 
 OpGraph build_bootstrapping(const CkksWl& w, bool hoisting) {
-  Builder b;
-  b.g.name = hoisting ? "Bootstrapping(hoisted)" : "Bootstrapping";
-  CkksWl cur = w;
-  const std::size_t slots = w.n / 2;
+  return build_graph(hoisting ? "Bootstrapping(hoisted)" : "Bootstrapping", [&](Builder& b) {
+    CkksWl cur = w;
+    const std::size_t slots = w.n / 2;
 
-  // ModRaise: base conversion of both polynomials up to the full chain.
-  Deps last = {b.add(OpKind::Bconv, w.n, 2, {}, 1, cur.level)};
+    // ModRaise: base conversion of both polynomials up to the full chain.
+    Deps last = {b.add(OpKind::Bconv, w.n, 2, {}, 1, cur.level)};
 
-  // CoeffToSlot: 3 BSGS linear-transform levels, each consuming one level.
-  for (int stage = 0; stage < 3; ++stage) {
-    last = {append_linear_transform(b, cur, slots, hoisting, last)};
-    last = {append_rescale(b, cur, last)};
-    cur.level -= 1;
-  }
+    // CoeffToSlot: 3 BSGS linear-transform levels, each consuming one level.
+    for (int stage = 0; stage < 3; ++stage) {
+      last = {append_linear_transform(b, cur, slots, hoisting, last)};
+      last = {append_rescale(b, cur, last)};
+      cur.level -= 1;
+    }
 
-  // EvalMod: degree-63 polynomial of the modular-reduction approximation via
-  // BSGS — ~16 ciphertext multiplies over ~8 levels.
-  for (int depth = 0; depth < 8 && cur.level > 4; ++depth) {
-    last = {append_cmult_rescale(b, cur, last)};
-    cur.level -= 1;
-    last = {append_cmult_rescale(b, cur, last)};
-    cur.level -= 1;
-  }
+    // EvalMod: degree-63 polynomial of the modular-reduction approximation via
+    // BSGS — ~16 ciphertext multiplies over ~8 levels.
+    for (int depth = 0; depth < 8 && cur.level > 4; ++depth) {
+      last = {append_cmult_rescale(b, cur, last)};
+      cur.level -= 1;
+      last = {append_cmult_rescale(b, cur, last)};
+      cur.level -= 1;
+    }
 
-  // SlotToCoeff: 3 more linear-transform levels.
-  for (int stage = 0; stage < 3 && cur.level > 1; ++stage) {
-    last = {append_linear_transform(b, cur, slots, hoisting, last)};
-    last = {append_rescale(b, cur, last)};
-    cur.level -= 1;
-  }
-  return std::move(b.g);
+    // SlotToCoeff: 3 more linear-transform levels.
+    for (int stage = 0; stage < 3 && cur.level > 1; ++stage) {
+      last = {append_linear_transform(b, cur, slots, hoisting, last)};
+      last = {append_rescale(b, cur, last)};
+      cur.level -= 1;
+    }
+  });
 }
 
 OpGraph build_helr_iteration(const CkksWl& w, std::size_t /*iters_per_bootstrap*/) {
-  Builder b;
-  b.g.name = "HELR-iteration";
-  CkksWl cur = w;
+  return build_graph("HELR-iteration", [&](Builder& b) {
+    CkksWl cur = w;
 
-  // Batched dot product: one plaintext multiply plus a rotate-and-add tree
-  // over the 256 features packed per ciphertext.
-  Deps last = {b.add(OpKind::PointwiseMult, w.n, 2 * cur.level, {})};
-  for (int step = 0; step < 8; ++step) {
-    // Power-of-two rotation tree: one distinct key per step.
-    last = {append_rotation(b, cur, last,
-                            kRotationKeyBase + static_cast<std::uint64_t>(step))};
-    last = {b.add(OpKind::PointwiseAdd, w.n, 2 * cur.level, last)};
-  }
-  // Degree-3 sigmoid approximation: two multiplies and rescales.
-  for (int m = 0; m < 2 && cur.level > 2; ++m) {
+    // Batched dot product: one plaintext multiply plus a rotate-and-add tree
+    // over the 256 features packed per ciphertext.
+    Deps last = {b.add(OpKind::PointwiseMult, w.n, 2 * cur.level, {})};
+    for (int step = 0; step < 8; ++step) {
+      // Power-of-two rotation tree: one distinct key per step.
+      last = {append_rotation(b, cur, last,
+                              kRotationKeyBase + static_cast<std::uint64_t>(step))};
+      last = {b.add(OpKind::PointwiseAdd, w.n, 2 * cur.level, last)};
+    }
+    // Degree-3 sigmoid approximation: two multiplies and rescales.
+    for (int m = 0; m < 2 && cur.level > 2; ++m) {
+      last = {append_cmult_rescale(b, cur, last)};
+      cur.level -= 1;
+    }
+    // Gradient update: weighted accumulation into the model ciphertext.
     last = {append_cmult_rescale(b, cur, last)};
     cur.level -= 1;
-  }
-  // Gradient update: weighted accumulation into the model ciphertext.
-  last = {append_cmult_rescale(b, cur, last)};
-  cur.level -= 1;
-  b.add(OpKind::PointwiseAdd, w.n, 2 * cur.level, last);
-  return std::move(b.g);
+    b.add(OpKind::PointwiseAdd, w.n, 2 * cur.level, last);
+  });
 }
 
 OpGraph build_lola_mnist(bool encrypted_weights) {
-  Builder b;
-  b.g.name = encrypted_weights ? "LoLa-MNIST(enc-weights)" : "LoLa-MNIST";
-  CkksWl wl;
-  wl.n = 16384;
-  wl.level = 6;
-  wl.max_level = 6;
-  wl.dnum = 3;
+  return build_graph(encrypted_weights ? "LoLa-MNIST(enc-weights)" : "LoLa-MNIST", [&](Builder& b) {
+    CkksWl wl;
+    wl.n = 16384;
+    wl.level = 6;
+    wl.max_level = 6;
+    wl.dnum = 3;
 
-  // Weighted taps: plaintext weights multiply elementwise; encrypted weights
-  // need a full relinearizing multiply (rescale handled by the layer).
-  auto weight_mult = [&](CkksWl& cur, Deps deps) -> std::size_t {
-    if (encrypted_weights) {
-      const std::size_t l = cur.level;
-      const std::size_t tensor =
-          b.add(OpKind::PointwiseMult, wl.n, 4 * l, std::move(deps));
-      const std::size_t ks = append_keyswitch(b, cur, {tensor});
-      return b.add(OpKind::PointwiseAdd, wl.n, 2 * l, {tensor, ks});
+    // Weighted taps: plaintext weights multiply elementwise; encrypted weights
+    // need a full relinearizing multiply (rescale handled by the layer).
+    auto weight_mult = [&](CkksWl& cur, IndexList deps) -> std::size_t {
+      if (encrypted_weights) {
+        const std::size_t l = cur.level;
+        const std::size_t tensor =
+            b.add(OpKind::PointwiseMult, wl.n, 4 * l, deps);
+        const std::size_t ks = append_keyswitch(b, cur, {tensor});
+        return b.add(OpKind::PointwiseAdd, wl.n, 2 * l, {tensor, ks});
+      }
+      return b.add(OpKind::PointwiseMult, wl.n, 2 * cur.level, deps);
+    };
+
+    CkksWl cur = wl;
+    // Conv 5x5 (stride 2): 25 rotated weighted taps accumulated. Tap rotations
+    // use distinct per-layer key ranges (conv at base, dense1 at base+32,
+    // dense2 at base+64).
+    Deps taps;
+    for (int t = 0; t < 25; ++t) {
+      const std::size_t rot = append_rotation(
+          b, cur, {}, kRotationKeyBase + static_cast<std::uint64_t>(t));
+      taps.push_back(weight_mult(cur, {rot}));
     }
-    return b.add(OpKind::PointwiseMult, wl.n, 2 * cur.level, std::move(deps));
-  };
+    Deps last = {b.add(OpKind::PointwiseAdd, wl.n, 2 * cur.level, taps)};
+    last = {append_rescale(b, cur, last)};
+    cur.level -= 1;
 
-  CkksWl cur = wl;
-  // Conv 5x5 (stride 2): 25 rotated weighted taps accumulated. Tap rotations
-  // use distinct per-layer key ranges (conv at base, dense1 at base+32,
-  // dense2 at base+64).
-  Deps taps;
-  for (int t = 0; t < 25; ++t) {
-    const std::size_t rot = append_rotation(
-        b, cur, {}, kRotationKeyBase + static_cast<std::uint64_t>(t));
-    taps.push_back(weight_mult(cur, {rot}));
-  }
-  Deps last = {b.add(OpKind::PointwiseAdd, wl.n, 2 * cur.level, std::move(taps))};
-  last = {append_rescale(b, cur, last)};
-  cur.level -= 1;
+    // Square activation.
+    last = {append_cmult_rescale(b, cur, last)};
+    cur.level -= 1;
 
-  // Square activation.
-  last = {append_cmult_rescale(b, cur, last)};
-  cur.level -= 1;
+    // Dense 100: BSGS-style rotations + weighted sums.
+    Deps dense1;
+    for (int t = 0; t < 12; ++t) {
+      const std::size_t rot = append_rotation(
+          b, cur, last, kRotationKeyBase + 32 + static_cast<std::uint64_t>(t));
+      dense1.push_back(weight_mult(cur, {rot}));
+    }
+    last = {b.add(OpKind::PointwiseAdd, wl.n, 2 * cur.level, dense1)};
+    last = {append_rescale(b, cur, last)};
+    cur.level -= 1;
 
-  // Dense 100: BSGS-style rotations + weighted sums.
-  Deps dense1;
-  for (int t = 0; t < 12; ++t) {
-    const std::size_t rot = append_rotation(
-        b, cur, last, kRotationKeyBase + 32 + static_cast<std::uint64_t>(t));
-    dense1.push_back(weight_mult(cur, {rot}));
-  }
-  last = {b.add(OpKind::PointwiseAdd, wl.n, 2 * cur.level, std::move(dense1))};
-  last = {append_rescale(b, cur, last)};
-  cur.level -= 1;
+    // Square activation.
+    last = {append_cmult_rescale(b, cur, last)};
+    cur.level -= 1;
 
-  // Square activation.
-  last = {append_cmult_rescale(b, cur, last)};
-  cur.level -= 1;
-
-  // Final dense 10.
-  Deps dense2;
-  for (int t = 0; t < 4; ++t) {
-    const std::size_t rot = append_rotation(
-        b, cur, last, kRotationKeyBase + 64 + static_cast<std::uint64_t>(t));
-    dense2.push_back(weight_mult(cur, {rot}));
-  }
-  b.add(OpKind::PointwiseAdd, wl.n, 2 * cur.level, std::move(dense2));
-  return std::move(b.g);
+    // Final dense 10.
+    Deps dense2;
+    for (int t = 0; t < 4; ++t) {
+      const std::size_t rot = append_rotation(
+          b, cur, last, kRotationKeyBase + 64 + static_cast<std::uint64_t>(t));
+      dense2.push_back(weight_mult(cur, {rot}));
+    }
+    b.add(OpKind::PointwiseAdd, wl.n, 2 * cur.level, dense2);
+  });
 }
 
 }  // namespace alchemist::workloads

@@ -19,23 +19,16 @@ using metaop::HighOp;
 using metaop::OpGraph;
 using metaop::OpKind;
 
-HighOp make_op(OpKind kind, std::size_t n, std::size_t channels,
-               std::vector<std::size_t> deps = {}, std::size_t pa = 0,
-               std::uint64_t hbm = 0) {
-  HighOp op;
-  op.kind = kind;
-  op.n = n;
-  op.channels = channels;
-  op.deps = std::move(deps);
-  op.param_a = pa;
-  op.hbm_bytes = hbm;
-  return op;
+std::size_t add_op(OpGraph& g, OpKind kind, std::size_t n, std::size_t channels,
+                   metaop::IndexList deps = {}, std::size_t pa = 0, std::uint64_t hbm = 0) {
+  return g.add({.kind = kind, .n = n, .channels = channels, .param_a = pa, .hbm_bytes = hbm},
+               deps);
 }
 
 TEST(EventSim, SingleOpMatchesAnalytical) {
   OpGraph g;
   g.name = "single";
-  g.add(make_op(OpKind::PointwiseMult, 65536, 8));
+  add_op(g, OpKind::PointwiseMult, 65536, 8);
   const auto cfg = arch::ArchConfig::alchemist();
   const SimResult level = simulate_alchemist(g, cfg);
   const SimResult event = simulate_alchemist_events(g, cfg);
@@ -60,7 +53,7 @@ TEST(EventSim, NeverSlowerThanLevelModelOnRealWorkloads) {
     EXPECT_LT(ratio, 1.10) << g.name;
     // Both stay above the absolute work lower bound.
     double work = 0;
-    for (const auto& op : g.ops) work += metaop::lower(op).core_cycles();
+    for (const auto& op : g.ops()) work += metaop::lower(op).core_cycles();
     EXPECT_GE(static_cast<double>(event.cycles),
               work / cfg.total_cores() * 0.95) << g.name;
   }
@@ -81,23 +74,19 @@ TEST(EventSim, AgreesOnTfhePbs) {
 // level). The level policy draws transient faults level by level and the
 // ready-list policy in index order; on such a graph the two orders coincide.
 OpGraph level_ordered(const OpGraph& g) {
-  std::vector<std::size_t> level(g.ops.size(), 0);
-  for (std::size_t i = 0; i < g.ops.size(); ++i) {
-    for (std::size_t dep : g.ops[i].deps) level[i] = std::max(level[i], level[dep] + 1);
+  std::vector<std::size_t> level(g.ops().size(), 0);
+  for (std::size_t i = 0; i < g.ops().size(); ++i) {
+    for (std::size_t dep : g.deps(i)) level[i] = std::max(level[i], level[dep] + 1);
   }
-  std::vector<std::size_t> order(g.ops.size());
+  std::vector<std::size_t> order(g.ops().size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t a, std::size_t b) { return level[a] < level[b]; });
-  std::vector<std::size_t> position(g.ops.size());
+  std::vector<std::size_t> position(g.ops().size());
   for (std::size_t k = 0; k < order.size(); ++k) position[order[k]] = k;
   OpGraph out;
   out.name = g.name;
-  for (std::size_t i : order) {
-    HighOp op = g.ops[i];
-    for (std::size_t& dep : op.deps) dep = position[dep];
-    out.add(std::move(op));
-  }
+  for (std::size_t i : order) out.add_from(g, i, position);
   return out;
 }
 
@@ -141,7 +130,7 @@ TEST(EventSim, PoliciesShareOpCostAndFaults) {
 
 TEST(EventSim, HbmBoundOpIsBandwidthLimited) {
   OpGraph g;
-  g.add(make_op(OpKind::DecompPolyMult, 4096, 2, {}, 4, /*hbm=*/200'000'000));
+  add_op(g, OpKind::DecompPolyMult, 4096, 2, {}, 4, /*hbm=*/200'000'000);
   const auto cfg = arch::ArchConfig::alchemist();
   const SimResult event = simulate_alchemist_events(g, cfg);
   EXPECT_GE(event.cycles, 200'000'000 / 1000);
@@ -149,13 +138,9 @@ TEST(EventSim, HbmBoundOpIsBandwidthLimited) {
 
 TEST(EventSim, DependencyChainSerializes) {
   OpGraph chain, fork;
-  const HighOp op = make_op(OpKind::PointwiseMult, 65536, 4);
+  const HighOp op{.kind = OpKind::PointwiseMult, .n = 65536, .channels = 4};
   std::size_t prev = chain.add(op);
-  for (int i = 0; i < 3; ++i) {
-    HighOp dependent = op;
-    dependent.deps = {prev};
-    prev = chain.add(dependent);
-  }
+  for (int i = 0; i < 3; ++i) prev = chain.add(op, {prev});
   for (int i = 0; i < 4; ++i) fork.add(op);
   const auto cfg = arch::ArchConfig::alchemist();
   // Same work; the chain cannot go faster than the fork.
@@ -163,27 +148,24 @@ TEST(EventSim, DependencyChainSerializes) {
   const SimResult rf = simulate_alchemist_events(fork, cfg);
   EXPECT_GE(rc.cycles, rf.cycles);
   OpGraph bad;
-  HighOp cyc = op;
-  cyc.deps = {3};
-  bad.add(cyc);
+  bad.add(op, {3});
   EXPECT_THROW(simulate_alchemist_events(bad, cfg), std::invalid_argument);
 }
 
 TEST(EventSim, MergeGraphsShiftsDependencies) {
   OpGraph a, b;
-  const std::size_t a0 = a.add(make_op(OpKind::PointwiseMult, 1024, 1));
-  HighOp a1 = make_op(OpKind::PointwiseAdd, 1024, 1);
-  a1.deps = {a0};
-  a.add(a1);
-  b.add(make_op(OpKind::Ntt, 1024, 1));
+  const std::size_t a0 = add_op(a, OpKind::PointwiseMult, 1024, 1);
+  add_op(a, OpKind::PointwiseAdd, 1024, 1, {a0});
+  add_op(b, OpKind::Ntt, 1024, 1);
   const OpGraph merged = merge_graphs({a, b}, "merged");
   // Proportional interleave: a0, b0, a1 - a1's dependency is remapped to a0.
-  ASSERT_EQ(merged.ops.size(), 3u);
-  EXPECT_EQ(merged.ops[0].kind, OpKind::PointwiseMult);
-  EXPECT_EQ(merged.ops[1].kind, OpKind::Ntt);
-  EXPECT_TRUE(merged.ops[1].deps.empty());
-  EXPECT_EQ(merged.ops[2].kind, OpKind::PointwiseAdd);
-  EXPECT_EQ(merged.ops[2].deps, (std::vector<std::size_t>{0}));
+  ASSERT_EQ(merged.ops().size(), 3u);
+  EXPECT_EQ(merged.ops()[0].kind, OpKind::PointwiseMult);
+  EXPECT_EQ(merged.ops()[1].kind, OpKind::Ntt);
+  EXPECT_TRUE(merged.deps(1).empty());
+  EXPECT_EQ(merged.ops()[2].kind, OpKind::PointwiseAdd);
+  ASSERT_EQ(merged.deps(2).size(), 1u);
+  EXPECT_EQ(merged.deps(2)[0], 0u);
 }
 
 TEST(EventSim, MergeGraphsPreservesStructure) {
@@ -192,38 +174,38 @@ TEST(EventSim, MergeGraphsPreservesStructure) {
   // stay intra-stream after interleaving.
   OpGraph a, b;
   a.name = "A";
-  std::size_t prev = a.add(make_op(OpKind::PointwiseMult, 1024, 1));
+  std::size_t prev = add_op(a, OpKind::PointwiseMult, 1024, 1);
   for (int i = 0; i < 4; ++i) {
-    prev = a.add(make_op(OpKind::PointwiseAdd, 1024, 1, {prev}));
+    prev = add_op(a, OpKind::PointwiseAdd, 1024, 1, {prev});
   }
   b.name = "B";
-  const std::size_t b0 = b.add(make_op(OpKind::Ntt, 2048, 1));
-  const std::size_t b1 = b.add(make_op(OpKind::PointwiseMult, 2048, 1, {b0}));
-  b.add(make_op(OpKind::Intt, 2048, 1, {b1}));
+  const std::size_t b0 = add_op(b, OpKind::Ntt, 2048, 1);
+  const std::size_t b1 = add_op(b, OpKind::PointwiseMult, 2048, 1, {b0});
+  add_op(b, OpKind::Intt, 2048, 1, {b1});
 
   const OpGraph merged = merge_graphs({a, b}, "merged");
 
   // Node counts are preserved, per stream and in total.
-  ASSERT_EQ(merged.ops.size(), a.ops.size() + b.ops.size());
+  ASSERT_EQ(merged.ops().size(), a.ops().size() + b.ops().size());
   std::size_t from_a = 0, from_b = 0;
-  for (const HighOp& op : merged.ops) {
+  for (const HighOp& op : merged.ops()) {
     (op.n == 1024 ? from_a : from_b)++;
   }
-  EXPECT_EQ(from_a, a.ops.size());
-  EXPECT_EQ(from_b, b.ops.size());
+  EXPECT_EQ(from_a, a.ops().size());
+  EXPECT_EQ(from_b, b.ops().size());
 
   // Dependencies point backwards and never cross streams.
-  for (std::size_t i = 0; i < merged.ops.size(); ++i) {
-    for (std::size_t dep : merged.ops[i].deps) {
+  for (std::size_t i = 0; i < merged.ops().size(); ++i) {
+    for (std::size_t dep : merged.deps(i)) {
       ASSERT_LT(dep, i);
-      EXPECT_EQ(merged.ops[dep].n, merged.ops[i].n)
+      EXPECT_EQ(merged.ops()[dep].n, merged.ops()[i].n)
           << "dependency crossed streams at op " << i;
     }
   }
   // Each stream keeps its internal schedule order (chain lengths survive).
   std::vector<std::size_t> a_positions;
-  for (std::size_t i = 0; i < merged.ops.size(); ++i) {
-    if (merged.ops[i].n == 1024) a_positions.push_back(i);
+  for (std::size_t i = 0; i < merged.ops().size(); ++i) {
+    if (merged.ops()[i].n == 1024) a_positions.push_back(i);
   }
   EXPECT_TRUE(std::is_sorted(a_positions.begin(), a_positions.end()));
 

@@ -182,15 +182,8 @@ TEST(MemProfiler, KeyReuseLedgerSeparatesRegimes) {
 
 // --- Synthetic scratchpad graphs with analytic answers -----------------------
 
-metaop::HighOp synth_op(metaop::OpKind kind, std::uint64_t hbm_bytes,
-                        std::vector<metaop::TransferDesc> transfers) {
-  metaop::HighOp op;
-  op.kind = kind;
-  op.n = 64;
-  op.channels = 1;
-  op.hbm_bytes = hbm_bytes;
-  op.transfers = std::move(transfers);
-  return op;
+metaop::HighOp synth_op(metaop::OpKind kind, std::uint64_t hbm_bytes) {
+  return {.kind = kind, .n = 64, .channels = 1, .hbm_bytes = hbm_bytes};
 }
 
 TEST(MemProfiler, SyntheticResidencyPeakAndEvictions) {
@@ -202,11 +195,11 @@ TEST(MemProfiler, SyntheticResidencyPeakAndEvictions) {
   mem.begin(cfg);
   // Two working sets fetched back to back, both resident until cycle 10:
   // peak residency is their sum, and each is evicted exactly once.
-  mem.record_op(synth_op(metaop::OpKind::DecompPolyMult, 1000,
-                         {{metaop::OperandClass::Evk, 1, 1000}}),
+  mem.record_op(synth_op(metaop::OpKind::DecompPolyMult, 1000),
+                {{metaop::OperandClass::Evk, 1, 1000}},
                 10.0);
-  mem.record_op(synth_op(metaop::OpKind::Automorphism, 2000,
-                         {{metaop::OperandClass::RotationKey, 2, 2000}}),
+  mem.record_op(synth_op(metaop::OpKind::Automorphism, 2000),
+                {{metaop::OperandClass::RotationKey, 2, 2000}},
                 10.0);
   obs::MemoryProfile out;
   mem.finish(16, out);
@@ -237,20 +230,20 @@ TEST(MemProfiler, SyntheticLedgerRefetchAndRemainder) {
   sim::MemProfiler mem;
   mem.begin(cfg);
   // Same key fetched twice: the second stream is pure re-fetch headroom.
-  mem.record_op(synth_op(metaop::OpKind::DecompPolyMult, 1000,
-                         {{metaop::OperandClass::Evk, 7, 1000}}),
+  mem.record_op(synth_op(metaop::OpKind::DecompPolyMult, 1000),
+                {{metaop::OperandClass::Evk, 7, 1000}},
                 4.0);
-  mem.record_op(synth_op(metaop::OpKind::DecompPolyMult, 1000,
-                         {{metaop::OperandClass::Evk, 7, 1000}}),
+  mem.record_op(synth_op(metaop::OpKind::DecompPolyMult, 1000),
+                {{metaop::OperandClass::Evk, 7, 1000}},
                 8.0);
   // Descriptor covers only part of the stream: the remainder must land in
   // ct_limb so conservation still holds.
-  mem.record_op(synth_op(metaop::OpKind::Ntt, 1000,
-                         {{metaop::OperandClass::Twiddle, 0, 400}}),
+  mem.record_op(synth_op(metaop::OpKind::Ntt, 1000),
+                {{metaop::OperandClass::Twiddle, 0, 400}},
                 10.0);
   // Over-claiming descriptors are clamped to the op's hbm_bytes.
-  mem.record_op(synth_op(metaop::OpKind::PointwiseMult, 500,
-                         {{metaop::OperandClass::Plaintext, 0, 900}}),
+  mem.record_op(synth_op(metaop::OpKind::PointwiseMult, 500),
+                {{metaop::OperandClass::Plaintext, 0, 900}},
                 12.0);
   obs::MemoryProfile out;
   mem.finish(16, out);
@@ -273,7 +266,7 @@ TEST(MemProfiler, DescriptorFreeGraphFallsBackToCtLimb) {
   const arch::ArchConfig cfg = arch::ArchConfig::alchemist();
   sim::MemProfiler mem;
   mem.begin(cfg);
-  mem.record_op(synth_op(metaop::OpKind::Bconv, 1234, {}), 5.0);
+  mem.record_op(synth_op(metaop::OpKind::Bconv, 1234), {}, 5.0);
   obs::MemoryProfile out;
   mem.finish(8, out);
   EXPECT_EQ(out.total_bytes, 1234u);

@@ -35,15 +35,9 @@ using metaop::HighOp;
 using metaop::OpGraph;
 using metaop::OpKind;
 
-HighOp make_op(OpKind kind, std::size_t n, std::size_t channels,
-               std::vector<std::size_t> deps = {}, std::uint64_t hbm = 0) {
-  HighOp op;
-  op.kind = kind;
-  op.n = n;
-  op.channels = channels;
-  op.deps = std::move(deps);
-  op.hbm_bytes = hbm;
-  return op;
+std::size_t add_op(OpGraph& g, OpKind kind, std::size_t n, std::size_t channels,
+                   metaop::IndexList deps = {}, std::uint64_t hbm = 0) {
+  return g.add({.kind = kind, .n = n, .channels = channels, .hbm_bytes = hbm}, deps);
 }
 
 // The tiny fixed graph used by the trace-schema tests: an NTT feeding a
@@ -51,8 +45,8 @@ HighOp make_op(OpKind kind, std::size_t n, std::size_t channels,
 OpGraph tiny_graph() {
   OpGraph g;
   g.name = "tiny";
-  const std::size_t a = g.add(make_op(OpKind::Ntt, 16384, 2));
-  g.add(make_op(OpKind::PointwiseMult, 16384, 2, {a}, /*hbm=*/1 << 20));
+  const std::size_t a = add_op(g, OpKind::Ntt, 16384, 2);
+  add_op(g, OpKind::PointwiseMult, 16384, 2, {a}, /*hbm=*/1 << 20);
   return g;
 }
 
@@ -186,7 +180,7 @@ TEST(ObsTrace, EventSimEmitsPerOpSlices) {
     EXPECT_GE(ev.dur, 0.0);
     EXPECT_LE(ev.ts + ev.dur, static_cast<double>(r.cycles) + 1.0);
   }
-  EXPECT_EQ(compute, g.ops.size());
+  EXPECT_EQ(compute, g.ops().size());
   EXPECT_EQ(hbm, 1u);
   expect_balanced_json(timeline.chrome_trace_json());
 }
@@ -839,15 +833,15 @@ TEST(ObsSpan, LevelEngineChainsNarrowLevelsAtPhasesDetail) {
   // coalesce the chain and keep one "level" span for the wide level.
   OpGraph g;
   g.name = "chainy";
-  std::size_t prev = g.add(make_op(OpKind::Ntt, 4096, 2));
+  std::size_t prev = add_op(g, OpKind::Ntt, 4096, 2);
   for (int i = 0; i < 9; ++i) {
-    prev = g.add(make_op(OpKind::PointwiseMult, 4096, 2, {prev}));
+    prev = add_op(g, OpKind::PointwiseMult, 4096, 2, {prev});
   }
   std::vector<std::size_t> wide;
   for (int i = 0; i < 8; ++i) {
-    wide.push_back(g.add(make_op(OpKind::PointwiseMult, 4096, 2, {prev})));
+    wide.push_back(add_op(g, OpKind::PointwiseMult, 4096, 2, {prev}));
   }
-  g.add(make_op(OpKind::PointwiseAdd, 4096, 2, wide));
+  add_op(g, OpKind::PointwiseAdd, 4096, 2, wide);
 
   obs::TraceSink sink;
   sim::SimControl ctl;
@@ -907,7 +901,7 @@ TEST(ObsObserverEffect, OpTracingDoesNotPerturbEventSim) {
   for (const obs::SpanRecord& s : sink.snapshot()) {
     if (s.track == "sim/ops") ++op_spans;
   }
-  EXPECT_EQ(op_spans, g.ops.size());
+  EXPECT_EQ(op_spans, g.ops().size());
 }
 
 }  // namespace

@@ -121,8 +121,8 @@ TEST_P(WorkloadLevelGrid, GraphsValidAtEveryLevel) {
   const workloads::CkksWl w = workloads::CkksWl::paper(level);
   for (const auto& g : {workloads::build_keyswitch(w), workloads::build_cmult(w),
                         workloads::build_rotation(w)}) {
-    for (std::size_t i = 0; i < g.ops.size(); ++i) {
-      for (std::size_t dep : g.ops[i].deps) {
+    for (std::size_t i = 0; i < g.ops().size(); ++i) {
+      for (std::size_t dep : g.deps(i)) {
         ASSERT_LT(dep, i) << g.name << " level " << level;
       }
     }

@@ -15,25 +15,23 @@ using metaop::HighOp;
 using metaop::OpGraph;
 using metaop::OpKind;
 
-HighOp make_op(OpKind kind, std::size_t n, std::size_t channels,
-               std::vector<std::size_t> deps = {}, std::size_t pa = 0,
-               std::size_t pb = 0, std::uint64_t hbm = 0) {
-  HighOp op;
-  op.kind = kind;
-  op.n = n;
-  op.channels = channels;
-  op.deps = std::move(deps);
-  op.param_a = pa;
-  op.param_b = pb;
-  op.hbm_bytes = hbm;
-  return op;
+std::size_t add_op(OpGraph& g, OpKind kind, std::size_t n, std::size_t channels,
+                   metaop::IndexList deps = {}, std::size_t pa = 0, std::size_t pb = 0,
+                   std::uint64_t hbm = 0) {
+  return g.add({.kind = kind,
+                .n = n,
+                .channels = channels,
+                .param_a = pa,
+                .param_b = pb,
+                .hbm_bytes = hbm},
+               deps);
 }
 
 TEST(AlchemistSim, SingleElementwiseOpCycles) {
   OpGraph g;
   g.name = "ew";
   // 16384 coefficients over 8 channels: 16384/8*8 = 16384 Meta-OPs of n=1.
-  g.add(make_op(OpKind::PointwiseMult, 16384, 8));
+  add_op(g, OpKind::PointwiseMult, 16384, 8);
   const auto cfg = arch::ArchConfig::alchemist();
   const SimResult r = simulate_alchemist(g, cfg);
   // 16384 Meta-OPs over 2048 cores = 8 waves of (1+2) cycles.
@@ -46,7 +44,7 @@ TEST(AlchemistSim, TailWavesLowerUtilization) {
   OpGraph g;
   // 2049 Meta-OPs on 2048 cores: 6147 core-cycles pool into ceil(6147/2048)
   // = 4 cycles; the padded tail shows up as lost utilization.
-  g.add(make_op(OpKind::PointwiseMult, 8 * 2049, 1));
+  add_op(g, OpKind::PointwiseMult, 8 * 2049, 1);
   const SimResult r = simulate_alchemist(g, arch::ArchConfig::alchemist());
   EXPECT_EQ(r.cycles, 4u);
   EXPECT_NEAR(r.utilization, 2049.0 * 3.0 / (4.0 * 2048.0), 1e-6);
@@ -54,11 +52,9 @@ TEST(AlchemistSim, TailWavesLowerUtilization) {
 
 TEST(AlchemistSim, DependenciesSerializeLevels) {
   OpGraph chain, parallel;
-  const HighOp op = make_op(OpKind::PointwiseMult, 16384, 1);
+  const HighOp op{.kind = OpKind::PointwiseMult, .n = 16384, .channels = 1};
   const std::size_t a = chain.add(op);
-  HighOp dependent = op;
-  dependent.deps = {a};
-  chain.add(dependent);
+  chain.add(op, {a});
   parallel.add(op);
   parallel.add(op);
   const auto cfg = arch::ArchConfig::alchemist();
@@ -68,17 +64,15 @@ TEST(AlchemistSim, DependenciesSerializeLevels) {
   EXPECT_EQ(rc.cycles, rp.cycles);
   // A forward dependency index is rejected.
   OpGraph bad;
-  HighOp cyc = op;
-  cyc.deps = {5};
-  bad.add(cyc);
+  bad.add(op, {5});
   EXPECT_THROW(simulate_alchemist(bad, cfg), std::invalid_argument);
 }
 
 TEST(AlchemistSim, HbmBoundLevelStalls) {
   OpGraph g;
   // Tiny compute, huge key traffic: wall time should be HBM-bound.
-  g.add(make_op(OpKind::DecompPolyMult, 4096, 2, {}, 4, 0,
-                /*hbm=*/100'000'000));
+  add_op(g, OpKind::DecompPolyMult, 4096, 2, {}, 4, 0,
+                /*hbm=*/100'000'000);
   const auto cfg = arch::ArchConfig::alchemist();
   const SimResult r = simulate_alchemist(g, cfg);
   EXPECT_GT(r.mem_stall_cycles, 0u);
@@ -88,8 +82,8 @@ TEST(AlchemistSim, HbmBoundLevelStalls) {
 
 TEST(AlchemistSim, NttPaysTranspose) {
   OpGraph with_ntt, with_ew;
-  with_ntt.add(make_op(OpKind::Ntt, 65536, 1));
-  with_ew.add(make_op(OpKind::PointwiseMult, 65536, 1));
+  add_op(with_ntt, OpKind::Ntt, 65536, 1);
+  add_op(with_ew, OpKind::PointwiseMult, 65536, 1);
   const auto cfg = arch::ArchConfig::alchemist();
   EXPECT_GT(simulate_alchemist(with_ntt, cfg).transpose_cycles, 0u);
   EXPECT_EQ(simulate_alchemist(with_ew, cfg).transpose_cycles, 0u);

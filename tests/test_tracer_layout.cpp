@@ -96,13 +96,13 @@ TEST(TracedEvaluator, ProducesCorrectCryptoAndValidGraph) {
 
   // The trace is a valid DAG with dependency wiring across the three ops.
   const auto g = traced.graph();
-  EXPECT_GT(g.ops.size(), 10u);
-  for (std::size_t i = 0; i < g.ops.size(); ++i) {
-    for (std::size_t dep : g.ops[i].deps) ASSERT_LT(dep, i);
+  EXPECT_GT(g.ops().size(), 10u);
+  for (std::size_t i = 0; i < g.ops().size(); ++i) {
+    for (std::size_t dep : g.deps(i)) ASSERT_LT(dep, i);
   }
   // The final add depends on both the rotation chain and the square chain.
-  EXPECT_EQ(g.ops.back().kind, metaop::OpKind::PointwiseAdd);
-  EXPECT_EQ(g.ops.back().deps.size(), 2u);
+  EXPECT_EQ(g.ops().back().kind, metaop::OpKind::PointwiseAdd);
+  EXPECT_EQ(g.deps(g.ops().size() - 1).size(), 2u);
 }
 
 TEST(TracedEvaluator, TraceMatchesHandBuiltWorkload) {
@@ -136,7 +136,7 @@ TEST(TracedEvaluator, ArchScaleOverrideProjectsToPaperN) {
   (void)traced.multiply_rescale(a, a, f.rk);
 
   const auto g = traced.graph();
-  for (const auto& op : g.ops) EXPECT_EQ(op.n, 65536u);
+  for (const auto& op : g.ops()) EXPECT_EQ(op.n, 65536u);
   const auto r = sim::simulate_alchemist(g, arch::ArchConfig::alchemist());
   EXPECT_GT(r.cycles, 1000u);
   EXPECT_GT(r.utilization, 0.5);
@@ -151,8 +151,8 @@ TEST(TracedEvaluator, TakeGraphResetsState) {
   (void)traced.add(a, a);
   const auto g = traced.take_graph("phase-1");
   EXPECT_EQ(g.name, "phase-1");
-  EXPECT_EQ(g.ops.size(), 1u);
-  EXPECT_TRUE(traced.graph().ops.empty());
+  EXPECT_EQ(g.ops().size(), 1u);
+  EXPECT_TRUE(traced.graph().ops().empty());
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <vector>
+
 #include "metaop/lowering.h"
 #include "metaop/mult_count.h"
 #include "workloads/ckks_workloads.h"
@@ -13,8 +16,8 @@ using metaop::OpGraph;
 using metaop::OpKind;
 
 void expect_valid_dag(const OpGraph& g) {
-  for (std::size_t i = 0; i < g.ops.size(); ++i) {
-    for (std::size_t dep : g.ops[i].deps) {
+  for (std::size_t i = 0; i < g.ops().size(); ++i) {
+    for (std::size_t dep : g.deps(i)) {
       EXPECT_LT(dep, i) << "forward dep in " << g.name;
     }
   }
@@ -22,7 +25,7 @@ void expect_valid_dag(const OpGraph& g) {
 
 std::size_t count_kind(const OpGraph& g, OpKind kind) {
   std::size_t c = 0;
-  for (const auto& op : g.ops) c += op.kind == kind ? 1 : 0;
+  for (const auto& op : g.ops()) c += op.kind == kind ? 1 : 0;
   return c;
 }
 
@@ -41,7 +44,7 @@ TEST(CkksGraphs, AllAreValidDags) {
         build_cmult(w), build_rotation(w), build_hoisted_rotations(w, 4),
         build_helr_iteration(w), build_lola_mnist(false), build_lola_mnist(true)}) {
     expect_valid_dag(g);
-    EXPECT_FALSE(g.ops.empty()) << g.name;
+    EXPECT_FALSE(g.ops().empty()) << g.name;
   }
 }
 
@@ -51,8 +54,8 @@ TEST(CkksGraphs, BootstrappingIsValidAndLarge) {
   const OpGraph hoisted = build_bootstrapping(w, true);
   expect_valid_dag(plain);
   expect_valid_dag(hoisted);
-  EXPECT_GT(plain.ops.size(), 1000u);
-  EXPECT_GT(hoisted.ops.size(), 100u);
+  EXPECT_GT(plain.ops().size(), 1000u);
+  EXPECT_GT(hoisted.ops().size(), 100u);
 }
 
 TEST(CkksGraphs, KeyswitchStructure) {
@@ -62,7 +65,7 @@ TEST(CkksGraphs, KeyswitchStructure) {
   EXPECT_EQ(count_kind(g, OpKind::Bconv), 4u + 2u);
   EXPECT_EQ(count_kind(g, OpKind::DecompPolyMult), 1u);
   // evk streaming traffic is attached to the DecompPolyMult.
-  for (const auto& op : g.ops) {
+  for (const auto& op : g.ops()) {
     if (op.kind == OpKind::DecompPolyMult) {
       EXPECT_GT(op.hbm_bytes, 0u);
       EXPECT_EQ(op.param_a, 4u);  // digits
@@ -76,7 +79,7 @@ TEST(CkksGraphs, HbmStreamFractionScalesKeyTraffic) {
   cached.hbm_stream_fraction = 0.25;
   auto bytes = [](const OpGraph& g) {
     std::uint64_t total = 0;
-    for (const auto& op : g.ops) total += op.hbm_bytes;
+    for (const auto& op : g.ops()) total += op.hbm_bytes;
     return total;
   };
   EXPECT_NEAR(static_cast<double>(bytes(build_keyswitch(cached))),
@@ -98,11 +101,9 @@ TEST(CkksGraphs, HoistingSavesBconvWork) {
   separate.name = "separate";
   for (std::size_t r = 0; r < rotations; ++r) {
     const OpGraph one = build_rotation(w);
-    const std::size_t base = separate.ops.size();
-    for (auto op : one.ops) {
-      for (auto& d : op.deps) d += base;
-      separate.add(std::move(op));
-    }
+    std::vector<std::size_t> index_map(one.ops().size());
+    std::iota(index_map.begin(), index_map.end(), separate.ops().size());
+    for (std::size_t i = 0; i < one.ops().size(); ++i) separate.add_from(one, i, index_map);
   }
   const OpGraph hoisted = build_hoisted_rotations(w, rotations);
 
