@@ -75,16 +75,6 @@ NarrowNttTable::NarrowNttTable(std::uint32_t q, std::size_t n) : q_(q), n_(n) {
   n_inv_quot_ = quot(n_inv);
 }
 
-void NarrowNttTable::forward(std::span<std::uint32_t> a) const {
-  if (a.size() != n_) throw std::invalid_argument("NarrowNttTable::forward: size mismatch");
-  simd::ntt_forward_narrow(fwd_view(), a.data());
-}
-
-void NarrowNttTable::inverse(std::span<std::uint32_t> a) const {
-  if (a.size() != n_) throw std::invalid_argument("NarrowNttTable::inverse: size mismatch");
-  simd::ntt_inverse_narrow(inv_view(), a.data(), n_inv_op_, n_inv_quot_);
-}
-
 void NarrowNttTable::forward(std::span<std::uint32_t> a, simd::Isa isa) const {
   if (a.size() != n_) throw std::invalid_argument("NarrowNttTable::forward: size mismatch");
   simd::ntt_forward_narrow(fwd_view(), a.data(), isa);
@@ -95,29 +85,19 @@ void NarrowNttTable::inverse(std::span<std::uint32_t> a, simd::Isa isa) const {
   simd::ntt_inverse_narrow(inv_view(), a.data(), n_inv_op_, n_inv_quot_, isa);
 }
 
-void NttTable::forward(std::span<u64> a) const {
+void NttTable::forward(std::span<u64> a, simd::Isa isa) const {
   if (a.size() != n_) throw std::invalid_argument("NttTable::forward: size mismatch");
   // Harvey lazy butterflies: values live in [0, 4q) through the stages with
   // one canonicalizing pass at the end. The kernel itself lives in
-  // common/simd.* (scalar / AVX2 / AVX-512, runtime-dispatched,
-  // bit-identical); this wrapper only validates and hands over the SoA view.
-  simd::ntt_forward_lazy(fwd_view(), a.data());
-}
-
-void NttTable::inverse(std::span<u64> a) const {
-  if (a.size() != n_) throw std::invalid_argument("NttTable::inverse: size mismatch");
-  // Gentleman-Sande with lazy values in [0, 2q); the final N^{-1} Shoup
-  // multiply canonicalizes to [0, q). Kernel dispatched via common/simd.*.
-  simd::ntt_inverse_lazy(inv_view(), a.data(), n_inv_.operand(), n_inv_.quotient());
-}
-
-void NttTable::forward(std::span<u64> a, simd::Isa isa) const {
-  if (a.size() != n_) throw std::invalid_argument("NttTable::forward: size mismatch");
+  // common/simd.* (scalar / AVX2 / AVX-512 / IFMA, bit-identical); this
+  // wrapper only validates and hands over the SoA view.
   simd::ntt_forward_lazy(fwd_view(), a.data(), isa);
 }
 
 void NttTable::inverse(std::span<u64> a, simd::Isa isa) const {
   if (a.size() != n_) throw std::invalid_argument("NttTable::inverse: size mismatch");
+  // Gentleman-Sande with lazy values in [0, 2q); the final N^{-1} Shoup
+  // multiply canonicalizes to [0, q).
   simd::ntt_inverse_lazy(inv_view(), a.data(), n_inv_.operand(), n_inv_.quotient(), isa);
 }
 

@@ -48,16 +48,12 @@ class NttTable {
 
   // In-place forward negacyclic NTT: natural order in, bit-reversed out.
   // Input coefficients must be in [0, q); output is canonical [0, q).
-  // Dispatches to the best runtime-selected SIMD variant (common/simd.h);
-  // all variants are bit-identical to the scalar lazy reference.
-  void forward(std::span<u64> a) const;
+  // Runs the SIMD tier `isa` (common/simd.h), the runtime-selected one by
+  // default; all tiers are bit-identical to the scalar lazy reference. A
+  // forced tier this host cannot run throws std::invalid_argument.
+  void forward(std::span<u64> a, simd::Isa isa = simd::active_isa()) const;
   // In-place inverse negacyclic NTT: bit-reversed in, natural order out.
-  void inverse(std::span<u64> a) const;
-
-  // Forced-ISA variants for tests and per-ISA benchmarks. Throw
-  // std::invalid_argument if `isa` is not compiled in / not CPU-supported.
-  void forward(std::span<u64> a, simd::Isa isa) const;
-  void inverse(std::span<u64> a, simd::Isa isa) const;
+  void inverse(std::span<u64> a, simd::Isa isa = simd::active_isa()) const;
 
   // Classical eagerly-reduced butterflies (pre-lazy dataflow). Bit-identical
   // outputs to forward()/inverse(); roughly one extra conditional subtraction
@@ -103,12 +99,10 @@ class NarrowNttTable {
 
   // In-place transforms with canonical [0, q) output; forward is natural
   // in, bit-reversed out, and takes any input below 4q; inverse is the
-  // reverse and takes canonical input. The forced-ISA overloads throw
-  // std::invalid_argument if `isa` is not supported.
-  void forward(std::span<std::uint32_t> a) const;
-  void inverse(std::span<std::uint32_t> a) const;
-  void forward(std::span<std::uint32_t> a, simd::Isa isa) const;
-  void inverse(std::span<std::uint32_t> a, simd::Isa isa) const;
+  // reverse and takes canonical input. A forced `isa` this host cannot run
+  // throws std::invalid_argument.
+  void forward(std::span<std::uint32_t> a, simd::Isa isa = simd::active_isa()) const;
+  void inverse(std::span<std::uint32_t> a, simd::Isa isa = simd::active_isa()) const;
 
  private:
   simd::NttTables32 fwd_view() const { return {w_op_.data(), w_quot_.data(), q_, n_}; }

@@ -90,16 +90,31 @@ TEST(SimdDispatch, ForcedKernelRejectsUnsupported) {
   Rng rng(7);
   std::vector<u64> a = rng.uniform_vector(16, q);
   std::vector<u64> lo(16), hi(16);
+  const std::vector<u64> primes = generate_ntt_primes(30, 16, 2);
+  const u32 p = static_cast<u32>(primes[0]);
+  const NarrowNttTable narrow(p, 16);
+  const simd::NarrowCrt crt(p, static_cast<u32>(primes[1]));
+  std::vector<u32> words(4 * 16);
+  const u32* word_row = words.data();
   for (Isa isa : all_isas()) {
     if (simd::isa_supported(isa)) continue;
     std::vector<u64> copy = a;
     EXPECT_THROW(table.forward(copy, isa), std::invalid_argument);
-    EXPECT_THROW(simd::mul_accumulate(a.data(), a.data(), a.size(), lo.data(), hi.data(), isa),
-                 std::invalid_argument);
+    EXPECT_THROW(
+        simd::detail::mul_accumulate(a.data(), a.data(), 1, a.size(), lo.data(), hi.data(), isa),
+        std::invalid_argument);
     const u64* row = a.data();
     EXPECT_THROW(simd::mul_sum(&row, &row, 1, a.size(), q, lo.data(), isa),
                  std::invalid_argument);
     EXPECT_THROW(simd::weighted_sum(&row, row, 1, a.size(), q, q, lo.data(), isa),
+                 std::invalid_argument);
+    EXPECT_THROW(narrow.forward(std::span(words.data(), 16), isa), std::invalid_argument);
+    EXPECT_THROW(narrow.inverse(std::span(words.data(), 16), isa), std::invalid_argument);
+    EXPECT_THROW(simd::mul_sum_narrow(&word_row, &word_row, 1, 16, p, words.data(), isa),
+                 std::invalid_argument);
+    EXPECT_THROW(simd::gadget_residues_narrow(a.data(), 16, 0, 7, 2, crt, words.data(), isa),
+                 std::invalid_argument);
+    EXPECT_THROW(simd::crt_lift_add_narrow(words.data(), words.data(), 16, crt, lo.data(), isa),
                  std::invalid_argument);
   }
 }
@@ -179,7 +194,7 @@ TEST_P(SimdNttSweep, RoundTripAcrossIsas) {
 INSTANTIATE_TEST_SUITE_P(
     QnMatrix, SimdNttSweep,
     ::testing::Combine(::testing::Values(20, 36, 50, 62),
-                       ::testing::Values(std::size_t{4}, std::size_t{8},
+                       ::testing::Values(std::size_t{2}, std::size_t{4}, std::size_t{8},
                                          std::size_t{16}, std::size_t{32},
                                          std::size_t{64}, std::size_t{256},
                                          std::size_t{2048})));
@@ -231,11 +246,11 @@ TEST(SimdAccumulate, WeightedBitIdenticalAcrossIsasAndTails) {
     const std::vector<u64> lo0 = rng.uniform_vector(len, ~u64{0});
     const std::vector<u64> hi0 = rng.uniform_vector(len, u64{1} << 40);
     std::vector<u64> ref_lo = lo0, ref_hi = hi0;
-    simd::weighted_accumulate(x.data(), w, len, ref_lo.data(), ref_hi.data(),
-                              Isa::Scalar);
+    simd::detail::mul_accumulate(x.data(), &w, 0, len, ref_lo.data(), ref_hi.data(),
+                                 Isa::Scalar);
     for (Isa isa : supported_isas()) {
       std::vector<u64> acc_lo = lo0, acc_hi = hi0;
-      simd::weighted_accumulate(x.data(), w, len, acc_lo.data(), acc_hi.data(), isa);
+      simd::detail::mul_accumulate(x.data(), &w, 0, len, acc_lo.data(), acc_hi.data(), isa);
       EXPECT_EQ(acc_lo, ref_lo) << "isa=" << simd::isa_name(isa) << " len=" << len;
       EXPECT_EQ(acc_hi, ref_hi) << "isa=" << simd::isa_name(isa) << " len=" << len;
     }
@@ -254,14 +269,16 @@ TEST(SimdAccumulate, MulBitIdenticalAcrossIsasAndTails) {
     const std::vector<u64> lo0 = rng.uniform_vector(len, ~u64{0});
     const std::vector<u64> hi0 = rng.uniform_vector(len, u64{1} << 40);
     std::vector<u64> ref_lo = lo0, ref_hi = hi0;
-    simd::mul_accumulate(a.data(), b.data(), len, ref_lo.data(), ref_hi.data(), Isa::Scalar);
+    simd::detail::mul_accumulate(a.data(), b.data(), 1, len, ref_lo.data(), ref_hi.data(),
+                                 Isa::Scalar);
     for (std::size_t k = 0; k < len; ++k) {
       const u128 want = ((u128{hi0[k]} << 64) | lo0[k]) + u128{a[k]} * b[k];
       EXPECT_EQ((u128{ref_hi[k]} << 64) | ref_lo[k], want) << "k=" << k;
     }
     for (Isa isa : supported_isas()) {
       std::vector<u64> acc_lo = lo0, acc_hi = hi0;
-      simd::mul_accumulate(a.data(), b.data(), len, acc_lo.data(), acc_hi.data(), isa);
+      simd::detail::mul_accumulate(a.data(), b.data(), 1, len, acc_lo.data(), acc_hi.data(),
+                                   isa);
       EXPECT_EQ(acc_lo, ref_lo) << "isa=" << simd::isa_name(isa) << " len=" << len;
       EXPECT_EQ(acc_hi, ref_hi) << "isa=" << simd::isa_name(isa) << " len=" << len;
     }
