@@ -31,8 +31,7 @@ workloads::CkksWl resident(std::size_t level) {
 
 int main(int argc, char** argv) {
   bench::ObsArgs obs(argc, argv, "fig6a_ckks_apps");
-  auto cfg = arch::ArchConfig::alchemist();
-  cfg.telemetry = obs.trace_requested();
+  const auto cfg = arch::ArchConfig::alchemist();
   bench::print_header("Figure 6(a) - CKKS applications");
 
   // --- Shallow: LoLa-MNIST ---
@@ -53,7 +52,7 @@ int main(int argc, char** argv) {
   const auto boot = workloads::build_bootstrapping(resident(44), true);
   const auto helr = workloads::build_helr_iteration(resident(30));
   // The bootstrapping run is the one recorded as a Perfetto timeline.
-  const auto r_boot = sim::simulate_alchemist(boot, cfg, &obs.timeline());
+  const auto r_boot = sim::simulate_alchemist(boot, cfg, obs.timeline());
   const auto r_helr = sim::simulate_alchemist(helr, cfg);
   obs.add(r_boot);
   obs.add(r_helr);

@@ -39,7 +39,6 @@
 #include "common/thread_pool.h"
 #include "obs/report.h"
 #include "obs/substrate_metrics.h"
-#include "poly/four_step_ntt.h"
 #include "poly/lazy_kernels.h"
 #include "poly/ntt.h"
 #include "poly/rns.h"
@@ -252,19 +251,6 @@ void register_isa_benchmarks() {
                                  isa);
   }
 }
-
-void BM_FourStepForward(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const u64 q = max_ntt_prime(50, n);
-  FourStepNtt ntt(q, n);
-  Rng rng(n);
-  std::vector<u64> a = rng.uniform_vector(n, q);
-  for (auto _ : state) {
-    ntt.forward(a);
-    benchmark::DoNotOptimize(a.data());
-  }
-}
-BENCHMARK(BM_FourStepForward)->Arg(1024)->Arg(4096);
 
 void BM_BconvApply(benchmark::State& state) {
   const std::size_t n = 4096;

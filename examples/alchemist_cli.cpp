@@ -252,7 +252,6 @@ int main(int argc, char** argv) {
     arch::ArchConfig cfg = arch::ArchConfig::alchemist();
     cfg.num_units = units;
     cfg.hbm_bw_gb_s = hbm;
-    cfg.telemetry = !trace_out.empty();
     std::unique_ptr<fault::FaultModel> fault_model;
     try {
       fault_model = std::make_unique<fault::FaultModel>(fault_cfg, cfg.num_units);
@@ -260,15 +259,16 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "bad fault configuration: %s\n", e.what());
       return 2;
     }
-    fault::FaultModel* fault = fault_requested ? fault_model.get() : nullptr;
+    const fault::FaultModel* fault = fault_requested ? fault_model.get() : nullptr;
+    obs::Timeline* trace = trace_out.empty() ? nullptr : &timeline;
     sim::UnitProfiler prof;
     sim::UnitProfiler* profiler = profile ? &prof : nullptr;
     sim::MemProfiler mem_prof;
     sim::MemProfiler* mem = mem_profile ? &mem_prof : nullptr;
-    result = use_event ? sim::simulate_alchemist_events(graph, cfg, &timeline, fault,
-                                                        nullptr, profiler, mem)
-                       : sim::simulate_alchemist(graph, cfg, &timeline, fault,
-                                                 nullptr, profiler, mem);
+    result = use_event ? sim::simulate_alchemist_events(graph, cfg, trace, fault, nullptr,
+                                                        profiler, mem)
+                       : sim::simulate_alchemist(graph, cfg, trace, fault, nullptr,
+                                                 profiler, mem);
     const auto energy = arch::energy_model(cfg, result);
     std::printf("workload:      %s (%zu ops)\n", graph.name.c_str(), graph.ops().size());
     std::printf("accelerator:   Alchemist, %zu units, %.0f GB/s HBM%s\n", units, hbm,

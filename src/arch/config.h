@@ -19,12 +19,6 @@ struct ArchConfig {
   std::size_t shared_sram_kb = 2048; // 2 MB
   double hbm_bw_gb_s = 1000.0;       // 2x HBM2
   int word_bits = 36;
-  // Master telemetry toggle: when true AND a simulator is handed an
-  // obs::Timeline sink, per-op timeline events are recorded. Off by default —
-  // the simulators skip all event construction, so disabled telemetry costs
-  // nothing and reported results are bit-identical either way (pinned by
-  // tests/test_obs.cpp).
-  bool telemetry = false;
 
   std::size_t total_cores() const { return num_units * cores_per_unit; }
   // Peak multiply-accumulate lanes per cycle across the chip.

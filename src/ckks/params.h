@@ -34,21 +34,6 @@ struct CkksParams {
   std::size_t num_special() const { return alpha(); }
   double scale() const { return static_cast<double>(u64{1} << log_scale); }
 
-  // The paper's arithmetic-FHE benchmark setting (Table 7 / Fig. 6): SHARP's
-  // 36-bit word, N=2^16, L=44, dnum=4. Too large to run functionally in test
-  // time; used by the workload generators and the cycle simulator.
-  static CkksParams paper_benchmark() {
-    CkksParams p;
-    p.n = 65536;
-    p.num_levels = 44;
-    p.dnum = 4;
-    p.first_prime_bits = 36;
-    p.prime_bits = 36;
-    p.special_prime_bits = 36;
-    p.log_scale = 30;
-    return p;
-  }
-
   // A small parameter set for functional tests and examples.
   static CkksParams toy(std::size_t n = 2048, std::size_t levels = 4,
                         std::size_t dnum_ = 2) {

@@ -6,19 +6,26 @@ namespace alchemist {
 
 namespace {
 
+constexpr u64 kSplitmixGamma = 0x9e3779b97f4a7c15ULL;
+
 constexpr u64 rotl(u64 x, int k) { return (x << k) | (x >> (64 - k)); }
 
-// splitmix64: expands a single seed word into the xoshiro state.
+}  // namespace
+
 u64 splitmix64(u64& state) {
-  state += 0x9e3779b97f4a7c15ULL;
+  state += kSplitmixGamma;
   u64 z = state;
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
 }
 
-}  // namespace
+u64 splitmix64_at(u64 seed, u64 index) {
+  u64 state = seed + kSplitmixGamma * index;
+  return splitmix64(state);
+}
 
+// splitmix64 expands the single seed word into the xoshiro state.
 Rng::Rng(u64 seed) {
   u64 sm = seed;
   for (u64& s : state_) s = splitmix64(sm);

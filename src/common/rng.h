@@ -12,6 +12,14 @@
 
 namespace alchemist {
 
+// splitmix64: advances `state` by the golden-ratio increment and returns the
+// finalized word.
+u64 splitmix64(u64& state);
+
+// Output `index` (0-based) of the splitmix64 stream that starts at `seed`,
+// computed directly: a draw that must be a pure function of (seed, index).
+u64 splitmix64_at(u64 seed, u64 index);
+
 class Rng {
  public:
   explicit Rng(u64 seed = 0x5eed'a1c4'e815'7ULL);

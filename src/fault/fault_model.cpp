@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "arch/data_layout.h"
+#include "common/rng.h"
 
 namespace alchemist::fault {
 
@@ -36,7 +37,7 @@ void check_rate(double rate, const char* name) {
 }  // namespace
 
 FaultModel::FaultModel(FaultConfig config, std::size_t num_units)
-    : cfg_(std::move(config)), num_units_(num_units), rng_(cfg_.seed) {
+    : cfg_(std::move(config)), num_units_(num_units) {
   check_rate(cfg_.compute_fault_rate, "compute_fault_rate");
   check_rate(cfg_.sram_fault_rate, "sram_fault_rate");
   check_rate(cfg_.hbm_fault_rate, "hbm_fault_rate");
@@ -77,28 +78,32 @@ double FaultModel::slot_padding_factor(std::size_t n) const {
   return arch::DegradedSlotLayout(n, num_units_, cfg_.masked_units).padding_factor();
 }
 
-std::uint64_t FaultModel::draw(double expected) {
+std::uint64_t FaultModel::draw(double expected, std::uint64_t counter) const {
   if (expected <= 0.0) return 0;
   const double base = std::floor(expected);
   const double frac = expected - base;
   std::uint64_t count = static_cast<std::uint64_t>(base);
-  // Bernoulli on the fractional part keeps the draw unbiased while consuming
-  // exactly one RNG word per domain per op (reproducibility contract).
-  if (rng_.uniform_real() < frac) ++count;
+  // Bernoulli on the fractional part keeps the draw unbiased. Its uniform is
+  // the top 53 bits of output `counter` of the splitmix64 stream seeded with
+  // the config seed.
+  const double u = static_cast<double>(splitmix64_at(cfg_.seed, counter) >> 11) * 0x1.0p-53;
+  if (u < frac) ++count;
   return count;
 }
 
-OpFaults FaultModel::sample_op(std::uint64_t core_cycles, std::uint64_t lane_cycles,
-                               std::uint64_t hbm_bytes) {
+OpFaults FaultModel::sample_op(std::uint64_t op_index, std::uint64_t core_cycles,
+                               std::uint64_t lane_cycles, std::uint64_t hbm_bytes) const {
+  // One counter per (op, domain).
+  const std::uint64_t base = 3 * op_index;
   OpFaults f;
   if (cfg_.compute_fault_rate > 0) {
-    f.compute = draw(cfg_.compute_fault_rate * static_cast<double>(core_cycles));
+    f.compute = draw(cfg_.compute_fault_rate * static_cast<double>(core_cycles), base);
   }
   if (cfg_.sram_fault_rate > 0) {
-    f.sram = draw(cfg_.sram_fault_rate * static_cast<double>(lane_cycles));
+    f.sram = draw(cfg_.sram_fault_rate * static_cast<double>(lane_cycles), base + 1);
   }
   if (cfg_.hbm_fault_rate > 0) {
-    f.hbm = draw(cfg_.hbm_fault_rate * static_cast<double>(hbm_bytes));
+    f.hbm = draw(cfg_.hbm_fault_rate * static_cast<double>(hbm_bytes), base + 2);
   }
   return f;
 }

@@ -7,8 +7,8 @@
 //
 //   * per-exposure transient rates for the three fault domains
 //     (compute: per core-cycle; SRAM: per lane-cycle, i.e. per word access;
-//      HBM: per byte streamed), sampled with a seed-driven RNG so a run is
-//     exactly reproducible;
+//      HBM: per byte streamed), sampled as a pure function of (seed, op
+//     index, domain) so a run is exactly reproducible in any draw order;
 //   * a permanent unit-failure mask, which shrinks the machine geometry —
 //     the slot layout re-partitions over the healthy units
 //     (arch::DegradedSlotLayout) and both simulators recompute cycle and
@@ -24,7 +24,9 @@
 //
 // The model is consulted by both simulate_alchemist engines; with all rates
 // zero, no mask and a non-DMR policy it is inert (enabled() == false) and the
-// simulators are bit-identical to a run without a fault model.
+// simulators are bit-identical to a run without a fault model. It is
+// immutable once built, so one model may serve any number of runs, resumed
+// or concurrent.
 #pragma once
 
 #include <cstddef>
@@ -34,7 +36,6 @@
 #include <vector>
 
 #include "arch/config.h"
-#include "common/rng.h"
 
 namespace alchemist::fault {
 
@@ -57,7 +58,7 @@ const char* to_string(Policy p);
 Policy policy_from_string(std::string_view s);
 
 struct FaultConfig {
-  u64 seed = 0xfa117u;
+  std::uint64_t seed = 0xfa117u;
   double compute_fault_rate = 0.0;  // transient upsets per core-cycle
   double sram_fault_rate = 0.0;     // word flips per lane-cycle (word access)
   double hbm_fault_rate = 0.0;      // corrupted bytes per byte streamed
@@ -100,23 +101,21 @@ class FaultModel {
   // stripe (arch::DegradedSlotLayout::padding_factor); 1.0 with no mask.
   double slot_padding_factor(std::size_t n) const;
 
-  // Draw the transient faults for one op given its exposure in each domain.
-  // Deterministic for a fixed seed and call sequence; both simulators sample
-  // ops in graph index order, so a (seed, graph, config) triple fully
-  // reproduces a faulty run.
-  OpFaults sample_op(std::uint64_t core_cycles, std::uint64_t lane_cycles,
-                     std::uint64_t hbm_bytes);
-
-  // Re-arm the RNG at the configured seed (for back-to-back reproductions).
-  void reset() { rng_ = Rng(cfg_.seed); }
+  // Draw the transient faults for op `op_index` of a graph given its
+  // exposure in each domain: one Bernoulli draw on the fractional part of
+  // each domain's expected count. Each draw's uniform is a counter-based hash
+  // of (seed, op index, domain), so an op's faults do not depend on which
+  // ops were drawn before it: both scheduling policies, and a resumed run,
+  // see the same faults for a fixed (seed, graph, config).
+  OpFaults sample_op(std::uint64_t op_index, std::uint64_t core_cycles,
+                     std::uint64_t lane_cycles, std::uint64_t hbm_bytes) const;
 
  private:
-  std::uint64_t draw(double expected);
+  std::uint64_t draw(double expected, std::uint64_t counter) const;
 
   FaultConfig cfg_;
   std::size_t num_units_;
   std::size_t masked_count_;
-  Rng rng_;
 };
 
 }  // namespace alchemist::fault

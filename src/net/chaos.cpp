@@ -3,19 +3,11 @@
 #include <array>
 #include <memory>
 
+#include "common/rng.h"
+
 namespace alchemist::net {
 
 namespace {
-
-// splitmix64: the per-connection fault plan must be a pure function of
-// (seed, index) so chaos runs replay exactly.
-std::uint64_t mix(std::uint64_t& x) {
-  x += 0x9e37'79b9'7f4a'7c15ull;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xbf58'476d'1ce4'e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d0'49bb'1331'11ebull;
-  return z ^ (z >> 31);
-}
 
 double u01(std::uint64_t v) {
   return static_cast<double>(v >> 11) * (1.0 / 9007199254740992.0);
@@ -35,9 +27,11 @@ struct Link {
 }  // namespace
 
 FaultPlan plan_for(const ChaosOptions& opts, std::uint64_t conn_index) {
+  // A splitmix64 stream per connection: the plan must be a pure function of
+  // (seed, index) so chaos runs replay exactly.
   std::uint64_t x = opts.seed ^ (0xd1b5'4a32'd192'ed03ull * (conn_index + 1));
   FaultPlan plan;
-  const double u = u01(mix(x));
+  const double u = u01(splitmix64(x));
   if (u < opts.kill_prob) {
     plan.kind = FaultPlan::Kind::Kill;
   } else if (u < opts.kill_prob + opts.corrupt_prob) {
@@ -47,9 +41,9 @@ FaultPlan plan_for(const ChaosOptions& opts, std::uint64_t conn_index) {
   } else {
     return plan;
   }
-  plan.downstream = (mix(x) & 1) != 0;
+  plan.downstream = (splitmix64(x) & 1) != 0;
   const std::uint32_t span = opts.max_offset == 0 ? 1 : opts.max_offset;
-  plan.offset = 1 + mix(x) % span;
+  plan.offset = 1 + splitmix64(x) % span;
   return plan;
 }
 

@@ -7,9 +7,9 @@
 // displays them as microseconds, so 1 displayed "us" = 1 cycle. Wall time in
 // real microseconds is carried in each event's numeric args.
 //
-// Recording is zero-overhead when disabled: the simulators consult
-// ArchConfig::telemetry before building any record, and a disabled Timeline
-// drops records at the door. Tracks are Chrome "threads" (tid) inside one
+// Recording is zero-overhead when disabled: the simulators build no record
+// unless they are handed an enabled Timeline, and a disabled Timeline drops
+// records at the door. Tracks are Chrome "threads" (tid) inside one
 // simulator "process" (pid); name them with set_track_name so Perfetto shows
 // "unit-group/ntt", "hbm", "transpose", ... instead of bare ids.
 #pragma once

@@ -110,8 +110,8 @@ struct OpCounters {
   std::uint64_t busy_lanes = 0;
 };
 
-// An op's shape: everything its lowering and pricing read, except the HBM
-// bytes the fault draw takes per op.
+// An op's shape: everything its lowering and pricing read, except the op
+// index and HBM bytes the fault draw takes per op.
 struct ShapeKey {
   OpKind kind;
   std::size_t n, channels, param_a, param_b;
@@ -165,7 +165,7 @@ struct ClassTotals {
 class Engine {
  public:
   Engine(const OpGraph& graph, const arch::ArchConfig& config,
-         obs::Timeline* timeline, fault::FaultModel* fault_model,
+         obs::Timeline* timeline, const fault::FaultModel* fault_model,
          SimControl* control, UnitProfiler* profiler, MemProfiler* mem_profiler,
          const char* tag, const char* accelerator)
       : graph_(graph),
@@ -180,7 +180,7 @@ class Engine {
         profiler_(profiler),
         mem_profiler_(mem_profiler),
         timeline_(timeline),
-        trace_(cfg_.telemetry && timeline != nullptr && timeline->enabled()),
+        trace_(timeline != nullptr && timeline->enabled()),
         tsink_(control != nullptr ? control->trace : nullptr),
         spans_on_(tsink_ != nullptr && control->trace_ctx.valid()),
         detail_(spans_on_ ? control->effective_trace_detail()
@@ -205,10 +205,9 @@ class Engine {
   virtual void flush_spans() {}
 
   // Prologue side effects. Validates an incoming checkpoint against this
-  // engine and graph, restarts the fault RNG at its seed (the resumed run
-  // must draw exactly as the interrupted one did) and drops the UnitProfiler:
-  // cycles before the resume point were accounted by another process and
-  // survive only as aggregates. Returns whether the run resumes.
+  // engine and graph and drops the UnitProfiler: cycles before the resume
+  // point were accounted by another process and survive only as aggregates.
+  // Returns whether the run resumes.
   bool begin() {
     if (trace_) {
       timeline_->set_process_name(std::string("alchemist-sim(") + tag_ + ")");
@@ -231,7 +230,6 @@ class Engine {
     if (cp.fingerprint != fingerprint_) {
       throw CheckpointError(who + "machine/fault configuration changed");
     }
-    if (fault_) fault_->reset();
     profiler_ = nullptr;
     return true;
   }
@@ -272,21 +270,17 @@ class Engine {
     return shapes_.emplace(key, s).first->second;
   }
 
-  // Price one op: its shape's price, then its transient faults (one draw per
-  // call from the run's single fault RNG stream) and their mitigation cost.
-  // With `charge` the fault totals and per-op sim.* counters are booked;
-  // without, only the fault RNG advances (replaying ops a checkpoint already
-  // accounted).
-  OpCost cost(const HighOp& op, bool charge = true) {
+  // Price op `idx`: its shape's price, then its transient faults (keyed by
+  // the op index, so independent of pricing order) and their mitigation
+  // cost. Books the fault totals and the per-op sim.* counters.
+  OpCost cost(std::size_t idx) {
+    const HighOp& op = graph_.ops()[idx];
     OpCost c(shape_cost(op));
     if (fault_) {
-      c.faults = fault_->sample_op(c.core_cycles, c.busy_lanes, op.hbm_bytes);
-      if (charge) {
-        const std::uint64_t batch_cost = c.core_cycles / std::max<std::uint64_t>(c.batches, 1);
-        c.retry_cycles = price_op_faults(*fault_, c.faults, batch_cost, fault_totals_);
-      }
+      c.faults = fault_->sample_op(idx, c.core_cycles, c.busy_lanes, op.hbm_bytes);
+      const std::uint64_t batch_cost = c.core_cycles / std::max<std::uint64_t>(c.batches, 1);
+      c.retry_cycles = price_op_faults(*fault_, c.faults, batch_cost, fault_totals_);
     }
-    if (!charge) return c;
     ++counters_.ops;
     ++counters_.class_ops[static_cast<std::size_t>(c.cls)];
     counters_.mults += c.mults;
@@ -469,7 +463,7 @@ class Engine {
 
   const OpGraph& graph_;
   const arch::ArchConfig& config_;
-  fault::FaultModel* const fault_;
+  const fault::FaultModel* const fault_;
   const arch::ArchConfig cfg_;
   const std::uint64_t fingerprint_;
   const char* const tag_;
@@ -519,15 +513,8 @@ class LevelPolicy final : public Engine {
       profiler_->begin(cfg_.num_units, cfg_.cores_per_unit, trace_timeline());
     }
     start_steps("resume_level", static_cast<double>(resume_level));
-    for (std::size_t level_idx = 0; level_idx < levels.size(); ++level_idx) {
-      if (level_idx < resume_level) {
-        // Accounted before the checkpoint; replay only the fault RNG draws so
-        // the remaining ops sample the same transients as an uninterrupted run.
-        if (fault_) {
-          for (std::size_t idx : levels[level_idx]) cost(graph_.ops()[idx], false);
-        }
-        continue;
-      }
+    // Levels before the resume point were accounted by the checkpoint.
+    for (std::size_t level_idx = resume_level; level_idx < levels.size(); ++level_idx) {
       poll(level_idx);
       step(level_idx, levels[level_idx]);
       step_done(level_idx + 1);
@@ -665,7 +652,7 @@ class LevelPolicy final : public Engine {
     double cursor = start;
     for (std::size_t idx : level) {
       const HighOp& op = graph_.ops()[idx];
-      const OpCost c = cost(op);
+      const OpCost c = cost(idx);
       const auto cls = static_cast<std::size_t>(c.cls);
       const std::uint64_t work = c.core_cycles + c.retry_cycles;
       const auto transpose = static_cast<std::uint64_t>(std::ceil(c.transpose));
@@ -779,7 +766,7 @@ class ReadyListPolicy final : public Engine {
     }
     // Only the event-loop cursor lives in the checkpoint: the per-op setup
     // below (lowering, fault draws, prefetch schedule) is deterministic and
-    // is rebuilt identically after begin() restarts the fault RNG.
+    // is rebuilt identically on resume.
     const bool resuming = begin();
     setup();
     if (profiler_) profiler_->begin(cfg_.num_units, cfg_.cores_per_unit, nullptr);
@@ -842,8 +829,7 @@ class ReadyListPolicy final : public Engine {
     state_.resize(graph_.ops().size());
     dependents_start_.assign(graph_.ops().size() + 1, 0);
     for (std::size_t i = 0; i < graph_.ops().size(); ++i) {
-      const HighOp& op = graph_.ops()[i];
-      const OpCost c = cost(op);
+      const OpCost c = cost(i);
       OpState& s = state_[i];
       s.cls = c.cls;
       s.busy_lanes = static_cast<double>(c.busy_lanes);
@@ -1068,9 +1054,9 @@ class ReadyListPolicy final : public Engine {
 }  // namespace
 
 SimResult simulate_alchemist(const OpGraph& graph, const arch::ArchConfig& config,
-                             obs::Timeline* timeline, fault::FaultModel* fault_model,
-                             SimControl* control, UnitProfiler* profiler,
-                             MemProfiler* mem_profiler) {
+                             obs::Timeline* timeline,
+                             const fault::FaultModel* fault_model, SimControl* control,
+                             UnitProfiler* profiler, MemProfiler* mem_profiler) {
   return LevelPolicy(graph, config, timeline, fault_model, control, profiler,
                      mem_profiler).run();
 }
@@ -1078,7 +1064,7 @@ SimResult simulate_alchemist(const OpGraph& graph, const arch::ArchConfig& confi
 SimResult simulate_alchemist_events(const OpGraph& graph,
                                     const arch::ArchConfig& config,
                                     obs::Timeline* timeline,
-                                    fault::FaultModel* fault_model,
+                                    const fault::FaultModel* fault_model,
                                     SimControl* control, UnitProfiler* profiler,
                                     MemProfiler* mem_profiler) {
   return ReadyListPolicy(graph, config, timeline, fault_model, control, profiler,

@@ -30,23 +30,23 @@
 //  * Op pricing — lowering, busy lanes, and the per-op sim.* counters.
 //  * Fault modeling — an optional fault::FaultModel degrades the geometry
 //    (masked units re-stripe the slots, DMR halves the cores) and injects
-//    seed-deterministic transients, priced per op under the model's
-//    mitigation policy. The level policy samples ops level by level, the
-//    ready list in graph index order, so a seed reproduces a run per policy;
-//    the two agree exactly on graphs where those orders coincide. An inert
-//    model (zero rates, no mask, non-DMR) is dropped, so the result is
-//    bit-identical to a fault-free run.
+//    transients, priced per op under the model's mitigation policy. Each
+//    op's draw is keyed by (seed, op index), so both policies inject the
+//    same faults into the same ops and a seed reproduces a run whatever the
+//    pricing order. The model is read-only here: one model may serve
+//    concurrent and resumed runs. An inert model (zero rates, no mask,
+//    non-DMR) is dropped, so the result is bit-identical to a fault-free run.
 //  * Execution control — with a sim::SimControl, the engine polls the
 //    CancelToken and step budget before each step, snapshots the policy's
 //    cursor into the Checkpoint (every checkpoint_interval steps and at the
 //    stop point), and throws CancelledError on stop. A valid incoming
-//    checkpoint resumes the run bit-identically; the fault model must be in
-//    its seed state. The level cursor holds the accumulators and registry;
-//    the ready-list cursor holds the event clock and per-op state and
-//    rebuilds the deterministic per-op setup.
-//  * Observability — none of it changes the result. With config.telemetry
-//    and a Timeline: one slice per op on its class's unit-group track, plus
-//    HBM, transpose, fault and scheduler slices. With SimControl::trace:
+//    checkpoint resumes the run bit-identically. The level cursor holds the
+//    accumulators and registry, and the resumed run skips the levels it
+//    covers; the ready-list cursor holds the event clock and per-op state
+//    and rebuilds the deterministic per-op setup, fault draws included.
+//  * Observability — none of it changes the result. Handed an enabled
+//    Timeline: one slice per op on its class's unit-group track, plus HBM,
+//    transpose, fault and scheduler slices. With SimControl::trace:
 //    cycle-domain spans for the run, checkpoints, levels and ops. A
 //    UnitProfiler fills SimResult.profile (utilization.v1); it is dropped on
 //    resume, since the skipped steps ran elsewhere. A MemProfiler fills
@@ -69,7 +69,7 @@ namespace alchemist::sim {
 SimResult simulate_alchemist(const metaop::OpGraph& graph,
                              const arch::ArchConfig& config,
                              obs::Timeline* timeline = nullptr,
-                             fault::FaultModel* fault_model = nullptr,
+                             const fault::FaultModel* fault_model = nullptr,
                              SimControl* control = nullptr,
                              UnitProfiler* profiler = nullptr,
                              MemProfiler* mem_profiler = nullptr);
@@ -77,7 +77,7 @@ SimResult simulate_alchemist(const metaop::OpGraph& graph,
 SimResult simulate_alchemist_events(const metaop::OpGraph& graph,
                                     const arch::ArchConfig& config,
                                     obs::Timeline* timeline = nullptr,
-                                    fault::FaultModel* fault_model = nullptr,
+                                    const fault::FaultModel* fault_model = nullptr,
                                     SimControl* control = nullptr,
                                     UnitProfiler* profiler = nullptr,
                                     MemProfiler* mem_profiler = nullptr);

@@ -81,10 +81,6 @@ struct SimResult {
   // Pull the aggregate fields out of the registry. Simulators call this once
   // after populating the registry; harmless to call again.
   void finalize();
-
-  double throughput_per_sec(double ops = 1.0) const {
-    return time_us > 0 ? ops * 1e6 / time_us : 0.0;
-  }
 };
 
 }  // namespace alchemist::sim

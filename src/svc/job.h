@@ -19,6 +19,7 @@
 #include <string>
 
 #include "arch/config.h"
+#include "common/rng.h"
 #include "fault/fault_model.h"
 #include "metaop/op_graph.h"
 #include "obs/trace.h"
@@ -102,13 +103,7 @@ bool is_terminal(JobState s);
 // way independent re-executions see independent upsets on real hardware.
 inline u64 attempt_seed(u64 base, std::size_t attempt) {
   if (attempt <= 1) return base;
-  u64 x = base + 0x9e37'79b9'7f4a'7c15ull * static_cast<u64>(attempt - 1);
-  x ^= x >> 30;
-  x *= 0xbf58'476d'1ce4'e5b9ull;
-  x ^= x >> 27;
-  x *= 0x94d0'49bb'1331'11ebull;
-  x ^= x >> 31;
-  return x;
+  return splitmix64_at(base, static_cast<u64>(attempt - 2));
 }
 
 struct JobSpec {

@@ -554,7 +554,7 @@ void JobRunner::run_job(const JobPtr& job, bool degraded) {
       opts_.trace->record(std::move(s));
     };
     std::unique_ptr<fault::FaultModel> fault_model;
-    fault::FaultModel* fault = nullptr;
+    const fault::FaultModel* fault = nullptr;
     if (spec.fault_enabled) {
       fault::FaultConfig fc = spec.fault;
       fc.seed = attempt_seed(spec.fault.seed, attempt);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <numeric>
 #include <string>
 
 #include "fault/fault_model.h"
@@ -70,36 +69,17 @@ TEST(EventSim, AgreesOnTfhePbs) {
   EXPECT_LT(ratio, 1.1);
 }
 
-// The same graph with ops renumbered in ASAP-level order (stable within a
-// level). The level policy draws transient faults level by level and the
-// ready-list policy in index order; on such a graph the two orders coincide.
-OpGraph level_ordered(const OpGraph& g) {
-  std::vector<std::size_t> level(g.ops().size(), 0);
-  for (std::size_t i = 0; i < g.ops().size(); ++i) {
-    for (std::size_t dep : g.deps(i)) level[i] = std::max(level[i], level[dep] + 1);
-  }
-  std::vector<std::size_t> order(g.ops().size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) { return level[a] < level[b]; });
-  std::vector<std::size_t> position(g.ops().size());
-  for (std::size_t k = 0; k < order.size(); ++k) position[order[k]] = k;
-  OpGraph out;
-  out.name = g.name;
-  for (std::size_t i : order) out.add_from(g, i, position);
-  return out;
-}
-
 TEST(EventSim, PoliciesShareOpCostAndFaults) {
   // Both scheduling policies price ops through the engine core's one cost
   // function. Scheduling may move cycles, stalls and utilization, but never
-  // the per-op counters, and the same fault draws price to the same totals.
+  // the per-op counters, and the per-op fault draws (keyed by op index, not
+  // pricing order) price to the same totals.
   const auto cfg = arch::ArchConfig::alchemist();
   fault::FaultConfig fc;
   fc.seed = 0x5eed'0001ull;
   fc.compute_fault_rate = fc.sram_fault_rate = fc.hbm_fault_rate = 5e-9;
+  const fault::FaultModel fault(fc, cfg.num_units);
   const auto run = [&](const OpGraph& g, bool event) {
-    fault::FaultModel fault(fc, cfg.num_units);
     return event ? simulate_alchemist_events(g, cfg, nullptr, &fault)
                  : simulate_alchemist(g, cfg, nullptr, &fault);
   };
@@ -121,10 +101,9 @@ TEST(EventSim, PoliciesShareOpCostAndFaults) {
       EXPECT_EQ(level.registry.counter_by_key(key), event.registry.counter_by_key(key))
           << g.name << " " << key;
     }
-    const OpGraph ordered = level_ordered(g);
-    const auto level_faults = fault_counters(run(ordered, false));
+    const auto level_faults = fault_counters(level);
     EXPECT_GT(level_faults.at("fault.injected"), 0u) << g.name;
-    EXPECT_EQ(level_faults, fault_counters(run(ordered, true))) << g.name;
+    EXPECT_EQ(level_faults, fault_counters(event)) << g.name;
   }
 }
 

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <map>
 #include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "arch/data_layout.h"
@@ -14,6 +18,7 @@
 #include "sim/alchemist_sim.h"
 #include "sim/event_sim.h"
 #include "workloads/ckks_workloads.h"
+#include "workloads/tfhe_workloads.h"
 
 namespace alchemist {
 namespace {
@@ -59,27 +64,60 @@ TEST(FaultModel, InertWhenAllZero) {
   EXPECT_TRUE(fault::FaultModel(dmr, 128).enabled());
 }
 
+bool same_faults(const fault::OpFaults& a, const fault::OpFaults& b) {
+  return a.compute == b.compute && a.sram == b.sram && a.hbm == b.hbm;
+}
+
 TEST(FaultModel, SamplingIsSeedReproducible) {
   fault::FaultConfig fc;
   fc.seed = 99;
   fc.compute_fault_rate = 1e-6;
   fc.sram_fault_rate = 1e-7;
   fc.hbm_fault_rate = 1e-8;
-  fault::FaultModel a(fc, 128);
-  fault::FaultModel b(fc, 128);
-  for (int i = 0; i < 64; ++i) {
-    const auto fa = a.sample_op(1 << 20, 1 << 22, 1 << 24);
-    const auto fb = b.sample_op(1 << 20, 1 << 22, 1 << 24);
-    EXPECT_EQ(fa.compute, fb.compute);
-    EXPECT_EQ(fa.sram, fb.sram);
-    EXPECT_EQ(fa.hbm, fb.hbm);
+  // Per-op expected counts 2.3, 0.42 and 0.17: every domain has a fractional
+  // part to draw on, and compute an integer part that is always charged.
+  const std::uint64_t core = 2'300'000, lanes = 1 << 22, bytes = 1 << 24;
+  const fault::FaultModel a(fc, 128);
+  const fault::FaultModel b(fc, 128);
+  constexpr std::uint64_t kOps = 100'000;
+  std::vector<fault::OpFaults> forward;
+  forward.reserve(kOps);
+  for (std::uint64_t op = 0; op < kOps; ++op) {
+    forward.push_back(a.sample_op(op, core, lanes, bytes));
   }
-  // reset() re-arms the stream at the seed.
-  a.reset();
-  b.reset();
-  const auto fa = a.sample_op(1 << 20, 1 << 22, 1 << 24);
-  const auto fb = b.sample_op(1 << 20, 1 << 22, 1 << 24);
-  EXPECT_EQ(fa.total(), fb.total());
+  // Two models with one seed draw the same faults for an op, whatever order
+  // the ops are drawn in.
+  for (std::uint64_t op = kOps; op-- > 0;) {
+    ASSERT_TRUE(same_faults(b.sample_op(op, core, lanes, bytes), forward[op])) << "op " << op;
+  }
+  for (std::uint64_t op = 0; op < kOps; op += 7) {
+    ASSERT_TRUE(same_faults(a.sample_op(op, core, lanes, bytes), forward[op])) << "op " << op;
+  }
+
+  // Unbiased: over 10^5 op indices each domain's total lies within 5 sigma of
+  // its expected count. Only the fractional part is random, so
+  // sigma^2 = n * frac * (1 - frac).
+  auto check_mean = [&](double expected, auto field, const char* domain) {
+    std::uint64_t total = 0;
+    for (const fault::OpFaults& f : forward) total += f.*field;
+    const double frac = expected - std::floor(expected);
+    const double n = static_cast<double>(kOps);
+    const double sigma = std::sqrt(n * frac * (1.0 - frac));
+    EXPECT_NEAR(static_cast<double>(total), n * expected, 5.0 * sigma) << domain;
+  };
+  check_mean(fc.compute_fault_rate * static_cast<double>(core), &fault::OpFaults::compute,
+             "compute");
+  check_mean(fc.sram_fault_rate * static_cast<double>(lanes), &fault::OpFaults::sram, "sram");
+  check_mean(fc.hbm_fault_rate * static_cast<double>(bytes), &fault::OpFaults::hbm, "hbm");
+
+  // A different seed draws a different pattern.
+  fc.seed = 100;
+  const fault::FaultModel c(fc, 128);
+  std::size_t differ = 0;
+  for (std::uint64_t op = 0; op < 64; ++op) {
+    differ += same_faults(c.sample_op(op, core, lanes, bytes), forward[op]) ? 0 : 1;
+  }
+  EXPECT_GT(differ, 0u);
 }
 
 TEST(DegradedSlotLayout, RepartitionsOverHealthyUnits) {
@@ -167,8 +205,7 @@ TEST(FaultSim, ZeroRateIsBitIdenticalToNoModel) {
   EXPECT_EQ(plain.registry.gauges(), with_model.registry.gauges());
 
   const auto plain_ev = sim::simulate_alchemist_events(graph, cfg);
-  fault::FaultModel inert2(fault::FaultConfig{}, cfg.num_units);
-  const auto model_ev = sim::simulate_alchemist_events(graph, cfg, nullptr, &inert2);
+  const auto model_ev = sim::simulate_alchemist_events(graph, cfg, nullptr, &inert);
   EXPECT_EQ(plain_ev.cycles, model_ev.cycles);
   EXPECT_EQ(plain_ev.registry.counters(), model_ev.registry.counters());
   EXPECT_EQ(plain_ev.registry.gauges(), model_ev.registry.gauges());
@@ -193,8 +230,7 @@ TEST(FaultSim, MaskedUnitsDegradeMonotonically) {
     EXPECT_EQ(r.registry.counter(fault::metrics::kMaskedUnits), masked);
     prev = r.cycles;
 
-    fault::FaultModel model_ev(fc, cfg.num_units);
-    const auto rev = sim::simulate_alchemist_events(graph, cfg, nullptr, &model_ev);
+    const auto rev = sim::simulate_alchemist_events(graph, cfg, nullptr, &model);
     EXPECT_GT(rev.cycles, prev_ev) << masked << " masked units (event engine)";
     prev_ev = rev.cycles;
   }
@@ -254,6 +290,78 @@ TEST(FaultSim, PoliciesPriceFaultsDifferently) {
   fault::FaultModel dmr_model(fc, cfg.num_units);
   const auto dmr_r = sim::simulate_alchemist(graph, cfg, nullptr, &dmr_model);
   EXPECT_GT(dmr_r.cycles, baseline.cycles);
+}
+
+// Fault counters the engine books, by key.
+std::map<std::string, std::uint64_t> fault_counters(const sim::SimResult& r) {
+  std::map<std::string, std::uint64_t> out;
+  for (const auto& [key, value] : r.registry.counters()) {
+    if (key.rfind("fault.", 0) == 0) out.emplace(key, value);
+  }
+  return out;
+}
+
+TEST(FaultSim, PoliciesDrawIdenticalFaults) {
+  // The level policy prices ops level by level, the ready list in graph index
+  // order; the draw is keyed by op index, so both inject the same faults
+  // into the same ops and book identical fault.* counters.
+  const arch::ArchConfig cfg = arch::ArchConfig::alchemist();
+  fault::FaultConfig fc;
+  fc.compute_fault_rate = 1e-7;
+  fc.sram_fault_rate = 1e-8;
+  fc.hbm_fault_rate = 1e-9;
+  fc.policy = fault::Policy::DetectRetry;
+  const fault::FaultModel model(fc, cfg.num_units);
+
+  workloads::CkksWl resident = workloads::CkksWl::paper(44);
+  resident.hbm_stream_fraction = 0.05;
+  workloads::TfheWl pbs = workloads::TfheWl::set_i();
+  const double bk_mb = pbs.bk_bytes() / 1e6;
+  pbs.hbm_stream_fraction = bk_mb <= 33.0 ? 0.0 : 1.0 - 33.0 / bk_mb;
+  const metaop::OpGraph p = workloads::build_pbs(pbs);
+  const metaop::OpGraph boot_resident = workloads::build_bootstrapping(resident, true);
+  const metaop::OpGraph graphs[] = {
+      workloads::build_helr_iteration(workloads::CkksWl::paper(30)),
+      workloads::build_lola_mnist(true),
+      workloads::build_bootstrapping(workloads::CkksWl::paper(44), false),
+      sim::merge_graphs({boot_resident, p, p, p, p}, "xs"),
+  };
+  for (const metaop::OpGraph& g : graphs) {
+    const auto level = fault_counters(sim::simulate_alchemist(g, cfg, nullptr, &model));
+    const auto ready =
+        fault_counters(sim::simulate_alchemist_events(g, cfg, nullptr, &model));
+    EXPECT_GT(level.at(fault::metrics::kInjected), 0u) << g.name;
+    EXPECT_EQ(level, ready) << g.name;
+  }
+}
+
+TEST(FaultSim, SharedModelServesConcurrentRuns) {
+  // The model is immutable: two threads simulating one faulty graph through
+  // one model must each reproduce the sequential result.
+  const auto graph = keyswitch_graph(1.0);
+  const arch::ArchConfig cfg = arch::ArchConfig::alchemist();
+  fault::FaultConfig fc;
+  fc.compute_fault_rate = fc.sram_fault_rate = fc.hbm_fault_rate = 1e-8;
+  fc.policy = fault::Policy::DetectRetry;
+  const fault::FaultModel model(fc, cfg.num_units);
+  auto run = [&](bool event) {
+    return event ? sim::simulate_alchemist_events(graph, cfg, nullptr, &model)
+                 : sim::simulate_alchemist(graph, cfg, nullptr, &model);
+  };
+  for (bool event : {false, true}) {
+    const sim::SimResult ref = run(event);
+    ASSERT_GT(ref.registry.counter(fault::metrics::kInjected), 0u);
+    sim::SimResult results[2];
+    std::thread t0([&] { results[0] = run(event); });
+    std::thread t1([&] { results[1] = run(event); });
+    t0.join();
+    t1.join();
+    for (const sim::SimResult& r : results) {
+      EXPECT_EQ(r.cycles, ref.cycles);
+      EXPECT_EQ(r.registry.counters(), ref.registry.counters());
+      EXPECT_EQ(r.registry.gauges(), ref.registry.gauges());
+    }
+  }
 }
 
 TEST(FaultInjector, CorruptsExactlyOneResidue) {

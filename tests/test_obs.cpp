@@ -130,8 +130,7 @@ std::vector<double> scan_numeric_field(const std::string& json,
 }
 
 TEST(ObsTrace, LevelSimEmitsSchemaValidChromeTrace) {
-  arch::ArchConfig cfg = arch::ArchConfig::alchemist();
-  cfg.telemetry = true;
+  const arch::ArchConfig cfg = arch::ArchConfig::alchemist();
   obs::Timeline timeline;
   const auto r = sim::simulate_alchemist(tiny_graph(), cfg, &timeline);
   ASSERT_FALSE(timeline.events().empty());
@@ -166,8 +165,7 @@ TEST(ObsTrace, LevelSimEmitsSchemaValidChromeTrace) {
 }
 
 TEST(ObsTrace, EventSimEmitsPerOpSlices) {
-  arch::ArchConfig cfg = arch::ArchConfig::alchemist();
-  cfg.telemetry = true;
+  const arch::ArchConfig cfg = arch::ArchConfig::alchemist();
   obs::Timeline timeline;
   const OpGraph g = tiny_graph();
   const auto r = sim::simulate_alchemist_events(g, cfg, &timeline);
@@ -186,16 +184,11 @@ TEST(ObsTrace, EventSimEmitsPerOpSlices) {
 }
 
 TEST(ObsTrace, DisabledTelemetryRecordsNothing) {
-  arch::ArchConfig cfg = arch::ArchConfig::alchemist();  // telemetry = false
-  obs::Timeline timeline;
-  sim::simulate_alchemist(tiny_graph(), cfg, &timeline);
-  sim::simulate_alchemist_events(tiny_graph(), cfg, &timeline);
-  EXPECT_TRUE(timeline.events().empty());
-
-  // A disabled sink also drops records even if the config enables telemetry.
-  cfg.telemetry = true;
+  // A disabled sink drops every record.
+  const arch::ArchConfig cfg = arch::ArchConfig::alchemist();
   obs::Timeline off(/*enabled=*/false);
   sim::simulate_alchemist(tiny_graph(), cfg, &off);
+  sim::simulate_alchemist_events(tiny_graph(), cfg, &off);
   EXPECT_TRUE(off.events().empty());
 }
 
@@ -219,12 +212,10 @@ void expect_identical_results(const sim::SimResult& a, const sim::SimResult& b) 
 TEST(ObsObserverEffect, TelemetryDoesNotPerturbLevelSim) {
   const workloads::CkksWl w = workloads::CkksWl::paper(44);
   const OpGraph g = workloads::build_keyswitch(w);
-  arch::ArchConfig off = arch::ArchConfig::alchemist();
-  arch::ArchConfig on = off;
-  on.telemetry = true;
+  const arch::ArchConfig cfg = arch::ArchConfig::alchemist();
   obs::Timeline timeline;
-  const auto r_off = sim::simulate_alchemist(g, off);
-  const auto r_on = sim::simulate_alchemist(g, on, &timeline);
+  const auto r_off = sim::simulate_alchemist(g, cfg);
+  const auto r_on = sim::simulate_alchemist(g, cfg, &timeline);
   EXPECT_FALSE(timeline.events().empty());
   expect_identical_results(r_off, r_on);
 }
@@ -232,12 +223,10 @@ TEST(ObsObserverEffect, TelemetryDoesNotPerturbLevelSim) {
 TEST(ObsObserverEffect, TelemetryDoesNotPerturbEventSim) {
   const workloads::CkksWl w = workloads::CkksWl::paper(24);
   const OpGraph g = workloads::build_cmult(w);
-  arch::ArchConfig off = arch::ArchConfig::alchemist();
-  arch::ArchConfig on = off;
-  on.telemetry = true;
+  const arch::ArchConfig cfg = arch::ArchConfig::alchemist();
   obs::Timeline timeline;
-  const auto r_off = sim::simulate_alchemist_events(g, off);
-  const auto r_on = sim::simulate_alchemist_events(g, on, &timeline);
+  const auto r_off = sim::simulate_alchemist_events(g, cfg);
+  const auto r_on = sim::simulate_alchemist_events(g, cfg, &timeline);
   EXPECT_FALSE(timeline.events().empty());
   expect_identical_results(r_off, r_on);
 }
@@ -545,8 +534,7 @@ TEST(ObsProfiler, ReportGainsUtilizationSection) {
 
 TEST(ObsProfiler, TraceGainsPerUnitCounterTracks) {
   const workloads::CkksWl w = workloads::CkksWl::paper(24);
-  arch::ArchConfig cfg = arch::ArchConfig::alchemist();
-  cfg.telemetry = true;
+  const arch::ArchConfig cfg = arch::ArchConfig::alchemist();
   obs::Timeline timeline;
   sim::UnitProfiler prof;
   const auto r = sim::simulate_alchemist(workloads::build_keyswitch(w), cfg,

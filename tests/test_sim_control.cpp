@@ -2,7 +2,9 @@
 // simulator engines. The load-bearing property pinned here: a run that is
 // interrupted at an arbitrary step boundary and resumed from its checkpoint
 // produces a SimResult bit-identical to an uninterrupted run — including
-// under an active fault model, whose RNG draws must replay exactly.
+// under an active fault model, whose per-op draws are keyed by op index and
+// so need no replay: one model serves the reference, interrupted and
+// resumed runs alike.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -32,7 +34,7 @@ metaop::OpGraph keyswitch_graph() {
 
 sim::SimResult run_engine(bool event, const metaop::OpGraph& g,
                           const arch::ArchConfig& cfg,
-                          fault::FaultModel* fault = nullptr,
+                          const fault::FaultModel* fault = nullptr,
                           sim::SimControl* control = nullptr) {
   return event ? sim::simulate_alchemist_events(g, cfg, nullptr, fault, control)
                : sim::simulate_alchemist(g, cfg, nullptr, fault, control);
@@ -103,12 +105,10 @@ void check_resume_bit_identical(bool event, bool with_fault) {
   fc.seed = 0xdead'beefull;
   fc.compute_fault_rate = fc.sram_fault_rate = fc.hbm_fault_rate = 5e-9;
 
-  std::unique_ptr<fault::FaultModel> ref_fault, run_fault;
-  if (with_fault) {
-    ref_fault = std::make_unique<fault::FaultModel>(fc, cfg.num_units);
-    run_fault = std::make_unique<fault::FaultModel>(fc, cfg.num_units);
-  }
-  const sim::SimResult ref = run_engine(event, g, cfg, ref_fault.get());
+  // One model for every run below: it holds no draw state.
+  const fault::FaultModel model(fc, cfg.num_units);
+  const fault::FaultModel* fault = with_fault ? &model : nullptr;
+  const sim::SimResult ref = run_engine(event, g, cfg, fault);
 
   // Interrupt after every possible number of steps and resume each time.
   for (std::uint64_t budget = 1;; ++budget) {
@@ -116,10 +116,9 @@ void check_resume_bit_identical(bool event, bool with_fault) {
     sim::SimControl ctl;
     ctl.max_steps = budget;
     ctl.checkpoint = &cp;
-    if (run_fault) run_fault->reset();
     sim::SimResult result;
     try {
-      result = run_engine(event, g, cfg, run_fault.get(), &ctl);
+      result = run_engine(event, g, cfg, fault, &ctl);
       expect_same_result(result, ref);  // budget outlived the run
       EXPECT_GE(budget, 1u);
       return;
@@ -137,8 +136,7 @@ void check_resume_bit_identical(bool event, bool with_fault) {
     // Resume with no budget: must land exactly on the reference.
     sim::SimControl resume;
     resume.checkpoint = &cp;
-    if (run_fault) run_fault->reset();
-    expect_same_result(run_engine(event, g, cfg, run_fault.get(), &resume), ref);
+    expect_same_result(run_engine(event, g, cfg, fault, &resume), ref);
   }
 }
 
@@ -314,7 +312,10 @@ TEST(Checkpoint, RejectsMismatchedResume) {
 // an earlier build must still resume. Pin the FNV-1a digest of
 // Checkpoint::state after 1-3 steps on both engines, with and without faults,
 // so any drift in either layout (or in the state it snapshots) fails here
-// instead of silently breaking old checkpoints.
+// instead of silently breaking old checkpoints. Neither cursor holds fault
+// draw state. The level cursor carries the fault totals, so its fault-on
+// pins also fix the per-op fault draw; the event cursor carries only each
+// op's retried work, which at these rates reaches max_retries on every op.
 TEST(Checkpoint, CursorBytesArePinned) {
   struct Pin {
     bool event;
@@ -326,9 +327,9 @@ TEST(Checkpoint, CursorBytesArePinned) {
       {false, false, 1, 0xcd28182e66c209f9ull},
       {false, false, 2, 0x6053febde5599d52ull},
       {false, false, 3, 0x1654f776fb23bd0eull},
-      {false, true, 1, 0x972d56e66cbef985ull},
-      {false, true, 2, 0xfb788c9261501f7aull},
-      {false, true, 3, 0x80d85ee23b6a6e9bull},
+      {false, true, 1, 0x4236ca6460bc4666ull},
+      {false, true, 2, 0xa3499cd1676ccd28ull},
+      {false, true, 3, 0x263ef405cf47a4dfull},
       {true, false, 1, 0x4f5335d318335a63ull},
       {true, false, 2, 0x41c2e4d2d795055cull},
       {true, false, 3, 0xae424cfeb4f3ed21ull},

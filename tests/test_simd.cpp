@@ -12,7 +12,6 @@
 
 #include "common/primes.h"
 #include "common/rng.h"
-#include "poly/four_step_ntt.h"
 #include "poly/lazy_kernels.h"
 #include "poly/ntt.h"
 
@@ -662,41 +661,6 @@ TEST(SimdNarrow, DispatchCountersAreTheirOwn) {
   EXPECT_STREQ(simd::kern_name(Kern::NttFwdNarrow), "ntt_fwd_narrow");
   EXPECT_STREQ(simd::kern_name(Kern::NttInvNarrow), "ntt_inv_narrow");
   EXPECT_STREQ(simd::kern_name(Kern::MulSumNarrow), "mul_sum_narrow");
-}
-
-TEST(FourStepWorkspace, CallerProvidedMatchesThreadLocal) {
-  const std::size_t n = 256;
-  const u64 q = max_ntt_prime(50, n);
-  FourStepNtt ntt(q, n);
-  Rng rng(31);
-  const std::vector<u64> input = rng.uniform_vector(n, q);
-
-  std::vector<u64> via_tls = input;
-  ntt.forward(via_tls);
-
-  FourStepNtt::Workspace ws;
-  std::vector<u64> via_ws = input;
-  ntt.forward(via_ws, ws);
-  EXPECT_EQ(via_ws, via_tls);
-  EXPECT_EQ(ws.buf_a.size(), n);  // scratch retained for reuse
-  EXPECT_EQ(ws.buf_b.size(), n);
-
-  ntt.inverse(via_ws, ws);
-  EXPECT_EQ(via_ws, input);
-}
-
-TEST(FourStepWorkspace, WorkspaceReusableAcrossSizesAndTables) {
-  FourStepNtt::Workspace ws;
-  Rng rng(32);
-  for (std::size_t n : {std::size_t{64}, std::size_t{1024}, std::size_t{16}}) {
-    const u64 q = max_ntt_prime(40, n);
-    FourStepNtt ntt(q, n);
-    const std::vector<u64> input = rng.uniform_vector(n, q);
-    std::vector<u64> a = input;
-    ntt.forward(a, ws);
-    ntt.inverse(a, ws);
-    EXPECT_EQ(a, input) << "n=" << n;
-  }
 }
 
 }  // namespace
