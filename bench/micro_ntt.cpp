@@ -26,11 +26,13 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/primes.h"
@@ -232,6 +234,55 @@ void BM_MulSumNarrowIsa(benchmark::State& state, simd::Isa isa) {
   state.SetItemsProcessed(state.iterations() * static_cast<long>(s.kRows * s.kN));
 }
 
+// The element-wise CKKS passes at the ckks_boot (N = 256) and ckks_helr
+// (N = 2048) degrees, on a 50-bit prime (the IFMA tier's 52-bit body):
+// Moddown's (x - conv) * P^-1 and the encoder's signed lift of rounded
+// coefficients, most of them below q in magnitude as in a Delta-scaled
+// diagonal.
+void BM_SubMulShoupIsa(benchmark::State& state, simd::Isa isa) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const u64 q = max_ntt_prime(50, n);
+  Rng rng(n);
+  const std::vector<u64> x = rng.uniform_vector(n, q);
+  std::vector<u64> y = rng.uniform_vector(n, q);
+  const MulModShoup w(rng.uniform(q), q);
+  for (auto _ : state) {
+    simd::sub_mul_shoup(x.data(), y.data(), n, w.operand(), w.quotient(), q, y.data(), isa);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<long>(n));
+}
+
+void BM_LiftSignedIsa(benchmark::State& state, simd::Isa isa) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const u64 q = max_ntt_prime(50, n);
+  Rng rng(n);
+  std::vector<i64> x(n);
+  for (i64& v : x) v = static_cast<i64>(rng.uniform(u64{1} << 45)) - (i64{1} << 44);
+  std::vector<u64> out(n);
+  for (auto _ : state) {
+    simd::lift_signed(x.data(), n, q, out.data(), isa);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<long>(n));
+}
+
+// One LWE keyswitch row update at TFHE set I's n = 630.
+void BM_SubScaledIsa(benchmark::State& state, simd::Isa isa) {
+  constexpr std::size_t kN = 630;
+  Rng rng(kN);
+  std::vector<u64> acc = rng.uniform_vector(kN, ~u64{0});
+  const std::vector<u64> row = rng.uniform_vector(kN, ~u64{0});
+  for (auto _ : state) {
+    simd::sub_scaled(acc.data(), row.data(), 3, kN, isa);
+    benchmark::DoNotOptimize(acc.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<long>(kN));
+}
+
 void register_isa_benchmarks() {
   for (simd::Isa isa : kAllIsas) {
     if (!simd::isa_supported(isa)) continue;
@@ -249,8 +300,49 @@ void register_isa_benchmarks() {
                                  BM_NarrowInverseIsa, isa);
     benchmark::RegisterBenchmark(("BM_MulSumNarrowIsa" + suffix).c_str(), BM_MulSumNarrowIsa,
                                  isa);
+    benchmark::RegisterBenchmark(("BM_SubMulShoupIsa" + suffix).c_str(), BM_SubMulShoupIsa, isa)
+        ->Arg(256)
+        ->Arg(2048);
+    benchmark::RegisterBenchmark(("BM_LiftSignedIsa" + suffix).c_str(), BM_LiftSignedIsa, isa)
+        ->Arg(256)
+        ->Arg(2048);
+    benchmark::RegisterBenchmark(("BM_SubScaledIsa" + suffix).c_str(), BM_SubScaledIsa, isa);
   }
 }
+
+// The cost of one pool fan-out: two chunks of a fixed dependent integer
+// chain (Arg 0 steps each, about 1 ns a step), run as one parallel_for at
+// pool width Arg 1. Width 1 runs both chunks inline, the serial reference;
+// worker_share is the fraction of chunks a pool worker ran.
+void BM_ParallelForDispatch(benchmark::State& state) {
+  const auto steps = static_cast<u64>(state.range(0));
+  ThreadPool::set_threads(static_cast<std::size_t>(state.range(1)));
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<u64> on_worker{0};
+  u64 sink = 0;
+  for (auto _ : state) {
+    u64 results[2] = {};
+    parallel_for(2, 1, [&](std::size_t b, std::size_t e) {
+      for (std::size_t c = b; c < e; ++c) {
+        u64 x = c + 1;
+        for (u64 i = 0; i < steps; ++i) x = x * 6364136223846793005ull + 1442695040888963407ull;
+        results[c] = x;
+        if (std::this_thread::get_id() != caller) on_worker.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+    sink += results[0] ^ results[1];
+  }
+  benchmark::DoNotOptimize(sink);
+  state.counters["worker_share"] =
+      static_cast<double>(on_worker.load()) / (2.0 * static_cast<double>(state.iterations()));
+  ThreadPool::set_threads(1);
+}
+BENCHMARK(BM_ParallelForDispatch)
+    ->Args({5000, 1})
+    ->Args({5000, 2})
+    ->Args({20000, 1})
+    ->Args({20000, 2})
+    ->UseRealTime();
 
 void BM_BconvApply(benchmark::State& state) {
   const std::size_t n = 4096;
@@ -344,8 +436,9 @@ RnsPoly run_fixed_workload(obs::Registry* reg) {
     reg->add("substrate.inline_runs", after.inline_runs - before.inline_runs);
     reg->add("substrate.tasks", after.tasks - before.tasks);
     // Per-(kernel, isa) dispatch deltas: exact for a fixed workload and
-    // forced ISA (reps x limbs transforms + the BConv weighted sums and
-    // the forward NTT of each BConv output channel).
+    // forced ISA (reps x limbs transforms + the BConv x·q̂⁻¹ pass of each
+    // source channel, its weighted sums and the forward NTT of each BConv
+    // output channel).
     for (std::size_t k = 0; k < simd::kNumKerns; ++k) {
       for (std::size_t i = 0; i < simd::kNumIsas; ++i) {
         const auto kern = static_cast<simd::Kern>(k);
@@ -467,6 +560,36 @@ int run_smoke_mode() {
       }
     }
   }
+  // The element-wise passes on every supported ISA against exact 128-bit
+  // arithmetic, on a modulus each side of the IFMA tier's 2^50 bound.
+  for (const u64 pq : {max_ntt_prime(50, 4096), max_ntt_prime(62, 4096)}) {
+    const std::size_t n = 2051;  // a tail on every ISA
+    const std::vector<u64> x = rng.uniform_vector(n, pq), y = rng.uniform_vector(n, pq);
+    const MulModShoup w(rng.uniform(pq), pq);
+    std::vector<i64> coeffs(n);
+    for (i64& c : coeffs) c = static_cast<i64>(rng.uniform(u64{1} << 63)) - (i64{1} << 62);
+    std::vector<u64> shoup_ref(n), lift_ref(n), row_ref = x;
+    for (std::size_t k = 0; k < n; ++k) {
+      shoup_ref[k] = static_cast<u64>(u128{(x[k] + pq - y[k]) % pq} * w.operand() % pq);
+      const i128 r = static_cast<i128>(coeffs[k]) % static_cast<i128>(pq);
+      lift_ref[k] = static_cast<u64>(r < 0 ? r + pq : r);
+      row_ref[k] -= 5 * y[k];
+    }
+    for (simd::Isa isa : kAllIsas) {
+      if (!simd::isa_supported(isa)) continue;
+      std::vector<u64> out(n), row = x;
+      simd::sub_mul_shoup(x.data(), y.data(), n, w.operand(), w.quotient(), pq, out.data(), isa);
+      const bool shoup_ok = out == shoup_ref;
+      simd::lift_signed(coeffs.data(), n, pq, out.data(), isa);
+      const bool lift_ok = out == lift_ref;
+      simd::sub_scaled(row.data(), y.data(), 5, n, isa);
+      if (!shoup_ok || !lift_ok || row != row_ref) {
+        std::fprintf(stderr, "SMOKE FAIL: %s %s != reference\n", simd::isa_name(isa),
+                     !shoup_ok ? "sub_mul_shoup" : !lift_ok ? "lift_signed" : "sub_scaled");
+        return 1;
+      }
+    }
+  }
   // Narrow (30-bit prime, 32-bit word) transforms and MAC on every supported
   // ISA: the transforms against the 64-bit eager ones on the same prime, the
   // MAC against an exact 128-bit sum.
@@ -519,7 +642,7 @@ int run_smoke_mode() {
     return 1;
   }
   std::fprintf(stderr,
-               "SMOKE OK: lazy==eager, per-ISA==eager (<=%s, sums included), "
+               "SMOKE OK: lazy==eager, per-ISA==eager (<=%s, sums and element-wise passes included), "
                "narrow==wide eager, "
                "2-thread==sequential (bit-identical)\n",
                simd::isa_name(simd::best_supported_isa()));

@@ -273,10 +273,13 @@ bool run_soak(std::size_t workers, const std::vector<GraphPtr>& graphs,
 // a 4-worker runner, once plain, once with JobSpec::profile, and once under
 // distributed tracing (TraceSink + EventLog, phase detail). Each instrumented
 // configuration must reproduce the plain simulated outcome bit for bit and
-// land within kMaxOverhead of the plain wall-clock (best of kReps each).
+// land within kMaxOverhead of the plain wall-clock. A pass takes a few ms, so
+// the four configurations alternate pass by pass over kRounds rounds (drift
+// on a shared host lands on all of them alike), and each is timed by the
+// median of its passes.
 bool run_smoke(const std::string& trace_out) {
   constexpr std::size_t kSmokeJobs = 16;
-  constexpr int kReps = 5;
+  constexpr int kRounds = 31;
   constexpr double kMaxOverhead = 0.10;
 
   // Heavyweight jobs — the overhead gate is about instrumenting realistic
@@ -335,34 +338,40 @@ bool run_smoke(const std::string& trace_out) {
     return wall_ms;
   };
 
-  double wall_off = 1e300, wall_profiled = 1e300, wall_mem = 1e300,
-         wall_traced = 1e300;
-  std::vector<sim::SimResult> base, profiled, memed, traced, scratch;
+  struct Config {
+    const char* what;
+    bool profile, mem, traced;
+    obs::Registry* reg;
+    std::vector<sim::SimResult> first;  // results of the first pass
+    std::vector<double> ms;
+  };
   obs::Registry last_reg, mem_reg;
-  for (int rep = 0; rep < kReps; ++rep) {
-    const double ms = run(false, false, false, scratch, nullptr);
-    if (ms < 0) { std::fprintf(stderr, "smoke: plain job failed\n"); return false; }
-    wall_off = std::min(wall_off, ms);
-    if (rep == 0) base = scratch;
+  Config configs[] = {{"plain", false, false, false, nullptr, {}, {}},
+                      {"profiled", true, false, false, &last_reg, {}, {}},
+                      {"mem-profiled", false, true, false, &mem_reg, {}, {}},
+                      {"traced", false, false, true, nullptr, {}, {}}};
+  std::vector<sim::SimResult> scratch;
+  for (int round = 0; round < kRounds; ++round) {
+    for (Config& c : configs) {
+      const double ms = run(c.profile, c.mem, c.traced, scratch, c.reg);
+      if (ms < 0) {
+        std::fprintf(stderr, "smoke: %s job failed\n", c.what);
+        return false;
+      }
+      c.ms.push_back(ms);
+      if (round == 0) c.first = scratch;
+    }
   }
-  for (int rep = 0; rep < kReps; ++rep) {
-    const double ms = run(true, false, false, scratch, &last_reg);
-    if (ms < 0) { std::fprintf(stderr, "smoke: profiled job failed\n"); return false; }
-    wall_profiled = std::min(wall_profiled, ms);
-    if (rep == 0) profiled = scratch;
-  }
-  for (int rep = 0; rep < kReps; ++rep) {
-    const double ms = run(false, true, false, scratch, &mem_reg);
-    if (ms < 0) { std::fprintf(stderr, "smoke: mem-profiled job failed\n"); return false; }
-    wall_mem = std::min(wall_mem, ms);
-    if (rep == 0) memed = scratch;
-  }
-  for (int rep = 0; rep < kReps; ++rep) {
-    const double ms = run(false, false, true, scratch, nullptr);
-    if (ms < 0) { std::fprintf(stderr, "smoke: traced job failed\n"); return false; }
-    wall_traced = std::min(wall_traced, ms);
-    if (rep == 0) traced = scratch;
-  }
+  auto median = [](std::vector<double> v) {
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+  };
+  const double wall_off = median(configs[0].ms), wall_profiled = median(configs[1].ms),
+               wall_mem = median(configs[2].ms), wall_traced = median(configs[3].ms);
+  const std::vector<sim::SimResult>& base = configs[0].first;
+  const std::vector<sim::SimResult>& profiled = configs[1].first;
+  const std::vector<sim::SimResult>& memed = configs[2].first;
+  const std::vector<sim::SimResult>& traced = configs[3].first;
   std::printf("svc_soak --smoke: per-class latency of the last profiled run:\n");
   print_class_latency(last_reg);
 

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/biguint.h"
+#include "common/simd.h"
 
 namespace alchemist::ckks {
 
@@ -122,16 +123,8 @@ CkksEncoder::CkksEncoder(ContextPtr ctx) : ctx_(std::move(ctx)) {
   }
 }
 
-// Through the channel's Barrett reduction. |x| < 2^62, so the negation
-// cannot overflow.
 void lift_signed(std::span<const i64> coeffs, const Modulus& mod, std::span<u64> out) {
-  for (std::size_t k = 0; k < coeffs.size(); ++k) {
-    const i64 x = coeffs[k];
-    // Most coefficients of a Delta-scaled message are already below q.
-    const u64 a = static_cast<u64>(x < 0 ? -x : x);
-    const u64 r = a < mod.value() ? a : mod.reduce(a);
-    out[k] = x < 0 ? mod.neg(r) : r;
-  }
+  simd::lift_signed(coeffs.data(), coeffs.size(), mod.value(), out.data());
 }
 
 std::vector<i64> CkksEncoder::encode_coefficients(
@@ -245,12 +238,13 @@ std::vector<double> to_centered_doubles(const RnsPoly& coeff_form) {
   const std::size_t channels = coeff_form.num_channels();
   const BigUInt big_q = BigUInt::product(coeff_form.moduli());
   const BigUInt half_q = big_q.div_u64(2);
+  const CrtComposer crt(coeff_form.moduli());
 
   std::vector<double> out(n);
   std::vector<u64> residues(channels);
   for (std::size_t k = 0; k < n; ++k) {
     for (std::size_t c = 0; c < channels; ++c) residues[c] = coeff_form.channel(c)[k];
-    BigUInt x = crt_compose(residues, coeff_form.moduli());
+    const BigUInt x = crt.compose(residues);
     if (x > half_q) {
       out[k] = -(big_q - x).to_double();
     } else {

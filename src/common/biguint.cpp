@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace alchemist {
 
@@ -161,26 +162,44 @@ double BigUInt::to_double() const {
   return value;
 }
 
-BigUInt crt_compose(const std::vector<u64>& residues, const std::vector<u64>& moduli) {
-  if (residues.size() != moduli.size()) {
-    throw std::invalid_argument("crt_compose: size mismatch");
+CrtComposer::CrtComposer(std::vector<u64> moduli) : moduli_(std::move(moduli)) {
+  radix_inv_.reserve(moduli_.size());
+  radix_.resize(moduli_.size());
+  for (std::size_t i = 0; i < moduli_.size(); ++i) {
+    const u64 qi = moduli_[i];
+    u64 m = 1 % qi;  // q_0 ... q_{j-1} mod q_i
+    for (std::size_t j = 0; j < i; ++j) {
+      radix_[i].emplace_back(m, qi);
+      m = mul_mod(m, moduli_[j] % qi, qi);
+    }
+    radix_inv_.emplace_back(inv_mod(m, qi), qi);
   }
-  // Garner-style incremental reconstruction: maintain x and M = prod of the
-  // moduli handled so far; fold in one congruence at a time.
-  BigUInt x(0);
-  BigUInt m_acc(1);
-  for (std::size_t i = 0; i < moduli.size(); ++i) {
-    const u64 qi = moduli[i];
-    const u64 x_mod = x.mod_u64(qi);
-    const u64 m_mod = m_acc.mod_u64(qi);
-    const u64 delta = sub_mod(residues[i] % qi, x_mod, qi);
-    const u64 t = mul_mod(delta, inv_mod(m_mod, qi), qi);
-    BigUInt step = m_acc;
-    step.mul_u64(t);
-    x += step;
-    m_acc.mul_u64(qi);
+}
+
+BigUInt CrtComposer::compose(std::span<const u64> residues) const {
+  const std::size_t count = moduli_.size();
+  if (residues.size() != count) throw std::invalid_argument("crt_compose: size mismatch");
+  // Digit i is (r_i - (t_0 + t_1 q_0 + ... + t_{i-1} q_0 ... q_{i-2})) over
+  // q_0 ... q_{i-1}, mod q_i; then x = t_0 + q_0 (t_1 + q_1 (t_2 + ...)).
+  std::vector<u64> digits(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const u64 qi = moduli_[i];
+    u64 partial = 0;
+    for (std::size_t j = 0; j < i; ++j) {
+      partial = add_mod(partial, radix_[i][j].mul(digits[j]), qi);
+    }
+    digits[i] = radix_inv_[i].mul(sub_mod(residues[i] % qi, partial, qi));
+  }
+  BigUInt x;
+  for (std::size_t i = count; i-- > 0;) {
+    x.mul_u64(moduli_[i]);
+    x.add_u64(digits[i]);
   }
   return x;
+}
+
+BigUInt crt_compose(const std::vector<u64>& residues, const std::vector<u64>& moduli) {
+  return CrtComposer(moduli).compose(residues);
 }
 
 }  // namespace alchemist

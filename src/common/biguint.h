@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,6 +55,25 @@ class BigUInt {
  private:
   void trim();
   std::vector<u64> limbs_;  // little-endian, no trailing zero limbs
+};
+
+// Garner's mixed-radix CRT over one basis of pairwise coprime moduli, with
+// its constants built once: compose() runs no inversion, only Shoup
+// multiplies for the mixed-radix digits and one BigUInt Horner pass.
+class CrtComposer {
+ public:
+  explicit CrtComposer(std::vector<u64> moduli);
+
+  // The unique x in [0, prod moduli) with x ≡ residues[i] (mod moduli[i]).
+  // Throws std::invalid_argument unless there is one residue per modulus.
+  BigUInt compose(std::span<const u64> residues) const;
+
+ private:
+  std::vector<u64> moduli_;
+  // For digit i: (q_0 ... q_{i-1})^-1 mod q_i, and (q_0 ... q_{j-1}) mod q_i
+  // for j < i, as Shoup constants mod q_i.
+  std::vector<MulModShoup> radix_inv_;
+  std::vector<std::vector<MulModShoup>> radix_;
 };
 
 // CRT composition: the unique x in [0, prod moduli) with x ≡ residues[i]

@@ -102,6 +102,7 @@ const char* kern_name(Kern k) {
     case Kern::NttFwdNarrow: return "ntt_fwd_narrow";
     case Kern::NttInvNarrow: return "ntt_inv_narrow";
     case Kern::MulSumNarrow: return "mul_sum_narrow";
+    case Kern::SubMulShoup: return "sub_mul_shoup";
     case Kern::kCount: break;
   }
   return "unknown";
@@ -225,10 +226,17 @@ constinit const detail::Kernels detail::kScalarKernels = {
     },
     .crt_lift_add_narrow = [](const u32* lo, const u32* hi, std::size_t n, const NarrowCrt& crt,
                               u64* dst) { crt_lift_add_scalar(lo, hi, 0, n, crt, dst); },
+    .sub_mul_shoup = [](const u64* x, const u64* y, std::size_t n, u64 w_op, u64 w_quot, u64 q,
+                        u64* out) { sub_mul_shoup_scalar(x, y, 0, n, w_op, w_quot, q, out); },
+    .lift_signed = [](const std::int64_t* x, std::size_t n, u64 q,
+                      u64* out) { lift_signed_scalar(x, 0, n, q, out); },
+    .sub_scaled = [](u64* acc, const u64* row, u64 d,
+                     std::size_t n) { sub_scaled_scalar(acc, row, d, 0, n); },
     .ntt_forward52 = nullptr,
     .ntt_inverse52 = nullptr,
     .mul_sum52 = nullptr,
-    .weighted_sum52 = nullptr};
+    .weighted_sum52 = nullptr,
+    .sub_mul_shoup52 = nullptr};
 
 // ---------------------------------------------------------------------------
 // Dispatchers.
@@ -338,6 +346,22 @@ void weighted_sum(const u64* const* x, const u64* w, std::size_t rows, std::size
               [&](std::size_t t, std::size_t base, std::size_t len, u64* lo, u64* hi) {
                 k.mul_accumulate(x[t] + base, w + t, 0, len, lo, hi);
               });
+}
+
+void sub_mul_shoup(const u64* x, const u64* y, std::size_t n, u64 w_op, u64 w_quot, u64 q,
+                   u64* out, Isa isa) {
+  const detail::Kernels& k = kernels(isa);
+  note_dispatch(Kern::SubMulShoup, isa);
+  (k.sub_mul_shoup52 != nullptr && q < kIfmaModulusBound ? k.sub_mul_shoup52 : k.sub_mul_shoup)(
+      x, y, n, w_op, w_quot, q, out);
+}
+
+void lift_signed(const std::int64_t* x, std::size_t n, u64 q, u64* out, Isa isa) {
+  kernels(isa).lift_signed(x, n, q, out);
+}
+
+void sub_scaled(u64* acc, const u64* row, u64 d, std::size_t n, Isa isa) {
+  kernels(isa).sub_scaled(acc, row, d, n);
 }
 
 void ntt_forward_narrow(const NttTables32& t, u32* a, Isa isa) {

@@ -31,6 +31,11 @@
 // back by CRT. Together they serve the TFHE external product
 // (tfhe/torus_poly.h), which works mod two such primes.
 //
+// Three element-wise passes round them out: the Shoup multiply-and-subtract of
+// BConv's x·q̂⁻¹ and Moddown's (x − conv)·P⁻¹ passes, the signed lift of
+// rounded CKKS coefficients into a channel, and the LWE keyswitch's wrapping
+// row update.
+//
 // Dispatch is runtime CPU-feature based and resolved once per process:
 // explicit set_isa() (the --isa flag) takes precedence, then the
 // ALCHEMIST_ISA environment variable, then the best CPUID-supported variant
@@ -71,13 +76,14 @@ enum class Kern : std::uint8_t {
   NttFwdNarrow,
   NttInvNarrow,
   MulSumNarrow,
+  SubMulShoup,
   kCount
 };
 inline constexpr std::size_t kNumKerns = static_cast<std::size_t>(Kern::kCount);
 
 const char* isa_name(Isa isa);    // "scalar" | "avx2" | "avx512" | "avx512ifma"
 // "ntt_fwd" | "ntt_inv" | "weighted_sum" | "mul_acc" | "ntt_fwd_narrow" |
-// "ntt_inv_narrow" | "mul_sum_narrow"
+// "ntt_inv_narrow" | "mul_sum_narrow" | "sub_mul_shoup"
 const char* kern_name(Kern k);
 
 // Parse "scalar" / "avx2" / "avx512" / "avx512ifma" / "native" (= best
@@ -142,6 +148,27 @@ void mul_sum(const std::uint64_t* const* a, const std::uint64_t* const* b, std::
 void weighted_sum(const std::uint64_t* const* x, const std::uint64_t* w, std::size_t rows,
                   std::size_t n, std::uint64_t q, std::uint64_t x_bound, std::uint64_t* out,
                   Isa isa = active_isa());
+
+// out[k] = (x[k] - y[k]) * w mod q, canonical, for k in [0, n), a null y
+// read as zeros: BConv's x·q̂⁻¹ pass (no y) and Moddown's (x − conv)·P⁻¹.
+// Every x[k], y[k] is below q <= kMaxModulus, and (w_op, w_quot) is the
+// Shoup pair of some w < q (MulModShoup's operand and quotient), so a call
+// divides nothing. `out` may alias x or y. Records one SubMulShoup dispatch
+// per call.
+void sub_mul_shoup(const std::uint64_t* x, const std::uint64_t* y, std::size_t n,
+                   std::uint64_t w_op, std::uint64_t w_quot, std::uint64_t q, std::uint64_t* out,
+                   Isa isa = active_isa());
+
+// out[k] = x[k] mod q, canonical, for k in [0, n): signed coefficients with
+// |x[k]| < 2^62 lifted into one channel of modulus q <= kMaxModulus. `out`
+// must not overlap x. Records no dispatch.
+void lift_signed(const std::int64_t* x, std::size_t n, std::uint64_t q, std::uint64_t* out,
+                 Isa isa = active_isa());
+
+// acc[k] -= d * row[k] mod 2^64 for k in [0, n): one row update of the LWE
+// keyswitch on torus words. Records no dispatch.
+void sub_scaled(std::uint64_t* acc, const std::uint64_t* row, std::uint64_t d, std::size_t n,
+                Isa isa = active_isa());
 
 // Narrow words. A Shoup twiddle table for a prime q < 2^30 in the layout of
 // NttTables; quotients are floor(w << 32 / q).

@@ -63,6 +63,11 @@ struct Avx2 {
     const V lt = _mm256_cmpgt_epi64(_mm256_xor_si256(b, sign), _mm256_xor_si256(a, sign));
     return sub64(x, and_(lt, y));
   }
+  static unsigned lt_mask64(V a, V b) {
+    const V sign = set1_64(u64{1} << 63);
+    const V lt = _mm256_cmpgt_epi64(_mm256_xor_si256(b, sign), _mm256_xor_si256(a, sign));
+    return static_cast<unsigned>(_mm256_movemask_pd(_mm256_castsi256_pd(lt)));
+  }
   static V add_if_neg32(V x, V s, V y) { return add32(x, and_(_mm256_srai_epi32(s, 31), y)); }
   static V blend_odd32(V a, V b) { return _mm256_blend_epi32(a, b, 0xaa); }
   static V permute32(V x, V idx) { return _mm256_permutevar8x32_epi32(x, idx); }

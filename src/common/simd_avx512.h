@@ -44,6 +44,7 @@ struct Avx512 {
   static V sub_if_lt64(V x, V a, V b, V y) {
     return _mm512_mask_sub_epi64(x, _mm512_cmplt_epu64_mask(a, b), x, y);
   }
+  static unsigned lt_mask64(V a, V b) { return _mm512_cmplt_epu64_mask(a, b); }
   static V add_if_neg32(V x, V s, V y) {
     return _mm512_mask_add_epi32(x, _mm512_movepi32_mask(s), x, y);
   }

@@ -1,5 +1,5 @@
-// The AVX-512 IFMA tier: the AVX-512 bodies, plus 52-bit lazy NTTs and
-// mul_sum / weighted_sum accumulations for moduli q < 2^50. Compiled with
+// The AVX-512 IFMA tier: the AVX-512 bodies, plus 52-bit lazy NTTs, the
+// Shoup pass and mul_sum / weighted_sum accumulations for moduli q < 2^50. Compiled with
 // -mavx512f -mavx512dq -mavx512ifma (see src/common/CMakeLists.txt); only
 // reachable behind simd::isa_supported(Isa::Avx512Ifma), with the q < 2^50
 // rule applied by the dispatcher (common/simd.cpp).
@@ -139,6 +139,7 @@ constinit const Kernels kAvx512IfmaKernels = [] {
   k.ntt_inverse52 = ntt_inverse<Arith52, NttTables>;
   k.mul_sum52 = mul_sum52;
   k.weighted_sum52 = weighted_sum52;
+  k.sub_mul_shoup52 = sub_mul_shoup<Arith52>;
   return k;
 }();
 

@@ -327,8 +327,8 @@ RnsPoly BConv::apply(const RnsPoly& x) const {
     KernelTimer timer(Kernel::BConv);
     for (std::size_t i = b; i < e; ++i) {
       const MulModShoup& w = qhat_inv_mod_qi_[i];
-      const std::span<const u64> xi = x.channel(i);
-      for (std::size_t k = 0; k < n; ++k) v[i][k] = w.mul(xi[k]);
+      simd::sub_mul_shoup(x.channel(i).data(), nullptr, n, w.operand(), w.quotient(), source_[i],
+                          v[i].data());
     }
   });
 
@@ -395,13 +395,10 @@ RnsPoly moddown(const RnsPoly& x, std::size_t num_special) {
   // converted channels.
   parallel_for(num_q, channel_grain(x.degree()), [&](std::size_t b, std::size_t e) {
     for (std::size_t i = b; i < e; ++i) {
-      const Modulus& qi = out.channel_modulus(i);
       const MulModShoup& p_inv = tables.p_inv[i];
-      std::span<u64> oi = out.channel(i);
-      std::span<const u64> xi = x.channel(i);
-      for (std::size_t k = 0; k < out.degree(); ++k) {
-        oi[k] = p_inv.mul(qi.sub(xi[k], oi[k]));
-      }
+      u64* oi = out.channel(i).data();
+      simd::sub_mul_shoup(x.channel(i).data(), oi, x.degree(), p_inv.operand(), p_inv.quotient(),
+                          q_moduli[i], oi);
     }
   });
   return out;

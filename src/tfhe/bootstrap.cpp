@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "common/simd.h"
+
 namespace alchemist::tfhe {
 
 KeySwitchKey make_keyswitch_key(const LweKey& from, const LweKey& to,
@@ -43,7 +45,7 @@ LweSample keyswitch(const LweSample& in, const KeySwitchKey& ksk) {
       // out -= digit * ks[i][j], fused: no scaled copy of the key row.
       const LweSample& row = ksk.ks[i][j];
       const u64 d = static_cast<u64>(digits[j]);
-      for (std::size_t t = 0; t < target_dim; ++t) out.a[t] -= d * row.a[t];
+      simd::sub_scaled(out.a.data(), row.a.data(), d, target_dim);
       out.b -= d * row.b;
     }
   }

@@ -107,6 +107,31 @@ TEST(CrtCompose, RandomRoundTripLargeModuli) {
   }
 }
 
+// The composer's mixed-radix digits against the textbook CRT sum
+// x = sum_i [r_i * Qhat_i^-1]_{q_i} * Qhat_i mod Q, on a 21-prime basis
+// with the edge residues 0 and q - 1.
+TEST(CrtCompose, ComposerMatchesTextbookSum) {
+  const auto moduli = generate_ntt_primes(50, 2048, 21);
+  const BigUInt big_q = BigUInt::product(moduli);
+  const CrtComposer crt(moduli);
+  Rng rng(100);
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<u64> residues;
+    for (u64 q : moduli) {
+      residues.push_back(trial == 0 ? 0 : trial == 1 ? q - 1 : rng.uniform(q));
+    }
+    BigUInt want;
+    for (std::size_t i = 0; i < moduli.size(); ++i) {
+      const BigUInt qhat = big_q.div_u64(moduli[i], /*require_exact=*/true);
+      const u64 w = mul_mod(residues[i], inv_mod(qhat.mod_u64(moduli[i]), moduli[i]), moduli[i]);
+      want += BigUInt(qhat).mul_u64(w);
+    }
+    while (want >= big_q) want -= big_q;
+    EXPECT_EQ(crt.compose(residues), want) << "trial " << trial;
+    EXPECT_EQ(crt_compose(residues, moduli), want) << "trial " << trial;
+  }
+}
+
 TEST(CrtCompose, SizeMismatchThrows) {
   EXPECT_THROW(crt_compose({1, 2}, {3}), std::invalid_argument);
 }

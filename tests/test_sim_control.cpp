@@ -314,8 +314,10 @@ TEST(Checkpoint, RejectsMismatchedResume) {
 // so any drift in either layout (or in the state it snapshots) fails here
 // instead of silently breaking old checkpoints. Neither cursor holds fault
 // draw state. The level cursor carries the fault totals, so its fault-on
-// pins also fix the per-op fault draw; the event cursor carries only each
-// op's retried work, which at these rates reaches max_retries on every op.
+// pins also fix the per-op fault draw. The event cursor carries only each
+// op's retried work, which at 1e-6 reaches max_retries on every op whatever
+// the draw, so its fault-on pins run at 1e-8, where a few ops retry and a
+// second seed moves every pin.
 TEST(Checkpoint, CursorBytesArePinned) {
   struct Pin {
     bool event;
@@ -333,32 +335,42 @@ TEST(Checkpoint, CursorBytesArePinned) {
       {true, false, 1, 0x4f5335d318335a63ull},
       {true, false, 2, 0x41c2e4d2d795055cull},
       {true, false, 3, 0xae424cfeb4f3ed21ull},
-      {true, true, 1, 0xaa5b95d6870c7ce1ull},
-      {true, true, 2, 0xebf255e1082724e5ull},
-      {true, true, 3, 0xbf4437106b54ed32ull},
+      {true, true, 1, 0x0a7fda2943fac62aull},
+      {true, true, 2, 0x0d19816105dca6e1ull},
+      {true, true, 3, 0xd4d15888eafc471cull},
   };
   const metaop::OpGraph g = keyswitch_graph();
   const arch::ArchConfig cfg = arch::ArchConfig::alchemist();
   // Rates high enough, under detect-retry, that faults reach both blobs:
   // the level cursor carries the fault totals, the event cursor the retried
   // per-op work.
-  fault::FaultConfig fc;
-  fc.seed = 0xdead'beefull;
-  fc.compute_fault_rate = fc.sram_fault_rate = fc.hbm_fault_rate = 1e-6;
-  fc.policy = fault::Policy::DetectRetry;
-  for (const Pin& p : pins) {
-    std::unique_ptr<fault::FaultModel> fm;
-    if (p.faults) fm = std::make_unique<fault::FaultModel>(fc, cfg.num_units);
+  auto faults = [&](bool event, std::uint64_t seed) {
+    fault::FaultConfig fc;
+    fc.seed = seed;
+    fc.compute_fault_rate = fc.sram_fault_rate = fc.hbm_fault_rate = event ? 1e-8 : 1e-6;
+    fc.policy = fault::Policy::DetectRetry;
+    return std::make_unique<fault::FaultModel>(fc, cfg.num_units);
+  };
+  auto cursor = [&](bool event, const fault::FaultModel* fm, std::uint64_t steps) {
     sim::Checkpoint cp;
     sim::SimControl ctl;
-    ctl.max_steps = p.steps;
+    ctl.max_steps = steps;
     ctl.checkpoint = &cp;
-    EXPECT_THROW(run_engine(p.event, g, cfg, fm.get(), &ctl), sim::CancelledError);
-    ASSERT_TRUE(cp.valid());
-    EXPECT_EQ(cp.engine, p.event ? sim::kEventEngine : sim::kLevelEngine);
-    EXPECT_EQ(fnv1a(cp.state), p.digest)
+    EXPECT_THROW(run_engine(event, g, cfg, fm, &ctl), sim::CancelledError);
+    EXPECT_TRUE(cp.valid());
+    EXPECT_EQ(cp.engine, event ? sim::kEventEngine : sim::kLevelEngine);
+    return fnv1a(cp.state);
+  };
+  for (const Pin& p : pins) {
+    std::unique_ptr<fault::FaultModel> fm;
+    if (p.faults) fm = faults(p.event, 0xdead'beefull);
+    EXPECT_EQ(cursor(p.event, fm.get(), p.steps), p.digest)
         << (p.event ? "event" : "level") << (p.faults ? " +faults" : "")
         << " after " << p.steps << " steps";
+    if (p.event && p.faults) {
+      EXPECT_NE(cursor(true, faults(true, 0x5eedull).get(), p.steps), p.digest)
+          << "event +faults after " << p.steps << " steps does not depend on the draw";
+    }
   }
 }
 

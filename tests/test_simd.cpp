@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "common/primes.h"
@@ -115,6 +116,12 @@ TEST(SimdDispatch, ForcedKernelRejectsUnsupported) {
                  std::invalid_argument);
     EXPECT_THROW(simd::crt_lift_add_narrow(words.data(), words.data(), 16, crt, lo.data(), isa),
                  std::invalid_argument);
+    EXPECT_THROW(simd::sub_mul_shoup(a.data(), a.data(), 16, 1, 0, q, lo.data(), isa),
+                 std::invalid_argument);
+    const std::vector<i64> signed_words(16, -1);
+    EXPECT_THROW(simd::lift_signed(signed_words.data(), 16, q, lo.data(), isa),
+                 std::invalid_argument);
+    EXPECT_THROW(simd::sub_scaled(lo.data(), a.data(), 3, 16, isa), std::invalid_argument);
   }
 }
 
@@ -425,6 +432,132 @@ TEST(SimdSums, WeightedSumHonoursTheInputBound) {
       std::vector<u64> out(n);
       simd::weighted_sum(xp.data(), w.data(), rows, n, q, x_bound, out.data(), isa);
       EXPECT_EQ(out, want) << simd::isa_name(isa) << " x_bound=" << x_bound;
+    }
+  }
+}
+
+// The element-wise passes: moduli on both sides of the IFMA tier's 2^50
+// bound (a 50-bit prime runs the 52-bit body, a 51-bit one and 2^50 + 1 the
+// 64-bit one) and near kMaxModulus, with lengths that leave every tail.
+std::vector<u64> elementwise_moduli() {
+  return {max_ntt_prime(30, 1024), max_ntt_prime(50, 1024), (u64{1} << 50) + 1,
+          max_ntt_prime(51, 1024), max_ntt_prime(62, 1024), kMaxModulus};
+}
+
+const std::size_t kElementwiseSizes[] = {0, 1, 3, 4, 7, 8, 9, 16, 31, 256, 301};
+
+// Random residues with runs of 0 and q - 1.
+std::vector<u64> edge_residues(std::size_t n, u64 q, Rng& rng) {
+  std::vector<u64> a(n);
+  for (u64& v : a) {
+    const u64 pick = rng.uniform(4);
+    v = pick == 0 ? 0 : pick == 1 ? q - 1 : rng.uniform(q);
+  }
+  return a;
+}
+
+TEST(SimdElementwise, SubMulShoupMatchesExactAcrossIsasTailsAndAliasing) {
+  Rng rng(46);
+  for (u64 q : elementwise_moduli()) {
+    for (u64 w : {u64{0}, u64{1}, q - 1, rng.uniform(q)}) {
+      const MulModShoup shoup(w, q);
+      for (std::size_t n : kElementwiseSizes) {
+        const std::vector<u64> x = edge_residues(n, q, rng), y = edge_residues(n, q, rng);
+        std::vector<u64> want_x(n), want_xy(n);
+        for (std::size_t k = 0; k < n; ++k) {
+          want_x[k] = static_cast<u64>(u128{x[k]} * w % q);
+          want_xy[k] = static_cast<u64>(u128{(x[k] + q - y[k]) % q} * w % q);
+        }
+        for (Isa isa : supported_isas()) {
+          const std::string what = std::string(simd::isa_name(isa)) +
+                                   " q=" + std::to_string(q) + " w=" + std::to_string(w) +
+                                   " n=" + std::to_string(n);
+          const std::uint64_t before = simd::dispatch_count(Kern::SubMulShoup, isa);
+          std::vector<u64> out(n, 0xdeadbeef);
+          simd::sub_mul_shoup(x.data(), nullptr, n, shoup.operand(), shoup.quotient(), q,
+                              out.data(), isa);
+          EXPECT_EQ(out, want_x) << what << " no y";
+          out.assign(n, 0xdeadbeef);
+          simd::sub_mul_shoup(x.data(), y.data(), n, shoup.operand(), shoup.quotient(), q,
+                              out.data(), isa);
+          EXPECT_EQ(out, want_xy) << what;
+          std::vector<u64> in_x = x;  // out aliases x
+          simd::sub_mul_shoup(in_x.data(), y.data(), n, shoup.operand(), shoup.quotient(), q,
+                              in_x.data(), isa);
+          EXPECT_EQ(in_x, want_xy) << what << " out = x";
+          std::vector<u64> in_y = y;  // out aliases y
+          simd::sub_mul_shoup(x.data(), in_y.data(), n, shoup.operand(), shoup.quotient(), q,
+                              in_y.data(), isa);
+          EXPECT_EQ(in_y, want_xy) << what << " out = y";
+          in_x = x;
+          simd::sub_mul_shoup(in_x.data(), nullptr, n, shoup.operand(), shoup.quotient(), q,
+                              in_x.data(), isa);
+          EXPECT_EQ(in_x, want_x) << what << " no y, out = x";
+          EXPECT_EQ(simd::dispatch_count(Kern::SubMulShoup, isa), before + 5) << what;
+        }
+      }
+    }
+  }
+  EXPECT_STREQ(simd::kern_name(Kern::SubMulShoup), "sub_mul_shoup");
+}
+
+TEST(SimdElementwise, LiftSignedMatchesExactAcrossIsasAndEdges) {
+  Rng rng(47);
+  constexpr i64 kMaxAbs = (i64{1} << 62) - 1;
+  for (u64 q : elementwise_moduli()) {
+    const i64 sq = static_cast<i64>(q);
+    // Every edge at every lane position of a block, and in the tails.
+    std::vector<i64> edges = {0, sq - 1, -(sq - 1), sq, -sq, sq + 1, -(sq + 1), kMaxAbs,
+                              -kMaxAbs, 1, -1};
+    for (std::size_t n : kElementwiseSizes) {
+      for (std::size_t shift = 0; shift < 3; ++shift) {
+        std::vector<i64> x(n);
+        for (std::size_t k = 0; k < n; ++k) {
+          const u64 pick = rng.uniform(4);
+          // Mostly |x| < q, as for a Delta-scaled message; some anywhere.
+          x[k] = pick == 0   ? edges[(k + shift) % edges.size()]
+                 : pick == 1 ? static_cast<i64>(rng.uniform(2 * u64{kMaxAbs} + 1)) - kMaxAbs
+                             : static_cast<i64>(rng.uniform(2 * q - 1)) - (sq - 1);
+        }
+        std::vector<u64> want(n);
+        for (std::size_t k = 0; k < n; ++k) {
+          const i128 r = static_cast<i128>(x[k]) % sq;
+          want[k] = static_cast<u64>(r < 0 ? r + sq : r);
+        }
+        for (Isa isa : supported_isas()) {
+          std::vector<u64> out(n, 0xdeadbeef);
+          simd::lift_signed(x.data(), n, q, out.data(), isa);
+          EXPECT_EQ(out, want) << simd::isa_name(isa) << " q=" << q << " n=" << n;
+        }
+      }
+    }
+    // Every lane of a block at one edge value.
+    for (i64 e : edges) {
+      const std::vector<i64> x(16, e);
+      const i128 r = static_cast<i128>(e) % sq;
+      const std::vector<u64> want(16, static_cast<u64>(r < 0 ? r + sq : r));
+      for (Isa isa : supported_isas()) {
+        std::vector<u64> out(16);
+        simd::lift_signed(x.data(), 16, q, out.data(), isa);
+        EXPECT_EQ(out, want) << simd::isa_name(isa) << " q=" << q << " x=" << e;
+      }
+    }
+  }
+}
+
+TEST(SimdElementwise, SubScaledWrapsLikeScalarAcrossIsasAndTails) {
+  Rng rng(48);
+  for (u64 d : {u64{0}, u64{1}, ~u64{0}, u64{3} << 62, rng.next()}) {
+    for (std::size_t n : kElementwiseSizes) {
+      const std::vector<u64> acc0 = rng.uniform_vector(n, ~u64{0});
+      const std::vector<u64> row = rng.uniform_vector(n, ~u64{0});
+      std::vector<u64> want = acc0;
+      for (std::size_t k = 0; k < n; ++k) want[k] -= d * row[k];
+      for (Isa isa : supported_isas()) {
+        std::vector<u64> acc = acc0;
+        simd::sub_scaled(acc.data(), row.data(), d, n, isa);
+        EXPECT_EQ(acc, want) << simd::isa_name(isa) << " d=" << d << " n=" << n;
+      }
     }
   }
 }
