@@ -344,6 +344,45 @@ BENCHMARK(BM_ParallelForDispatch)
     ->Args({20000, 2})
     ->UseRealTime();
 
+// The host's parallel capacity, the ceiling of any 2-thread speedup: two
+// fixed dependent multiply chains (Arg steps each) run back to back on the
+// calling thread, then at once on it and one std::thread, no pool involved.
+// speedup is the first time over the second: 2 on two free cores, 1 where
+// both threads share one core's throughput.
+void BM_ParallelCapacity(benchmark::State& state) {
+  using Clock = std::chrono::steady_clock;
+  const auto steps = static_cast<u64>(state.range(0));
+  // Seed and result pass through DoNotOptimize, so a chain cannot move
+  // across a clock read or the thread's start and join.
+  const auto chain = [steps](u64 x) {
+    benchmark::DoNotOptimize(x);
+    for (u64 i = 0; i < steps; ++i) x = x * 6364136223846793005ull + 1442695040888963407ull;
+    benchmark::DoNotOptimize(x);
+    return x;
+  };
+  double one_thread_s = 0, two_threads_s = 0;
+  u64 sink = 0;
+  for (auto _ : state) {
+    const auto t0 = Clock::now();
+    sink += chain(1) ^ chain(2);
+    const auto t1 = Clock::now();
+    u64 other_result = 0;
+    std::thread other([&] { other_result = chain(2); });
+    sink += chain(1);
+    other.join();
+    const auto t2 = Clock::now();
+    sink ^= other_result;
+    one_thread_s += std::chrono::duration<double>(t1 - t0).count();
+    two_threads_s += std::chrono::duration<double>(t2 - t1).count();
+  }
+  benchmark::DoNotOptimize(sink);
+  const auto iters = static_cast<double>(state.iterations());
+  state.counters["one_thread_ms"] = one_thread_s / iters * 1e3;
+  state.counters["two_threads_ms"] = two_threads_s / iters * 1e3;
+  state.counters["speedup"] = one_thread_s / two_threads_s;
+}
+BENCHMARK(BM_ParallelCapacity)->Arg(20'000'000)->UseRealTime()->Unit(benchmark::kMillisecond);
+
 void BM_BconvApply(benchmark::State& state) {
   const std::size_t n = 4096;
   const std::size_t l = static_cast<std::size_t>(state.range(0));

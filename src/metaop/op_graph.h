@@ -185,17 +185,17 @@ class OpGraph {
 // whose longest dependency chain has l edges. A graph with no ops has one
 // empty level.
 struct Levels {
-  std::vector<std::size_t> order;  // op indices, grouped by level
-  std::vector<std::size_t> start;  // level l is order[start[l], start[l + 1])
+  std::vector<std::uint32_t> order;  // op indices, grouped by level
+  std::vector<std::uint32_t> start;  // level l is order[start[l], start[l + 1])
 
   std::size_t size() const { return start.size() - 1; }
-  std::span<const std::size_t> operator[](std::size_t l) const {
-    return std::span<const std::size_t>(order).subspan(start[l], start[l + 1] - start[l]);
+  std::span<const std::uint32_t> operator[](std::size_t l) const {
+    return std::span<const std::uint32_t>(order).subspan(start[l], start[l + 1] - start[l]);
   }
 };
 
 // Throws std::invalid_argument unless every dependency points to an earlier
-// op.
+// op, and std::length_error past 2^32 - 1 ops.
 Levels asap_levels(const OpGraph& graph);
 
 }  // namespace alchemist::metaop

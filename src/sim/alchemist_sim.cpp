@@ -7,7 +7,6 @@
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -116,20 +115,19 @@ struct ShapeKey {
   OpKind kind;
   std::size_t n, channels, param_a, param_b;
   bool operator==(const ShapeKey&) const = default;
-};
 
-struct ShapeKeyHash {
-  std::size_t operator()(const ShapeKey& k) const {
-    std::size_t h = static_cast<std::size_t>(k.kind);
-    for (std::size_t v : {k.n, k.channels, k.param_a, k.param_b}) {
-      h = (h ^ v) * 0x100000001b3ull;
-    }
-    return h;
+  // The fields packed at staggered offsets, then one Fibonacci multiply; a
+  // table index takes the product's high bits, which every field reaches.
+  std::uint64_t hash() const {
+    const std::uint64_t packed = static_cast<std::uint64_t>(kind) ^ (n << 5) ^
+                                 (channels << 27) ^ (param_a << 40) ^ (param_b << 52);
+    return packed * 0x9e3779b97f4a7c15ull;
   }
 };
 
 // The price of an op shape on the simulated (possibly degraded) machine.
-// Values are exact; each policy rounds the transpose the way its model needs.
+// `transpose` is exact; the ready-list policy folds it into an op's work, and
+// the level policy charges the two rounded wall shares below.
 struct ShapeCost {
   OpClass cls = OpClass::Elementwise;
   std::uint64_t raw_core_cycles = 0;  // lowered Meta-OP work, before padding
@@ -139,6 +137,8 @@ struct ShapeCost {
   std::uint64_t batches = 0;
   std::uint64_t mults = 0;
   double transpose = 0;  // serialized half of the 4-step NTT transpose
+  std::uint64_t transpose_wall = 0;  // ceil(transpose)
+  std::uint64_t core_wall = 0;       // ceil(core_cycles / cores)
 };
 
 // One op priced: its shape's price plus the op's own transient faults.
@@ -234,11 +234,38 @@ class Engine {
     return true;
   }
 
-  // Price of an op's shape, lowered on its first sight in this run: busy
-  // lanes, degraded-stripe padding and the transpose share.
+  // Price of an op's shape, lowered on its first sight in this run.
   const ShapeCost& shape_cost(const HighOp& op) {
     const ShapeKey key{op.kind, op.n, op.channels, op.param_a, op.param_b};
-    if (const auto it = shapes_.find(key); it != shapes_.end()) return it->second;
+    ShapeSlot& slot = shape_slots_[find_slot(key)];
+    if (slot.cost != kNoShape) return shape_costs_[slot.cost];
+    slot = {key, static_cast<std::uint32_t>(shape_costs_.size())};
+    shape_costs_.push_back(price_shape(op));
+    if (2 * shape_costs_.size() > shape_slots_.size()) {
+      // Keep the table at most half full.
+      std::vector<ShapeSlot> old(2 * shape_slots_.size());
+      old.swap(shape_slots_);
+      --shape_shift_;
+      for (const ShapeSlot& s : old) {
+        if (s.cost != kNoShape) shape_slots_[find_slot(s.key)] = s;
+      }
+    }
+    return shape_costs_.back();
+  }
+
+  // The slot holding `key`, or the free slot where it goes.
+  std::size_t find_slot(const ShapeKey& key) const {
+    const std::size_t mask = shape_slots_.size() - 1;
+    std::size_t i = key.hash() >> shape_shift_;
+    while (shape_slots_[i].cost != kNoShape && !(shape_slots_[i].key == key)) {
+      i = (i + 1) & mask;
+    }
+    return i;
+  }
+
+  // Lowers an op's shape and prices it: busy lanes, degraded-stripe padding
+  // and the transpose share.
+  ShapeCost price_shape(const HighOp& op) const {
     const MetaOpStream stream = metaop::lower(op);
     ShapeCost s;
     s.cls = class_of(op.kind);
@@ -267,7 +294,9 @@ class Engine {
           static_cast<std::uint64_t>(op.n) * std::max<std::size_t>(op.channels, 1);
       s.transpose = static_cast<double>(words) / transpose_words_per_cycle_ / 2.0;
     }
-    return shapes_.emplace(key, s).first->second;
+    s.transpose_wall = static_cast<std::uint64_t>(std::ceil(s.transpose));
+    s.core_wall = (s.core_cycles + cores_ - 1) / cores_;
+    return s;
   }
 
   // Price op `idx`: its shape's price, then its transient faults (keyed by
@@ -484,7 +513,16 @@ class Engine {
 
  private:
   OpCounters counters_;
-  std::unordered_map<ShapeKey, ShapeCost, ShapeKeyHash> shapes_;
+  // The shapes priced so far: open addressing over a power-of-two table of
+  // indices into shape_costs_. A paper schedule has a few hundred shapes.
+  static constexpr std::uint32_t kNoShape = std::numeric_limits<std::uint32_t>::max();
+  struct ShapeSlot {
+    ShapeKey key{};
+    std::uint32_t cost = kNoShape;
+  };
+  std::vector<ShapeSlot> shape_slots_ = std::vector<ShapeSlot>(256);
+  int shape_shift_ = 64 - 8;  // a hash's top log2(slots) bits index the table
+  std::vector<ShapeCost> shape_costs_;
   std::uint64_t executed_steps_ = 0;
   std::uint64_t trace_checkpoints_ = 0;
   double span_start_ = 0;
@@ -633,7 +671,7 @@ class LevelPolicy final : public Engine {
     chain_len_ = 0;
   }
 
-  void step(std::size_t level_idx, std::span<const std::size_t> level) {
+  void step(std::size_t level_idx, std::span<const std::uint32_t> level) {
     // Narrow levels at Phases detail fold into the running chain span, so
     // they never mint a per-level context.
     const bool phases = spans_on_ && detail_ >= obs::TraceDetail::Phases;
@@ -648,14 +686,16 @@ class LevelPolicy final : public Engine {
     UnitProfiler::Level profile;
     // The pooled model executes a level's work as if ops ran back to back at
     // full machine width, so op slices, op spans and memory-profiler releases
-    // tile the level span along this cursor.
+    // tile the level span along this cursor. Only they read it.
+    const bool op_spans = spans_on_ && detail_ == obs::TraceDetail::Ops;
+    const bool tiled = trace_ || mem_profiler_ || op_spans;
     double cursor = start;
     for (std::size_t idx : level) {
       const HighOp& op = graph_.ops()[idx];
       const OpCost c = cost(idx);
       const auto cls = static_cast<std::size_t>(c.cls);
       const std::uint64_t work = c.core_cycles + c.retry_cycles;
-      const auto transpose = static_cast<std::uint64_t>(std::ceil(c.transpose));
+      const std::uint64_t transpose = c.transpose_wall;
       total_transpose_ += transpose;
       // Data movement for the op's working set through the local scratchpads
       // is covered by the per-lane operand fetch modeled inside the Meta-OP
@@ -667,9 +707,12 @@ class LevelPolicy final : public Engine {
       // whole windows, so the ratio carries over untouched.
       profile.reduction_core_cycles += 2 * c.meta_ops;
       profile.class_core_cycles[cls] += work;
-      class_wall_[cls] += (work + cores_ - 1) / cores_ + transpose;
+      // A fault-free op's wall share is its shape's.
+      class_wall_[cls] +=
+          (c.retry_cycles == 0 ? c.core_wall : (work + cores_ - 1) / cores_) + transpose;
       class_busy_[cls] += c.busy_lanes;
       total_busy_ += c.busy_lanes;
+      if (!tiled) continue;
 
       const double dur = static_cast<double>(work) / static_cast<double>(cores_) +
                          static_cast<double>(transpose);
@@ -693,7 +736,7 @@ class LevelPolicy final : public Engine {
         fault_slice(idx, c.faults, static_cast<double>(c.retry_cycles), cursor,
                     static_cast<double>(c.retry_cycles) / static_cast<double>(cores_));
       }
-      if (spans_on_ && detail_ == obs::TraceDetail::Ops) {
+      if (op_spans) {
         op_span(level_ctx, idx, c.cls, cursor, dur,
                 {{"level", static_cast<double>(level_idx)},
                  {"core_cycles", static_cast<double>(c.core_cycles)}});
@@ -788,7 +831,7 @@ class ReadyListPolicy final : public Engine {
       // exactly its retirement condition.
       for (std::size_t i = 0; i < graph_.ops().size(); ++i) {
         mem_profiler_->record_op(graph_.ops()[i], graph_.transfers(i),
-                                 std::max(state_[i].compute_done_time, state_[i].hbm_ready));
+                                 std::max(details_[i].compute_done_time, ops_[i].hbm_ready));
       }
     }
     ClassTotals classes;
@@ -803,92 +846,118 @@ class ReadyListPolicy final : public Engine {
   }
 
  private:
+  // What the step loop reads and writes, per op.
   struct OpState {
     double work = 0;        // core-cycles of Meta-OP work (incl. transpose)
     double hbm_ready = 0;   // earliest time this op's prefetched keys land
     double busy_lanes = 0;  // lane-cycles for utilization accounting
+    std::uint32_t unmet_deps = 0;
+    std::uint8_t cls = 0;  // an OpClass
+    bool running = false;
+    bool done = false;
+  };
+  static_assert(sizeof(OpState) == 32);
+
+  // What only the checkpoint cursor, trace slices, Ops-detail spans and the
+  // profilers read; never read by the accounting. Allocated only when one of
+  // them is attached.
+  struct OpDetail {
+    double start_time = 0;
+    double compute_done_time = 0;
     // Profiler-only shares of `work`: the transpose traffic folded into it
     // and the Meta-OP reduction tails within the non-transpose part.
     double frac_scratch = 0;
     double frac_reduction = 0;
-    OpClass cls = OpClass::Elementwise;
-    std::size_t unmet_deps = 0;
-    bool running = false;
-    bool done = false;
-    // Telemetry only (never read by the accounting).
-    double start_time = 0;
-    double compute_done_time = 0;
     fault::OpFaults faults;
     double retry_cycles = 0;
   };
 
   double clock() const override { return now_; }
 
+  // One walk over the ops prices each, books its HBM prefetch time and its
+  // dependency count, and collects the ops that are ready at t=0. A second
+  // walk fills the reverse graph.
   void setup() {
+    const std::span<const HighOp> ops = graph_.ops();
+    const std::size_t n = ops.size();
+    if (n > std::numeric_limits<std::uint32_t>::max()) {
+      throw std::length_error("event sim: more than 2^32 - 1 ops");
+    }
+    detailed_ = trace_ || profiler_ || mem_profiler_ ||
+                (control_ && control_->checkpoint) ||
+                (spans_on_ && detail_ == obs::TraceDetail::Ops);
     const double cores = static_cast<double>(cores_);
-    state_.resize(graph_.ops().size());
-    dependents_start_.assign(graph_.ops().size() + 1, 0);
-    for (std::size_t i = 0; i < graph_.ops().size(); ++i) {
-      const OpCost c = cost(i);
-      OpState& s = state_[i];
-      s.cls = c.cls;
-      s.busy_lanes = static_cast<double>(c.busy_lanes);
-      s.faults = c.faults;
-      s.retry_cycles = static_cast<double>(c.retry_cycles);
-      s.work = static_cast<double>(c.core_cycles) + s.retry_cycles;
-      // Reduction share of the compute work: 2 of every (n+2)-cycle Meta-OP
-      // window. Padding and retries replay whole windows, so the raw
-      // stream's ratio carries over.
-      const double raw_core = static_cast<double>(c.raw_core_cycles);
-      s.frac_reduction =
-          raw_core > 0 ? 2.0 * static_cast<double>(c.meta_ops) / raw_core : 0.0;
-      if (c.transpose > 0) {
-        // Serialized half of the transpose, expressed as extra machine work.
-        const double transpose_work = c.transpose * cores;
-        s.work += transpose_work;
-        s.frac_scratch = s.work > 0 ? transpose_work / s.work : 0.0;
-        total_transpose_ += static_cast<std::uint64_t>(c.transpose);
-      }
-      const std::span<const std::size_t> deps = graph_.deps(i);
-      s.unmet_deps = deps.size();
-      for (std::size_t dep : deps) {
-        if (dep >= i) throw std::invalid_argument("event sim: deps must point backwards");
-        ++dependents_start_[dep + 1];
-      }
-      class_busy_total_[static_cast<std::size_t>(s.cls)] += s.busy_lanes;
-    }
-    // The dependents of op d are dependents_[dependents_start_[d],
-    // dependents_start_[d + 1]), in ascending op order: the order they wake
-    // up in when d retires.
-    for (std::size_t d = 1; d < dependents_start_.size(); ++d) {
-      dependents_start_[d] += dependents_start_[d - 1];
-    }
-    dependents_.resize(dependents_start_.back());
-    std::vector<std::size_t> fill(dependents_start_.begin(), dependents_start_.end() - 1);
-    for (std::size_t i = 0; i < graph_.ops().size(); ++i) {
-      for (std::size_t dep : graph_.deps(i)) dependents_[fill[dep]++] = i;
-    }
-
     // Key prefetching: the scheduler knows the op stream in advance, so HBM
     // streams each op's keys in order starting at t=0; an op can only retire
     // once its cumulative key traffic has landed.
     const double hbm_bpc = cfg_.hbm_bytes_per_cycle();
     double bytes_prefix = 0;
-    for (std::size_t i = 0; i < graph_.ops().size(); ++i) {
-      const HighOp& op = graph_.ops()[i];
-      const double start_cycle = bytes_prefix / hbm_bpc;
-      bytes_prefix += static_cast<double>(op.hbm_bytes);
-      state_[i].hbm_ready = bytes_prefix / hbm_bpc;
-      if (trace_ && op.hbm_bytes > 0) {
-        slice("keys " + op_label(op, i), "hbm", kHbmTid, start_cycle,
-              state_[i].hbm_ready - start_cycle,
-              {{"bytes", static_cast<double>(op.hbm_bytes)}, {"bytes_per_cycle", hbm_bpc}});
+    double hbm_ready = 0;
+    ops_.reserve(n);
+    if (detailed_) details_.reserve(n);
+    // dependents_start_[d] counts d's dependents here; see below.
+    dependents_start_.assign(n + 1, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      const HighOp& op = ops[i];
+      const OpCost c = cost(i);
+      OpState& s = ops_.emplace_back();
+      s.cls = static_cast<std::uint8_t>(c.cls);
+      s.busy_lanes = static_cast<double>(c.busy_lanes);
+      const double retry_cycles = static_cast<double>(c.retry_cycles);
+      s.work = static_cast<double>(c.core_cycles) + retry_cycles;
+      double transpose_work = 0;
+      if (c.transpose > 0) {
+        // Serialized half of the transpose, expressed as extra machine work.
+        transpose_work = c.transpose * cores;
+        s.work += transpose_work;
+        total_transpose_ += static_cast<std::uint64_t>(c.transpose);
+      }
+      if (op.hbm_bytes > 0) {
+        const double start_cycle = bytes_prefix / hbm_bpc;
+        bytes_prefix += static_cast<double>(op.hbm_bytes);
+        hbm_ready = bytes_prefix / hbm_bpc;
+        if (trace_) {
+          slice("keys " + op_label(op, i), "hbm", kHbmTid, start_cycle,
+                hbm_ready - start_cycle,
+                {{"bytes", static_cast<double>(op.hbm_bytes)},
+                 {"bytes_per_cycle", hbm_bpc}});
+        }
+      }
+      s.hbm_ready = hbm_ready;
+      const std::span<const std::size_t> deps = graph_.deps(i);
+      s.unmet_deps = static_cast<std::uint32_t>(deps.size());
+      for (std::size_t dep : deps) {
+        if (dep >= i) throw std::invalid_argument("event sim: deps must point backwards");
+        ++dependents_start_[dep];
+      }
+      if (deps.empty()) {
+        s.running = true;
+        running_.push_back(static_cast<std::uint32_t>(i));
+      }
+      class_busy_total_[s.cls] += s.busy_lanes;
+      if (detailed_) {
+        OpDetail& d = details_.emplace_back();
+        d.faults = c.faults;
+        d.retry_cycles = retry_cycles;
+        // Reduction share of the compute work: 2 of every (n+2)-cycle Meta-OP
+        // window. Padding and retries replay whole windows, so the raw
+        // stream's ratio carries over.
+        const double raw_core = static_cast<double>(c.raw_core_cycles);
+        d.frac_reduction =
+            raw_core > 0 ? 2.0 * static_cast<double>(c.meta_ops) / raw_core : 0.0;
+        if (c.transpose > 0) d.frac_scratch = s.work > 0 ? transpose_work / s.work : 0.0;
       }
     }
-    for (std::size_t i = 0; i < state_.size(); ++i) {
-      if (state_[i].unmet_deps == 0) {
-        state_[i].running = true;
-        running_.push_back(i);
+    // The dependents of op d are dependents_[dependents_start_[d],
+    // dependents_start_[d + 1]), in ascending op order: the order they wake
+    // up in when d retires. After the running sum each start holds its
+    // list's end; filling the lists back to front, from the last op, leaves
+    // it at the list's beginning.
+    for (std::size_t d = 1; d <= n; ++d) dependents_start_[d] += dependents_start_[d - 1];
+    dependents_.resize(dependents_start_[n]);
+    for (std::size_t i = n; i-- > 0;) {
+      for (std::size_t dep : graph_.deps(i)) {
+        dependents_[--dependents_start_[dep]] = static_cast<std::uint32_t>(i);
       }
     }
   }
@@ -900,12 +969,13 @@ class ReadyListPolicy final : public Engine {
     for (double c : class_active_) w.write_double(c);
     w.write_u64(completed_);
     w.write_u64_vector(std::vector<std::uint64_t>(running_.begin(), running_.end()));
-    w.write_u64(state_.size());
-    for (const OpState& s : state_) {
+    w.write_u64(ops_.size());
+    for (std::size_t i = 0; i < ops_.size(); ++i) {
+      const OpState& s = ops_[i];
       w.write_double(s.work);
       w.write_double(s.busy_lanes);
-      w.write_double(s.start_time);
-      w.write_double(s.compute_done_time);
+      w.write_double(details_[i].start_time);
+      w.write_double(details_[i].compute_done_time);
       w.write_u64(s.unmet_deps);
       w.write_u8(static_cast<std::uint8_t>((s.running ? 1u : 0u) | (s.done ? 2u : 0u)));
     }
@@ -920,25 +990,30 @@ class ReadyListPolicy final : public Engine {
     completed_ = static_cast<std::size_t>(r.read_u64());
     const std::vector<std::uint64_t> run_ids = r.read_u64_vector();
     const std::uint64_t n_ops = r.read_u64();
-    if (n_ops != state_.size() || completed_ > state_.size()) {
+    if (n_ops != ops_.size() || completed_ > ops_.size()) {
       throw CheckpointError("event engine: per-op state size mismatch");
     }
-    for (OpState& s : state_) {
+    for (std::size_t i = 0; i < ops_.size(); ++i) {
+      OpState& s = ops_[i];
       s.work = r.read_double();
       s.busy_lanes = r.read_double();
-      s.start_time = r.read_double();
-      s.compute_done_time = r.read_double();
-      s.unmet_deps = static_cast<std::size_t>(r.read_u64());
+      details_[i].start_time = r.read_double();
+      details_[i].compute_done_time = r.read_double();
+      const std::uint64_t unmet = r.read_u64();
+      if (unmet > graph_.deps(i).size()) {
+        throw CheckpointError("event engine: dependency count out of range");
+      }
+      s.unmet_deps = static_cast<std::uint32_t>(unmet);
       const std::uint8_t flags = r.read_u8();
       s.running = (flags & 1u) != 0;
       s.done = (flags & 2u) != 0;
     }
     running_.clear();
     for (std::uint64_t id : run_ids) {
-      if (id >= state_.size()) {
+      if (id >= ops_.size()) {
         throw CheckpointError("event engine: ready-set index out of range");
       }
-      running_.push_back(static_cast<std::size_t>(id));
+      running_.push_back(static_cast<std::uint32_t>(id));
     }
   }
 
@@ -947,10 +1022,11 @@ class ReadyListPolicy final : public Engine {
     // and the classes with live work this interval.
     std::size_t compute_live = 0;
     PerClass<bool> live{};
-    for (std::size_t idx : running_) {
-      if (state_[idx].work > 0) {
+    for (std::uint32_t idx : running_) {
+      const OpState& s = ops_[idx];
+      if (s.work > 0) {
         ++compute_live;
-        live[static_cast<std::size_t>(state_[idx].cls)] = true;
+        live[s.cls] = true;
       }
     }
     const double core_share =
@@ -958,8 +1034,8 @@ class ReadyListPolicy final : public Engine {
 
     // Next completion event.
     double dt = std::numeric_limits<double>::infinity();
-    for (std::size_t idx : running_) {
-      const OpState& s = state_[idx];
+    for (std::uint32_t idx : running_) {
+      const OpState& s = ops_[idx];
       double t_done = s.work > 0 ? s.work / core_share : 0;
       t_done = std::max(t_done, s.hbm_ready - now_);
       dt = std::min(dt, t_done);
@@ -977,23 +1053,26 @@ class ReadyListPolicy final : public Engine {
     double iv_delivered = 0, iv_reduction = 0, iv_scratch = 0;
     PerClass<double> iv_class{};
     next_running_.clear();
-    for (std::size_t idx : running_) {
-      OpState& s = state_[idx];
+    for (std::uint32_t idx : running_) {
+      OpState& s = ops_[idx];
       if (s.work > 0) {
         const double delivered = std::min(s.work, core_share * dt);
         if (profiler_) {
-          const double d_scratch = delivered * s.frac_scratch;
+          const OpDetail& d = details_[idx];
+          const double d_scratch = delivered * d.frac_scratch;
           const double d_compute = delivered - d_scratch;
           iv_delivered += delivered;
           iv_scratch += d_scratch;
-          iv_reduction += d_compute * s.frac_reduction;
-          iv_class[static_cast<std::size_t>(s.cls)] += d_compute;
+          iv_reduction += d_compute * d.frac_reduction;
+          iv_class[s.cls] += d_compute;
         }
-        busy_integral_ += delivered / s.work * s.busy_lanes;  // proportional
-        s.busy_lanes -= delivered / std::max(s.work, 1e-9) * s.busy_lanes;
+        // Lane-cycles in proportion to the work delivered.
+        const double lanes = delivered / s.work * s.busy_lanes;
+        busy_integral_ += lanes;
+        s.busy_lanes -= s.work >= 1e-9 ? lanes : delivered / 1e-9 * s.busy_lanes;
         s.work -= delivered;
         if (s.work < 1e-9) s.work = 0;
-        if (s.work == 0) s.compute_done_time = now_;
+        if (s.work == 0 && detailed_) details_[idx].compute_done_time = now_;
       }
       if (s.work == 0 && now_ + 1e-9 >= s.hbm_ready) {
         retire(idx, next_running_);
@@ -1008,40 +1087,46 @@ class ReadyListPolicy final : public Engine {
     running_.swap(next_running_);
   }
 
-  void retire(std::size_t idx, std::vector<std::size_t>& ready) {
-    OpState& s = state_[idx];
+  void retire(std::uint32_t idx, std::vector<std::uint32_t>& ready) {
+    OpState& s = ops_[idx];
     s.done = true;
     ++completed_;
-    const double dur = now_ - s.start_time;
-    if (trace_) {
-      const HighOp& op = graph_.ops()[idx];
-      op_slice(idx, s.cls, s.start_time, dur, now_,
-               {{"ready_cycle", s.start_time},
-                {"end_cycle", now_},
-                {"hbm_ready_cycle", s.hbm_ready},
-                {"hbm_wait_cycles",
-                 std::max(0.0, now_ - std::max(s.compute_done_time, s.start_time))},
-                {"hbm_bytes", static_cast<double>(op.hbm_bytes)}});
-      fault_slice(idx, s.faults, s.retry_cycles, s.start_time, dur);
+    if (detailed_) {
+      const OpDetail& d = details_[idx];
+      const double dur = now_ - d.start_time;
+      if (trace_) {
+        const HighOp& op = graph_.ops()[idx];
+        op_slice(idx, static_cast<OpClass>(s.cls), d.start_time, dur, now_,
+                 {{"ready_cycle", d.start_time},
+                  {"end_cycle", now_},
+                  {"hbm_ready_cycle", s.hbm_ready},
+                  {"hbm_wait_cycles",
+                   std::max(0.0, now_ - std::max(d.compute_done_time, d.start_time))},
+                  {"hbm_bytes", static_cast<double>(op.hbm_bytes)}});
+        fault_slice(idx, d.faults, d.retry_cycles, d.start_time, dur);
+      }
+      if (spans_on_ && detail_ == obs::TraceDetail::Ops) {
+        op_span(sim_ctx_, idx, static_cast<OpClass>(s.cls), d.start_time, dur, {});
+      }
     }
-    if (spans_on_ && detail_ == obs::TraceDetail::Ops) {
-      op_span(sim_ctx_, idx, s.cls, s.start_time, dur, {});
-    }
-    for (std::size_t k = dependents_start_[idx]; k < dependents_start_[idx + 1]; ++k) {
-      OpState& d = state_[dependents_[k]];
+    for (std::uint32_t k = dependents_start_[idx]; k < dependents_start_[idx + 1]; ++k) {
+      const std::uint32_t dependent = dependents_[k];
+      OpState& d = ops_[dependent];
       if (--d.unmet_deps == 0) {
         d.running = true;
-        d.start_time = now_;
-        ready.push_back(dependents_[k]);
+        if (detailed_) details_[dependent].start_time = now_;
+        ready.push_back(dependent);
       }
     }
   }
 
-  std::vector<OpState> state_;
-  std::vector<std::size_t> dependents_start_;  // CSR of the reverse graph
-  std::vector<std::size_t> dependents_;
-  std::vector<std::size_t> running_;
-  std::vector<std::size_t> next_running_;  // step()'s next ready set, swapped in
+  std::vector<OpState> ops_;
+  bool detailed_ = false;          // details_ is filled
+  std::vector<OpDetail> details_;
+  std::vector<std::uint32_t> dependents_start_;  // CSR of the reverse graph
+  std::vector<std::uint32_t> dependents_;
+  std::vector<std::uint32_t> running_;
+  std::vector<std::uint32_t> next_running_;  // step()'s next ready set, swapped in
   std::uint64_t total_transpose_ = 0;
   PerClass<double> class_busy_total_{};
   double now_ = 0;

@@ -30,20 +30,20 @@ metaop::OpGraph merge_graphs(GraphRefs graph_refs, const std::string& name) {
   merged.reserve(base.back(), total_deps, total_transfers);
   std::vector<std::size_t> remap(base.back());
   std::vector<std::size_t> next(graphs.size(), 0);
-  for (;;) {
-    // Pick the stream with the smallest consumed fraction.
-    std::size_t best = graphs.size();
-    double best_frac = 2.0;
+  for (std::size_t placed = 0; placed < base.back(); ++placed) {
+    // Pick the stream with the smallest consumed fraction next/size, the
+    // first one on a tie. The fractions are compared by cross-multiplying,
+    // exact while sizes stay below 2^32, and without branches: which stream
+    // wins is data dependent, and a branch that mispredicts costs more than
+    // copying the op.
+    std::size_t best = 0, best_next = 1, best_size = 0;  // 1/0 ranks last
     for (std::size_t g = 0; g < graphs.size(); ++g) {
       const std::size_t size = graphs[g].get().ops().size();
-      if (next[g] >= size) continue;
-      const double frac = static_cast<double>(next[g]) / static_cast<double>(size);
-      if (frac < best_frac) {
-        best_frac = frac;
-        best = g;
-      }
+      const bool smaller = (next[g] < size) & (next[g] * best_size < best_next * size);
+      best = smaller ? g : best;
+      best_next = smaller ? next[g] : best_next;
+      best_size = smaller ? size : best_size;
     }
-    if (best == graphs.size()) break;
     const OpGraph& src = graphs[best];
     const std::span<const std::size_t> src_remap(remap.data() + base[best], src.ops().size());
     remap[base[best] + next[best]] = merged.add_from(src, next[best], src_remap);

@@ -22,6 +22,7 @@
 #include "workloads/ckks_subgraphs.h"
 #include "workloads/ckks_workloads.h"
 #include "workloads/tfhe_workloads.h"
+#include "paper_inputs.h"
 
 namespace alchemist {
 namespace {
@@ -29,10 +30,11 @@ namespace {
 sim::SimResult run_engine(bool event, const metaop::OpGraph& g,
                           const arch::ArchConfig& cfg,
                           sim::MemProfiler* mem = nullptr,
-                          sim::SimControl* control = nullptr) {
-  return event ? sim::simulate_alchemist_events(g, cfg, nullptr, nullptr,
+                          sim::SimControl* control = nullptr,
+                          const fault::FaultModel* faults = nullptr) {
+  return event ? sim::simulate_alchemist_events(g, cfg, nullptr, faults,
                                                 control, nullptr, mem)
-               : sim::simulate_alchemist(g, cfg, nullptr, nullptr, control,
+               : sim::simulate_alchemist(g, cfg, nullptr, faults, control,
                                          nullptr, mem);
 }
 
@@ -97,21 +99,38 @@ TEST(MemProfiler, ByteConservationAcrossSchemesAndEngines) {
 }
 
 // The profiler is an observer: attaching it must not perturb the simulated
-// result in any counter, and the profile itself must agree across engines
-// (both feed the same schedule-ordered stream model).
+// result in any counter or gauge, on HELR and the paper inputs, fault-free and
+// under retried faults; neither may a SimControl that carries only a cancel
+// token. The profile itself must agree across engines (both feed the same
+// schedule-ordered stream model).
 TEST(MemProfiler, ProfiledRunBitIdentical) {
   const metaop::OpGraph g =
       workloads::build_helr_iteration(workloads::CkksWl::paper(16));
   const arch::ArchConfig cfg = arch::ArchConfig::alchemist();
-  for (bool event : {false, true}) {
-    const sim::SimResult plain = run_engine(event, g, cfg);
-    sim::MemProfiler mem;
-    const sim::SimResult profiled = run_engine(event, g, cfg, &mem);
-    EXPECT_EQ(plain.cycles, profiled.cycles);
-    EXPECT_EQ(plain.time_us, profiled.time_us);
-    EXPECT_EQ(plain.registry.counters(), profiled.registry.counters());
-    EXPECT_FALSE(plain.mem_profile.enabled());
-    EXPECT_TRUE(profiled.mem_profile.enabled());
+  const fault::FaultModel faults = retry_faults(cfg);
+  std::vector<const metaop::OpGraph*> inputs = {&g};
+  for (const metaop::OpGraph& p : paper_inputs()) inputs.push_back(&p);
+  for (const metaop::OpGraph* in : inputs) {
+    for (const fault::FaultModel* fm : {static_cast<const fault::FaultModel*>(nullptr), &faults}) {
+      for (bool event : {false, true}) {
+        SCOPED_TRACE(in->name + (fm ? " +faults" : "") + (event ? " event" : " level"));
+        const sim::SimResult plain = run_engine(event, *in, cfg, nullptr, nullptr, fm);
+        sim::MemProfiler mem;
+        const sim::SimResult profiled = run_engine(event, *in, cfg, &mem, nullptr, fm);
+        EXPECT_EQ(plain.cycles, profiled.cycles);
+        EXPECT_EQ(plain.time_us, profiled.time_us);
+        EXPECT_EQ(plain.registry.counters(), profiled.registry.counters());
+        EXPECT_EQ(plain.registry.gauges(), profiled.registry.gauges());
+        EXPECT_FALSE(plain.mem_profile.enabled());
+        EXPECT_TRUE(profiled.mem_profile.enabled());
+        sim::CancelToken token;
+        sim::SimControl ctl;
+        ctl.cancel = &token;
+        const sim::SimResult cancellable = run_engine(event, *in, cfg, nullptr, &ctl, fm);
+        EXPECT_EQ(plain.registry.counters(), cancellable.registry.counters());
+        EXPECT_EQ(plain.registry.gauges(), cancellable.registry.gauges());
+      }
+    }
   }
   sim::MemProfiler m1, m2;
   const sim::SimResult level = run_engine(false, g, cfg, &m1);

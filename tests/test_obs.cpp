@@ -27,6 +27,7 @@
 #include "sim/sim_control.h"
 #include "sim/unit_profiler.h"
 #include "workloads/ckks_workloads.h"
+#include "paper_inputs.h"
 
 namespace alchemist {
 namespace {
@@ -209,26 +210,58 @@ void expect_identical_results(const sim::SimResult& a, const sim::SimResult& b) 
   EXPECT_EQ(a.registry.gauges(), b.registry.gauges());
 }
 
+using SimFn = sim::SimResult (*)(const OpGraph&, const arch::ArchConfig&, obs::Timeline*,
+                                  const fault::FaultModel*, sim::SimControl*,
+                                  sim::UnitProfiler*, sim::MemProfiler*);
+
+// Runs `engine` on `own` and paper_inputs(), each fault-free and under
+// retry_faults(), and checks that `observe` (a run with an observer attached)
+// and a run whose SimControl carries only a cancel token both match the
+// plain run's whole result.
+template <typename Observe>
+void expect_observer_inert(SimFn engine, const OpGraph& own, const Observe& observe) {
+  const arch::ArchConfig cfg = arch::ArchConfig::alchemist();
+  const fault::FaultModel faults = retry_faults(cfg);
+  std::vector<const OpGraph*> inputs = {&own};
+  for (const OpGraph& g : paper_inputs()) inputs.push_back(&g);
+  for (const OpGraph* g : inputs) {
+    for (const fault::FaultModel* fm : {static_cast<const fault::FaultModel*>(nullptr), &faults}) {
+      SCOPED_TRACE(g->name + (fm ? " +faults" : ""));
+      const sim::SimResult plain = engine(*g, cfg, nullptr, fm, nullptr, nullptr, nullptr);
+      if (fm && g != &own) {
+        EXPECT_GT(plain.registry.counter(fault::metrics::kRetries), 0u);
+      }
+      expect_identical_results(plain, observe(*g, cfg, fm));
+      sim::CancelToken token;
+      sim::SimControl ctl;
+      ctl.cancel = &token;
+      expect_identical_results(plain, engine(*g, cfg, nullptr, fm, &ctl, nullptr, nullptr));
+    }
+  }
+}
+
 TEST(ObsObserverEffect, TelemetryDoesNotPerturbLevelSim) {
   const workloads::CkksWl w = workloads::CkksWl::paper(44);
-  const OpGraph g = workloads::build_keyswitch(w);
-  const arch::ArchConfig cfg = arch::ArchConfig::alchemist();
-  obs::Timeline timeline;
-  const auto r_off = sim::simulate_alchemist(g, cfg);
-  const auto r_on = sim::simulate_alchemist(g, cfg, &timeline);
-  EXPECT_FALSE(timeline.events().empty());
-  expect_identical_results(r_off, r_on);
+  expect_observer_inert(
+      sim::simulate_alchemist, workloads::build_keyswitch(w),
+      [](const OpGraph& g, const arch::ArchConfig& cfg, const fault::FaultModel* fm) {
+        obs::Timeline timeline;
+        const sim::SimResult r = sim::simulate_alchemist(g, cfg, &timeline, fm);
+        EXPECT_FALSE(timeline.events().empty());
+        return r;
+      });
 }
 
 TEST(ObsObserverEffect, TelemetryDoesNotPerturbEventSim) {
   const workloads::CkksWl w = workloads::CkksWl::paper(24);
-  const OpGraph g = workloads::build_cmult(w);
-  const arch::ArchConfig cfg = arch::ArchConfig::alchemist();
-  obs::Timeline timeline;
-  const auto r_off = sim::simulate_alchemist_events(g, cfg);
-  const auto r_on = sim::simulate_alchemist_events(g, cfg, &timeline);
-  EXPECT_FALSE(timeline.events().empty());
-  expect_identical_results(r_off, r_on);
+  expect_observer_inert(
+      sim::simulate_alchemist_events, workloads::build_cmult(w),
+      [](const OpGraph& g, const arch::ArchConfig& cfg, const fault::FaultModel* fm) {
+        obs::Timeline timeline;
+        const sim::SimResult r = sim::simulate_alchemist_events(g, cfg, &timeline, fm);
+        EXPECT_FALSE(timeline.events().empty());
+        return r;
+      });
 }
 
 // --- SimResult-on-registry ------------------------------------------------
@@ -472,19 +505,17 @@ TEST(ObsProfiler, EventEngineBucketsPartitionEveryCycle) {
 TEST(ObsProfiler, ProfiledRunIsBitIdentical) {
   const workloads::CkksWl w = workloads::CkksWl::paper(24);
   const OpGraph g = workloads::build_keyswitch(w);
-  const arch::ArchConfig cfg = arch::ArchConfig::alchemist();
-  sim::UnitProfiler lp, ep;
-  const auto level_off = sim::simulate_alchemist(g, cfg);
-  const auto level_on =
-      sim::simulate_alchemist(g, cfg, nullptr, nullptr, nullptr, &lp);
-  expect_identical_results(level_off, level_on);
-  EXPECT_FALSE(level_off.profile.enabled());
-  EXPECT_TRUE(level_on.profile.enabled());
-  const auto event_off = sim::simulate_alchemist_events(g, cfg);
-  const auto event_on =
-      sim::simulate_alchemist_events(g, cfg, nullptr, nullptr, nullptr, &ep);
-  expect_identical_results(event_off, event_on);
-  EXPECT_TRUE(event_on.profile.enabled());
+  for (SimFn engine : {SimFn{sim::simulate_alchemist}, SimFn{sim::simulate_alchemist_events}}) {
+    expect_observer_inert(
+        engine, g,
+        [engine](const OpGraph& in, const arch::ArchConfig& cfg, const fault::FaultModel* fm) {
+          sim::UnitProfiler prof;
+          const sim::SimResult r = engine(in, cfg, nullptr, fm, nullptr, &prof, nullptr);
+          EXPECT_TRUE(r.profile.enabled());
+          return r;
+        });
+  }
+  EXPECT_FALSE(sim::simulate_alchemist(g, arch::ArchConfig::alchemist()).profile.enabled());
 }
 
 TEST(ObsProfiler, ResumedRunComesBackUnprofiled) {
